@@ -398,6 +398,12 @@ def source_term_variance(
     ``substeps`` points per step (left-endpoint sums), which biases the
     variance down by exactly the factor (1 - 1/substeps) at grid-aligned t.
     The analytic target is T*t/2, independent of N at grid-aligned t.
+
+    The pair (j, m) only labels the estimate: Y^{j,m,N} is built from two
+    independent Brownian coordinates and one sign per step, so every valid
+    pair (1 <= m < j) has the same law. The estimator therefore always draws
+    a 2-dimensional bundle (coordinate 1 plays W^m, coordinate 2 plays W^j),
+    and two valid pairs give the same estimate at a fixed seed.
     """
     if not 1 <= m < j:
         raise ValueError(f"need 1 <= m < j, got j={j}, m={m}")

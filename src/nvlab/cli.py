@@ -85,8 +85,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("source-term", parents=[common], help="bracket source-term variance")
     p.add_argument("--N", dest="N", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    same_law = "; every pair 1 <= m < j is identical in law and gives the same estimate"
+    p.add_argument("--j", type=int, default=None, help="outer Brownian index j" + same_law)
+    p.add_argument("--m", type=int, default=None, help="inner Brownian index m < j" + same_law)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--substeps", type=int, default=None)

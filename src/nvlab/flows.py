@@ -38,19 +38,42 @@ class FlowRequest:
 
 
 class FlowExplosionError(RuntimeError):
-    """A flow produced a non-finite state."""
+    """A flow, or a scheme step built from flows, produced a non-finite state.
 
-    def __init__(self, problem: str, field_index: int | None, t, exact: bool):
+    Raised by a scheme, it names the scheme, the first recorded grid step with
+    a non-finite state (``t`` is that step's time) and the first path index
+    with a non-finite state at that step.
+    """
+
+    def __init__(
+        self,
+        problem: str,
+        field_index: int | None,
+        t,
+        exact: bool,
+        scheme: str | None = None,
+        step: int | None = None,
+        path: int | None = None,
+    ):
         self.problem = problem
         self.field_index = field_index
         self.t = t
         self.exact = exact
-        where = f"field {field_index}" if field_index is not None else "a scheme step"
-        kind = "closed-form" if exact else "rk4"
-        super().__init__(
-            f"non-finite state from {kind} flow of {where} "
-            f"on problem {problem!r} (t={np.max(np.abs(t)):.3g} max abs)"
-        )
+        self.scheme = scheme
+        self.step = step
+        self.path = path
+        if scheme is not None:
+            message = (
+                f"non-finite state from scheme {scheme!r} on problem {problem!r}: "
+                f"first at step {step} (t={t:.3g}), path {path}"
+            )
+        else:
+            kind = "closed-form" if exact else "rk4"
+            message = (
+                f"non-finite state from {kind} flow of field {field_index} "
+                f"on problem {problem!r} (t={np.max(np.abs(t)):.3g} max abs)"
+            )
+        super().__init__(message)
 
 
 def field_callable(problem: Problem, field_index: int):

@@ -35,9 +35,11 @@ def fmt(value) -> str:
 
 
 def git_describe() -> str:
+    """Revision of the checkout holding this package, whatever the working directory."""
     try:
         res = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,
@@ -53,7 +55,7 @@ def run_metadata(cfg: RunConfig) -> dict:
     return {
         "command": cfg.command,
         "seed": cfg.seed,
-        "paths": cfg.paths,
+        "paths": cfg.paths_per_level if cfg.command == "mlmc" else cfg.paths,
         "config_hash": config_hash(cfg),
         "git": git_describe(),
         "numpy": np.__version__,

@@ -154,27 +154,39 @@ def _euler_kernel(problem: Problem, x, dW, eta, h):
     return out
 
 
-def _checked(problem: Problem, y: np.ndarray) -> np.ndarray:
+def _explosion(problem: Problem, label: str, states: np.ndarray, dt: float, path_start=0):
+    """The error naming the first recorded step, and its first path, that is non-finite.
+
+    ``states`` is (paths, records, n) with record k at time k * dt.
+    """
+    bad = ~np.isfinite(states).all(axis=2)
+    step = int(np.argmax(bad.any(axis=0)))
+    path = path_start + int(np.argmax(bad[:, step]))
+    return FlowExplosionError(problem.name, None, step * dt, True, label, step, path)
+
+
+def _checked(problem: Problem, label: str, x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     if not np.all(np.isfinite(y)):
-        raise FlowExplosionError(problem.name, None, 0.0, True)
+        raise _explosion(problem, label, np.stack([x, y], axis=1), h)
     return y
 
 
 def nv_step(problem: Problem, x, step: StepInputs, config: FlowConfig = DEFAULT_FLOW_CONFIG):
     xb, dWb, etab, single = _lift(problem, x, step.dW, step.eta)
-    y = _checked(problem, _nv_kernel(problem, xb, dWb, etab, step.h, config))
+    y = _checked(problem, "nv", xb, _nv_kernel(problem, xb, dWb, etab, step.h, config), step.h)
     return y[0] if single else y
 
 
 def discrete_nv_step(problem: Problem, x, step: StepInputs):
     xb, dWb, etab, single = _lift(problem, x, step.dW, step.eta)
-    y = _checked(problem, _discrete_nv_kernel(problem, xb, dWb, etab, step.h))
+    y = _discrete_nv_kernel(problem, xb, dWb, etab, step.h)
+    y = _checked(problem, "discrete-nv", xb, y, step.h)
     return y[0] if single else y
 
 
 def euler_step(problem: Problem, x, step: StepInputs):
     xb, dWb, etab, single = _lift(problem, x, step.dW, step.eta)
-    y = _checked(problem, _euler_kernel(problem, xb, dWb, etab, step.h))
+    y = _checked(problem, "euler", xb, _euler_kernel(problem, xb, dWb, etab, step.h), step.h)
     return y[0] if single else y
 
 
@@ -183,7 +195,7 @@ def euler_step(problem: Problem, x, step: StepInputs):
 # ---------------------------------------------------------------------------
 
 
-def _march(problem, increments: CoarseIncrements | PathBundle, kernel, record_stride=1):
+def _march(problem, increments: CoarseIncrements | PathBundle, kernel, label, record_stride=1):
     if isinstance(increments, CoarseIncrements):
         dW, eta, h, steps = increments.dW, increments.eta, increments.h, increments.N
     else:
@@ -200,7 +212,8 @@ def _march(problem, increments: CoarseIncrements | PathBundle, kernel, record_st
     # one explosion check for the whole sweep: non-finite values propagate
     # through every kernel, so the last recorded states carry the evidence
     if not np.all(np.isfinite(x)):
-        raise FlowExplosionError(problem.name, None, h, True)
+        bundle = getattr(increments, "base", increments)
+        raise _explosion(problem, label, states, h * record_stride, bundle.path_start)
     return states
 
 
@@ -217,21 +230,22 @@ def nv_trajectory(
     _check_grid(problem, bundle, grid)
     view = coarsen(bundle, grid.N)
     kernel = lambda x, dW, eta, h: _nv_kernel(problem, x, dW, eta, h, config)
-    return Trajectory(grid=grid, states=_march(problem, view, kernel), label="nv")
+    return Trajectory(grid=grid, states=_march(problem, view, kernel, "nv"), label="nv")
 
 
 def discrete_nv_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
     _check_grid(problem, bundle, grid)
     view = coarsen(bundle, grid.N)
     kernel = lambda x, dW, eta, h: _discrete_nv_kernel(problem, x, dW, eta, h)
-    return Trajectory(grid=grid, states=_march(problem, view, kernel), label="discrete-nv")
+    states = _march(problem, view, kernel, "discrete-nv")
+    return Trajectory(grid=grid, states=states, label="discrete-nv")
 
 
 def euler_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
     _check_grid(problem, bundle, grid)
     view = coarsen(bundle, grid.N)
     kernel = lambda x, dW, eta, h: _euler_kernel(problem, x, dW, eta, h)
-    return Trajectory(grid=grid, states=_march(problem, view, kernel), label="euler")
+    return Trajectory(grid=grid, states=_march(problem, view, kernel, "euler"), label="euler")
 
 
 def exact_trajectory(
@@ -255,7 +269,7 @@ def exact_trajectory(
         )
     kernel = lambda x, dW, eta, h: _nv_kernel(problem, x, dW, eta, h, config)
     stride = bundle.n_fine // grid.N
-    states = _march(problem, bundle, kernel, record_stride=stride)
+    states = _march(problem, bundle, kernel, "nv-proxy", record_stride=stride)
     return Trajectory(grid=grid, states=states, label="nv-proxy")
 
 

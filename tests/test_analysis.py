@@ -261,6 +261,13 @@ def test_source_term_zero_time_degenerate():
     assert est.var_est == 0.0 and est.theory == 0.0
 
 
+def test_source_term_pairs_identical_in_law():
+    a = source_term_variance(N=4, j=2, m=1, t=1.0, paths=500, master_seed=21)
+    b = source_term_variance(N=4, j=5, m=3, t=1.0, paths=500, master_seed=21)
+    assert (a.var_est, a.stderr) == (b.var_est, b.stderr)
+    assert (b.j, b.m) == (5, 3)
+
+
 def test_source_term_validation():
     with pytest.raises(ValueError):
         source_term_variance(N=4, j=1, m=1, t=1.0, paths=100, master_seed=0)

@@ -1,6 +1,12 @@
 import json
+import subprocess
+from pathlib import Path
 
+import pytest
+
+from nvlab import report
 from nvlab.cli import main
+from nvlab.config import RunConfig
 from nvlab.report import csv_body
 
 
@@ -276,3 +282,26 @@ def test_csv_metadata_block_has_config_hash(tmp_path):
     text = (tmp_path / "problems.csv").read_text()
     assert "# config_hash = " in text
     assert "# rng = philox4x64-10" in text
+
+
+def test_git_describe_reads_the_package_checkout(tmp_path, monkeypatch):
+    package_dir = Path(report.__file__).resolve().parent
+    try:
+        res = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=package_dir,
+            capture_output=True,
+            text=True,
+        )
+    except OSError:
+        pytest.skip("git is not available")
+    expected = res.stdout.strip() if res.returncode == 0 else "unknown"
+    monkeypatch.chdir(tmp_path)  # not a checkout: the cwd must not matter
+    assert report.git_describe() == expected
+
+
+def test_metadata_paths_is_the_command_path_count():
+    cfg = RunConfig(command="mlmc", paths=10000, paths_per_level=300)
+    assert report.run_metadata(cfg)["paths"] == 300
+    cfg = RunConfig(command="convergence", paths=1200, paths_per_level=300)
+    assert report.run_metadata(cfg)["paths"] == 1200

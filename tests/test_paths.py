@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nvlab import GridSpec, PathBundle, coarsen, make_bundle, make_bundle_batch
-from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, ETA_DOMAIN, StreamPool, stream
+from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, ETA_DOMAIN, StreamPool, rademacher_from_raw, stream
 
 
 def test_same_seed_and_index_bitwise_identical():
@@ -167,3 +170,71 @@ def test_bundle_arrays_read_only():
     bundle = make_bundle(0, 0, 4, 1, 1.0)
     with pytest.raises(ValueError):
         bundle.dW[0, 0, 0] = 1.0
+
+
+# Golden values recorded from numpy 2.4.6. They pin the noise streams: any change
+# to the counter layout, the key derivation or the sign extraction shows here.
+GOLDEN_DW = {
+    0: [-0.2760998807230288, 0.047282027518409375, 0.01150023220530559, -0.5269186331869111],
+    1: [-0.349041897782959, -0.024732101757530565, 0.15423937970306478, 0.2023639811127992],
+    10**6: [-0.08168274574137288, -0.18758776641207392, 0.4028959923757507, -0.3888034008552379],
+}
+GOLDEN_ETA = {
+    0: [1, 1, 1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1, -1, 1, 1],
+    1: [-1, 1, -1, 1, 1, -1, 1, -1, 1, 1, -1, -1, 1, -1, -1, -1],
+    10**6: [1, -1, 1, -1, 1, -1, -1, 1, 1, -1, 1, -1, 1, -1, -1, 1],
+}
+GOLDEN_AUX = {
+    0: [1.0821162825454678, 0.3715477821437552, 1.612870963712066, 1.9960622798625796],
+    1: [-0.4582560391465958, 1.6613998255155766, -2.5673045631332805, 0.9417230878065557],
+    10**6: [0.12932106657696674, -1.026068427732727, -1.613506152162807, 0.08553237915776422],
+}
+
+
+@pytest.mark.parametrize("path_index", sorted(GOLDEN_DW))
+def test_golden_noise(path_index):
+    bundle = make_bundle(42, path_index, 16, 2, 1.0)
+    assert bundle.dW[0, :2].ravel().tolist() == GOLDEN_DW[path_index]
+    assert bundle.eta[0].tolist() == GOLDEN_ETA[path_index]
+    aux = StreamPool(42).seek(path_index, AUX_DOMAIN).standard_normal(4)
+    assert aux.tolist() == GOLDEN_AUX[path_index]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 4097])
+@pytest.mark.parametrize("path_index", [0, 3, 10**6])
+def test_raw_word_signs_match_numpy_integer_sampler(n, path_index):
+    bits = stream(42, path_index, ETA_DOMAIN).integers(0, 2, size=n, dtype=np.int8)
+    raw = stream(42, path_index, ETA_DOMAIN).bit_generator.random_raw(-(-n // 8))
+    assert np.array_equal(rademacher_from_raw(raw.astype("<u8"), n), 2 * bits - 1)
+    eta = make_bundle(42, path_index, n, 1, 1.0).eta[0]
+    assert np.array_equal(eta, 2 * bits - 1)
+
+
+def test_coarsen_memoised_per_bundle():
+    bundle = make_bundle_batch(3, 0, 4, 16, 2, 1.0)
+    first, second = coarsen(bundle, 4), coarsen(bundle, 4)
+    assert first.dW is second.dW and first.eta is second.eta
+    assert coarsen(coarsen(bundle, 8), 4).dW is first.dW
+    assert coarsen(bundle, 2).dW is not first.dW
+
+
+def test_coarsen_at_full_resolution_shares_bundle_arrays():
+    bundle = make_bundle(5, 0, 8, 2, 1.0)
+    view = coarsen(bundle, bundle.n_fine)
+    assert view.dW is bundle.dW and view.eta is bundle.eta
+    assert not view.dW.flags.writeable and not view.eta.flags.writeable
+
+
+def test_coarsened_bundle_freed_without_gc():
+    bundle = make_bundle_batch(4, 0, 3, 16, 2, 1.0)
+    view = coarsen(bundle, 4)
+    coarsen(bundle, 2)
+    ref = weakref.ref(bundle)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # only reference counting may free it, which a cycle would prevent
+    try:
+        del bundle, view
+        assert ref() is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nvlab import (
+    FlowExplosionError,
     GridSpec,
     PathBundle,
     StepInputs,
@@ -185,6 +186,31 @@ def test_zero_increments_constant_trajectory(heisenberg):
     bundle = PathBundle(T=1.0, n_fine=8, d=2, dW=dW, eta=eta)
     traj = nv_trajectory(heisenberg, bundle, GridSpec(8, 1.0))
     assert np.array_equal(traj.states, np.zeros((2, 9, 2)))
+
+
+@pytest.mark.parametrize(
+    "scheme, big, step", [("nv", [2e3, 0.1], 2), ("euler", [1e200, 1e200], 3)]
+)
+def test_explosion_names_scheme_step_and_path(gbm, scheme, big, step):
+    # path 101 of the stream numbering overflows; path 100 stays finite
+    dW = np.full((2, 4, 1), 0.1)
+    dW[1, 1:3, 0] = big
+    eta = np.ones((2, 4), dtype=np.int8)
+    bundle = PathBundle(T=1.0, n_fine=4, d=1, dW=dW, eta=eta, path_start=100)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
+        trajectory(gbm, scheme, bundle, GridSpec(4, 1.0))
+    err = info.value
+    assert (err.scheme, err.step, err.path, err.t) == (scheme, step, 101, step * 0.25)
+    assert f"scheme {scheme!r}" in str(err) and f"step {step}" in str(err)
+    assert "path 101" in str(err)
+
+
+def test_step_explosion_names_scheme_and_path(gbm):
+    x = np.ones((3, 1))
+    dW = np.array([[0.1], [0.1], [2e3]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
+        nv_step(gbm, x, StepInputs(h=0.5, dW=dW))
+    assert (info.value.scheme, info.value.step, info.value.path) == ("nv", 1, 2)
 
 
 def test_exact_trajectory_gbm_closed_form(gbm):
