@@ -25,14 +25,7 @@ from .analysis import (
     strong_error,
 )
 from .catalog import PROBLEM_IDS, catalog, get_problem
-from .flows import (
-    DEFAULT_FLOW_CONFIG,
-    FlowConfig,
-    FlowExplosionError,
-    FlowRequest,
-    flow,
-    flow_selfcheck,
-)
+from .flows import FlowExplosionError
 from .mlmc import LevelStats, MlmcReport, level_difference_samples, mlmc_estimate, parse_payoff
 from .models import (
     BracketTable,
@@ -50,7 +43,6 @@ from .schemes import (
     discrete_nv_step,
     discrete_nv_trajectory,
     euler_step,
-    euler_trajectory,
     exact_trajectory,
     nv_step,
     nv_trajectory,
@@ -59,11 +51,8 @@ from .schemes import (
 
 __all__ = [
     "BracketTable",
-    "DEFAULT_FLOW_CONFIG",
     "ErrorPoint",
-    "FlowConfig",
     "FlowExplosionError",
-    "FlowRequest",
     "GridSpec",
     "LevelStats",
     "LimitLawReport",
@@ -84,11 +73,8 @@ __all__ = [
     "discrete_nv_step",
     "discrete_nv_trajectory",
     "euler_step",
-    "euler_trajectory",
     "exact_trajectory",
     "fit_rate",
-    "flow",
-    "flow_selfcheck",
     "get_problem",
     "level_difference_samples",
     "lie_bracket",

@@ -18,10 +18,11 @@ The statistical core of the lab:
   its quadratic variation has mean T t / 2 at grid-aligned t for every N -
   the scalar fingerprint of the bracket source term.
 
-Every estimator fills a per-path value array in memory-bounded chunks (chunk
-grouping cannot change per-path values because all kernels act path-wise) and
-then reduces over a fixed 20-slice batching, so results are byte-identical
-for any worker count; the batch spread also supplies the standard errors.
+Every estimator fills a per-path value array through one engine,
+:func:`~nvlab.util.run_paths`, in memory-bounded chunks (chunk grouping cannot
+change per-path values because all kernels act path-wise) and then reduces
+over a fixed 20-slice batching, so results are byte-identical for any worker
+count; the batch spread also supplies the standard errors.
 """
 
 from __future__ import annotations
@@ -33,25 +34,14 @@ from typing import Sequence
 import numpy as np
 from scipy import stats as _sstats
 
-from .flows import DEFAULT_FLOW_CONFIG, FlowConfig
 from .models import Problem
 from .paths import AUX_DOMAIN, GridSpec, StreamPool, coarsen, make_bundle_batch
-from .schemes import exact_trajectory, nv_trajectory, trajectory
-from .util import STAT_BATCHES, compute_chunks, run_batches, split_paths
+from .schemes import trajectory
+from .util import STAT_BATCHES, run_paths, split_paths
 
 # Seed stride separating the limit-SDE sample stream from the scheme stream,
 # so the two sides of the KS comparison are independent.
 LIMIT_SEED_STRIDE = 2**32
-
-
-def _fill_by_chunks(out: np.ndarray, chunks, worker, threads: int) -> None:
-    """Run ``worker(start, count) -> array`` over chunks, writing disjoint slices."""
-
-    def task(spec):
-        start, count = spec
-        out[start : start + count] = worker(start, count)
-
-    run_batches(task, chunks, threads)
 
 
 def _batch_mean_se(values: np.ndarray, batches: int = STAT_BATCHES) -> tuple[float, float]:
@@ -133,6 +123,38 @@ def _check_reference(problem: Problem, refine_factor: int):
         )
 
 
+def _coupled_gap(
+    problem: Problem,
+    scheme_a: str,
+    scheme_b: str,
+    N: int,
+    n_fine: int,
+    paths: int,
+    master_seed: int,
+    p: int,
+    threads: int,
+) -> ErrorPoint:
+    """L^{2p} max-over-grid distance of two schemes at N steps on shared bundles
+    drawn at n_fine steps, with its batch standard error."""
+    grid = GridSpec(N, problem.T)
+
+    def worker(start, count):
+        bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
+        a = trajectory(problem, scheme_a, bundle, grid).states
+        b = trajectory(problem, scheme_b, bundle, grid).states
+        sup = np.linalg.norm(a - b, axis=2).max(axis=1)
+        return sup ** (2 * p)
+
+    values = run_paths(paths, n_fine * (problem.d + 3), threads, worker)
+    grand, se = _batch_mean_se(values)
+    if grand > 0.0:
+        err = grand ** (1.0 / (2 * p))
+        stderr = se * err / (2 * p * grand)
+    else:
+        err, stderr = 0.0, 0.0
+    return ErrorPoint(N=N, err=err, stderr=stderr, p=p)
+
+
 def strong_error(
     problem: Problem,
     scheme: str,
@@ -142,7 +164,6 @@ def strong_error(
     p: int = 1,
     refine_factor: int = 64,
     threads: int = 1,
-    flow_config: FlowConfig = DEFAULT_FLOW_CONFIG,
 ) -> ErrorPoint:
     """Coupled L^{2p} max-over-grid error of ``scheme`` at N steps.
 
@@ -156,26 +177,9 @@ def strong_error(
     if p < 1:
         raise ValueError("moment order p must be >= 1")
     _check_reference(problem, refine_factor)
-    n_fine = N * refine_factor
-    grid = GridSpec(N, problem.T)
-
-    def worker(start, count):
-        bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
-        ref = exact_trajectory(problem, bundle, grid, flow_config).states
-        sch = trajectory(problem, scheme, bundle, grid, flow_config).states
-        sup = np.linalg.norm(ref - sch, axis=2).max(axis=1)
-        return sup ** (2 * p)
-
-    values = np.empty(paths)
-    chunks = compute_chunks(paths, n_fine * (problem.d + 3), threads)
-    _fill_by_chunks(values, chunks, worker, threads)
-    grand, se = _batch_mean_se(values)
-    if grand > 0.0:
-        err = grand ** (1.0 / (2 * p))
-        stderr = se * err / (2 * p * grand)
-    else:
-        err, stderr = 0.0, 0.0
-    return ErrorPoint(N=N, err=err, stderr=stderr, p=p)
+    return _coupled_gap(
+        problem, "exact", scheme, N, N * refine_factor, paths, master_seed, p, threads
+    )
 
 
 def scheme_gap(
@@ -187,7 +191,6 @@ def scheme_gap(
     master_seed: int,
     p: int = 1,
     threads: int = 1,
-    flow_config: FlowConfig = DEFAULT_FLOW_CONFIG,
 ) -> ErrorPoint:
     """L^{2p} max-over-grid distance between two schemes run on shared bundles.
 
@@ -197,25 +200,7 @@ def scheme_gap(
     """
     if p < 1:
         raise ValueError("moment order p must be >= 1")
-    grid = GridSpec(N, problem.T)
-
-    def worker(start, count):
-        bundle = make_bundle_batch(master_seed, start, count, N, problem.d, problem.T)
-        a = trajectory(problem, scheme_a, bundle, grid, flow_config).states
-        b = trajectory(problem, scheme_b, bundle, grid, flow_config).states
-        sup = np.linalg.norm(a - b, axis=2).max(axis=1)
-        return sup ** (2 * p)
-
-    values = np.empty(paths)
-    chunks = compute_chunks(paths, N * (problem.d + 3), threads)
-    _fill_by_chunks(values, chunks, worker, threads)
-    grand, se = _batch_mean_se(values)
-    if grand > 0.0:
-        err = grand ** (1.0 / (2 * p))
-        stderr = se * err / (2 * p * grand)
-    else:
-        err, stderr = 0.0, 0.0
-    return ErrorPoint(N=N, err=err, stderr=stderr, p=p)
+    return _coupled_gap(problem, scheme_a, scheme_b, N, N, paths, master_seed, p, threads)
 
 
 def fit_rate(points: Sequence[ErrorPoint], T: float = 1.0) -> RateFit:
@@ -250,7 +235,6 @@ def normalized_error_samples(
     master_seed: int,
     refine_factor: int = 64,
     threads: int = 1,
-    flow_config: FlowConfig = DEFAULT_FLOW_CONFIG,
 ) -> np.ndarray:
     """Per-path rescaled terminal error sqrt(N)(X_T - X^nv_T), shape (paths, n)."""
     _check_reference(problem, refine_factor)
@@ -260,14 +244,11 @@ def normalized_error_samples(
 
     def worker(start, count):
         bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
-        ref = exact_trajectory(problem, bundle, grid, flow_config).states[:, -1, :]
-        nv = nv_trajectory(problem, bundle, grid, flow_config).states[:, -1, :]
+        ref = trajectory(problem, "exact", bundle, grid).terminal()
+        nv = trajectory(problem, "nv", bundle, grid).terminal()
         return scale * (ref - nv)
 
-    values = np.empty((paths, problem.n))
-    chunks = compute_chunks(paths, n_fine * (problem.d + 3), threads)
-    _fill_by_chunks(values, chunks, worker, threads)
-    return values
+    return run_paths(paths, n_fine * (problem.d + 3), threads, worker, width=problem.n)
 
 
 def simulate_limit_sde(
@@ -316,10 +297,8 @@ def simulate_limit_sde(
             v = v + dv
         return v
 
-    values = np.empty((paths, problem.n))
-    chunks = compute_chunks(paths, n_fine * (problem.d + max(1, n_pairs)), threads)
-    _fill_by_chunks(values, chunks, worker, threads)
-    return values
+    per_path = n_fine * (problem.d + max(1, n_pairs))
+    return run_paths(paths, per_path, threads, worker, width=problem.n)
 
 
 def _as_samples(x) -> np.ndarray:
@@ -369,11 +348,10 @@ def limit_law_study(
     n_fine_limit: int = 4096,
     refine_factor: int = 64,
     threads: int = 1,
-    flow_config: FlowConfig = DEFAULT_FLOW_CONFIG,
 ) -> LimitLawReport:
     """Full pipeline: rescaled scheme error vs simulated limit, on separate seeds."""
     scheme_samples = normalized_error_samples(
-        problem, N, paths, master_seed, refine_factor, threads, flow_config
+        problem, N, paths, master_seed, refine_factor, threads
     )
     limit_samples = simulate_limit_sde(
         problem, paths, n_fine_limit, master_seed + LIMIT_SEED_STRIDE, threads
@@ -435,8 +413,6 @@ def source_term_variance(
         per_step_plus = np.einsum("pks,ks->pk", lag_j * dWm, mask)
         return scale * np.sum(np.where(eta < 0, -per_step_minus, per_step_plus), axis=1)
 
-    values = np.empty(paths)
-    chunks = compute_chunks(paths, n_fine * 6, threads)
-    _fill_by_chunks(values, chunks, worker, threads)
+    values = run_paths(paths, n_fine * 6, threads, worker)
     var_est, stderr = _batch_var_se(values)
     return SourceTermEstimate(N, j, m, t, var_est, stderr, theory, substeps, paths)

@@ -106,14 +106,16 @@ def _heisenberg_exact(problem: Problem, bundle: PathBundle, grid: GridSpec) -> n
     view = coarsen(bundle, grid.N)
     paths, N = bundle.paths, grid.N
     block = bundle.n_fine // N
-    zeros = np.zeros((paths, 1))
-    X1 = np.concatenate([zeros, np.cumsum(view.dW[:, :, 0], axis=1)], axis=1)
-    dW1f = bundle.dW[:, :, 0]
-    dW2f = bundle.dW[:, :, 1]
-    W1_left = np.concatenate([zeros, np.cumsum(dW1f, axis=1)[:, :-1]], axis=1)
-    csum = np.cumsum(W1_left * dW2f, axis=1)
-    X2 = np.concatenate([zeros, csum[:, block * np.arange(1, N + 1) - 1]], axis=1)
-    return np.stack([X1, X2], axis=2)
+    states = np.zeros((paths, N + 1, 2))
+    np.cumsum(view.dW[:, :, 0], axis=1, out=states[:, 1:, 0])
+    # one fine-resolution buffer: left-point W^1, then W^1 dW^2, then its running sum
+    acc = np.empty((paths, bundle.n_fine))
+    acc[:, 0] = 0.0
+    np.cumsum(bundle.dW[:, :-1, 0], axis=1, out=acc[:, 1:])
+    acc *= bundle.dW[:, :, 1]
+    np.cumsum(acc, axis=1, out=acc)
+    states[:, 1:, 1] = acc[:, block - 1 :: block]
+    return states
 
 
 def _heisenberg_flow1(t, x):

@@ -1,6 +1,6 @@
 """Command-line front end: orchestrates studies and deterministic file emission.
 
-Commands: problems, flow-check, convergence, limit-law, source-term, mlmc.
+Commands: problems, convergence, limit-law, source-term, mlmc.
 Global flags: --seed, --threads, --out, --format, --force, --config. A
 key=value config file supplies defaults; explicit flags override it.
 
@@ -23,7 +23,7 @@ from .config import (
     load_config_file,
     parse_ladder,
 )
-from .flows import FlowConfig, FlowExplosionError, flow_selfcheck
+from .flows import FlowExplosionError
 from .mlmc import mlmc_estimate, parse_payoff
 from .report import (
     OutputRefusedError,
@@ -63,10 +63,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("problems", parents=[common], help="list catalog problems as JSON")
-
-    p = sub.add_parser("flow-check", parents=[common], help="RK4 fallback vs closed-form flows")
-    p.add_argument("--problem", type=str, default=None)
-    p.add_argument("--trials", type=int, default=None)
 
     p = sub.add_parser("convergence", parents=[common], help="strong-error rate study")
     p.add_argument("--problem", type=str, default=None)
@@ -122,7 +118,6 @@ _FLAG_ATTRS = (
     "levels",
     "paths_per_level",
     "n0",
-    "trials",
 )
 
 
@@ -139,10 +134,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "force", False):
         cfg.force = True
     return cfg
-
-
-def _flow_config(cfg: RunConfig) -> FlowConfig:
-    return FlowConfig(delta_max=cfg.flows_delta_max, substeps_min=cfg.flows_substeps_min)
 
 
 def _problem(cfg: RunConfig):
@@ -180,30 +171,10 @@ def cmd_problems(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_flow_check(cfg: RunConfig) -> int:
-    problem = _problem(cfg)
-    result = flow_selfcheck(problem, trials=cfg.trials, seed=cfg.seed, config=_flow_config(cfg))
-    print(f"flow self-check: problem={problem.name} trials={result.trials}")
-    rows = []
-    for idx in sorted(result.per_field):
-        print(f"  field {idx}: max deviation {result.per_field[idx]:.3e}")
-        rows.append([problem.name, idx, result.per_field[idx], result.trials])
-    print(f"  overall: {result.max_deviation:.3e}")
-    _emit(
-        cfg,
-        "flowcheck",
-        ["problem", "field_index", "deviation", "trials"],
-        rows,
-        extra={"max_deviation": result.max_deviation},
-    )
-    return EXIT_OK
-
-
 def cmd_convergence(cfg: RunConfig) -> int:
     problem = _problem(cfg)
     if cfg.scheme not in SCHEME_IDS:
         raise UsageError(f"unknown scheme {cfg.scheme!r}; known: {', '.join(SCHEME_IDS)}")
-    flow_cfg = _flow_config(cfg)
     points = [
         strong_error(
             problem,
@@ -214,7 +185,6 @@ def cmd_convergence(cfg: RunConfig) -> int:
             p=cfg.p,
             refine_factor=cfg.refine,
             threads=cfg.threads,
-            flow_config=flow_cfg,
         )
         for N in cfg.n_ladder
     ]
@@ -254,7 +224,6 @@ def cmd_limit_law(cfg: RunConfig) -> int:
         n_fine_limit=cfg.nfine,
         refine_factor=cfg.refine,
         threads=cfg.threads,
-        flow_config=_flow_config(cfg),
     )
     rows = []
     print(f"limit law: problem={problem.name} N={cfg.N} paths={cfg.paths}")
@@ -329,7 +298,6 @@ def cmd_mlmc(cfg: RunConfig) -> int:
         master_seed=cfg.seed,
         n0=cfg.n0,
         threads=cfg.threads,
-        flow_config=_flow_config(cfg),
     )
     print(f"mlmc: problem={problem.name} payoff={cfg.payoff} levels=0..{cfg.levels}")
     rows = []
@@ -354,7 +322,6 @@ def cmd_mlmc(cfg: RunConfig) -> int:
 
 _COMMANDS = {
     "problems": cmd_problems,
-    "flow-check": cmd_flow_check,
     "convergence": cmd_convergence,
     "limit-law": cmd_limit_law,
     "source-term": cmd_source_term,

@@ -37,9 +37,6 @@ class RunConfig:
     levels: int = 6
     paths_per_level: int = 10000
     n0: int = 1
-    trials: int = 200
-    flows_delta_max: float = 0.05
-    flows_substeps_min: int = 4
 
     def resolved(self) -> dict:
         out = dataclasses.asdict(self)
@@ -47,7 +44,7 @@ class RunConfig:
         return out
 
 
-# config-file key -> attribute (dotted keys follow the module.option convention)
+# config-file key -> attribute
 FILE_KEYS = {
     "problem": "problem",
     "scheme": "scheme",
@@ -69,9 +66,6 @@ FILE_KEYS = {
     "levels": "levels",
     "paths_per_level": "paths_per_level",
     "n0": "n0",
-    "trials": "trials",
-    "flows.delta_max": "flows_delta_max",
-    "flows.substeps_min": "flows_substeps_min",
 }
 
 

@@ -18,11 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import DEFAULT_FLOW_CONFIG, FlowConfig
 from .models import Problem
 from .paths import GridSpec, make_bundle_batch
 from .schemes import nv_trajectory
-from .util import compute_chunks, run_batches
+from .util import run_paths
 
 Payoff = Callable[[np.ndarray], np.ndarray]
 
@@ -81,7 +80,6 @@ def level_difference_samples(
     master_seed: int,
     n0: int = 1,
     threads: int = 1,
-    flow_config: FlowConfig = DEFAULT_FLOW_CONFIG,
 ) -> np.ndarray:
     """Coupled samples f(fine_T) - f(coarse_T) at one level (plain f at level 0).
 
@@ -96,20 +94,14 @@ def level_difference_samples(
     grid_c = GridSpec(n0 * 2 ** (level - 1), problem.T) if level > 0 else None
     offset = level * paths
 
-    values = np.empty(paths)
-
-    def task(spec):
-        start, count = spec
+    def worker(start, count):
         bundle = make_bundle_batch(master_seed, offset + start, count, n_l, problem.d, problem.T)
-        fine = nv_trajectory(problem, bundle, grid_f, flow_config).terminal()
-        vals = f(fine)
+        vals = f(nv_trajectory(problem, bundle, grid_f).terminal())
         if grid_c is not None:
-            coarse = nv_trajectory(problem, bundle, grid_c, flow_config).terminal()
-            vals = vals - f(coarse)
-        values[start : start + count] = vals
+            vals = vals - f(nv_trajectory(problem, bundle, grid_c).terminal())
+        return vals
 
-    run_batches(task, compute_chunks(paths, n_l * (problem.d + 2), threads), threads)
-    return values
+    return run_paths(paths, n_l * (problem.d + 2), threads, worker)
 
 
 def mlmc_estimate(
@@ -120,7 +112,6 @@ def mlmc_estimate(
     master_seed: int,
     n0: int = 1,
     threads: int = 1,
-    flow_config: FlowConfig = DEFAULT_FLOW_CONFIG,
     beta_min_level: int = 2,
 ) -> MlmcReport:
     """Telescoping estimator of E[f(X_T)] with fixed per-level sample counts.
@@ -136,7 +127,7 @@ def mlmc_estimate(
     total_cost = 0
     for level in range(L_max + 1):
         samples = level_difference_samples(
-            problem, payoff, level, paths_per_level, master_seed, n0, threads, flow_config
+            problem, payoff, level, paths_per_level, master_seed, n0, threads
         )
         n_l = n0 * 2**level
         mean = float(samples.mean())

@@ -19,7 +19,7 @@ reserved for the Stratonovich drift), matching the usual notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -45,11 +45,12 @@ def _mat_vec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VectorFieldSet:
-    """Drift, Brownian fields, their Jacobians and optional exact flows.
+    """Drift, Brownian fields, their Jacobians and a closed-form flow for every field.
 
-    exact_flows maps a field index (0 = Stratonovich drift, 1..d = Brownian
+    exact_flows maps each field index (0 = Stratonovich drift, 1..d = Brownian
     fields) to the flow map (t, x0) -> exp(t V) x0 of that field, vectorized
-    over both a batch of states and a per-path vector of times.
+    over both a batch of states and a per-path vector of times. Every index
+    0..d must be present: the schemes evaluate flows only in closed form.
     """
 
     n: int
@@ -58,13 +59,16 @@ class VectorFieldSet:
     sigma: tuple[Field, ...]
     jac_b: MatrixField
     jac_sigma: tuple[MatrixField, ...]
-    exact_flows: Mapping[int, FlowMap] = field(default_factory=dict)
+    exact_flows: Mapping[int, FlowMap]
 
     def __post_init__(self):
         if not (1 <= self.n <= MAX_DIMENSION and 1 <= self.d <= MAX_DIMENSION):
             raise ValueError(f"dimensions must be in [1, {MAX_DIMENSION}]")
         if len(self.sigma) != self.d or len(self.jac_sigma) != self.d:
             raise ValueError("need exactly d Brownian fields and d Jacobians")
+        missing = set(range(self.d + 1)) - set(self.exact_flows)
+        if missing:
+            raise ValueError(f"no closed-form flow for field(s) {sorted(missing)}")
 
     def sigma_j(self, j: int) -> Field:
         """Brownian field j, 1-based."""

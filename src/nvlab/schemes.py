@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import DEFAULT_FLOW_CONFIG, FlowConfig, FlowExplosionError, flow_unchecked
+from .flows import FlowExplosionError, flow_unchecked
 from .models import Problem
 from .paths import CoarseIncrements, GridSpec, PathBundle, coarsen
 
@@ -87,17 +87,18 @@ def _lift(problem: Problem, x, dW, eta):
 
 
 # ---------------------------------------------------------------------------
-# one-step maps (batched kernels + public single/batch wrappers)
+# one-step maps: batched kernels, all with the signature (problem, x, dW, eta,
+# h), and public single/batch wrappers
 # ---------------------------------------------------------------------------
 
 
-def _nv_kernel(problem: Problem, x, dW, eta, h, config: FlowConfig):
+def _nv_kernel(problem: Problem, x, dW, eta, h):
     half = 0.5 * h
-    x = flow_unchecked(problem, 0, half, x, config)
+    x = flow_unchecked(problem, 0, half, x)
     d = problem.d
     if d == 1:
         # a single Brownian flow: the two sweep directions coincide
-        x = flow_unchecked(problem, 1, dW[:, 0], x, config)
+        x = flow_unchecked(problem, 1, dW[:, 0], x)
     else:
         plus = eta > 0
         minus = ~plus
@@ -105,15 +106,15 @@ def _nv_kernel(problem: Problem, x, dW, eta, h, config: FlowConfig):
         if plus.any():
             xp = x[plus]
             for j in range(1, d + 1):
-                xp = flow_unchecked(problem, j, dW[plus, j - 1], xp, config)
+                xp = flow_unchecked(problem, j, dW[plus, j - 1], xp)
             out[plus] = xp
         if minus.any():
             xm = x[minus]
             for j in range(d, 0, -1):
-                xm = flow_unchecked(problem, j, dW[minus, j - 1], xm, config)
+                xm = flow_unchecked(problem, j, dW[minus, j - 1], xm)
             out[minus] = xm
         x = out
-    return flow_unchecked(problem, 0, half, x, config)
+    return flow_unchecked(problem, 0, half, x)
 
 
 def _discrete_nv_kernel(problem: Problem, x, dW, eta, h):
@@ -162,32 +163,27 @@ def _explosion(problem: Problem, label: str, states: np.ndarray, dt: float, path
     bad = ~np.isfinite(states).all(axis=2)
     step = int(np.argmax(bad.any(axis=0)))
     path = path_start + int(np.argmax(bad[:, step]))
-    return FlowExplosionError(problem.name, None, step * dt, True, label, step, path)
+    return FlowExplosionError(problem.name, None, step * dt, label, step, path)
 
 
-def _checked(problem: Problem, label: str, x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    if not np.all(np.isfinite(y)):
-        raise _explosion(problem, label, np.stack([x, y], axis=1), h)
-    return y
-
-
-def nv_step(problem: Problem, x, step: StepInputs, config: FlowConfig = DEFAULT_FLOW_CONFIG):
+def _step(problem: Problem, kernel, label: str, x, step: StepInputs):
     xb, dWb, etab, single = _lift(problem, x, step.dW, step.eta)
-    y = _checked(problem, "nv", xb, _nv_kernel(problem, xb, dWb, etab, step.h, config), step.h)
+    y = kernel(problem, xb, dWb, etab, step.h)
+    if not np.all(np.isfinite(y)):
+        raise _explosion(problem, label, np.stack([xb, y], axis=1), step.h)
     return y[0] if single else y
+
+
+def nv_step(problem: Problem, x, step: StepInputs):
+    return _step(problem, _nv_kernel, "nv", x, step)
 
 
 def discrete_nv_step(problem: Problem, x, step: StepInputs):
-    xb, dWb, etab, single = _lift(problem, x, step.dW, step.eta)
-    y = _discrete_nv_kernel(problem, xb, dWb, etab, step.h)
-    y = _checked(problem, "discrete-nv", xb, y, step.h)
-    return y[0] if single else y
+    return _step(problem, _discrete_nv_kernel, "discrete-nv", x, step)
 
 
 def euler_step(problem: Problem, x, step: StepInputs):
-    xb, dWb, etab, single = _lift(problem, x, step.dW, step.eta)
-    y = _checked(problem, "euler", xb, _euler_kernel(problem, xb, dWb, etab, step.h), step.h)
-    return y[0] if single else y
+    return _step(problem, _euler_kernel, "euler", x, step)
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +191,16 @@ def euler_step(problem: Problem, x, step: StepInputs):
 # ---------------------------------------------------------------------------
 
 
-def _march(problem, increments: CoarseIncrements | PathBundle, kernel, label, record_stride=1):
-    if isinstance(increments, CoarseIncrements):
-        dW, eta, h, steps = increments.dW, increments.eta, increments.h, increments.N
-    else:
-        dW, eta, h, steps = increments.dW, increments.eta, increments.h, increments.n_fine
-    paths = dW.shape[0]
-    n_rec = steps // record_stride
-    states = np.empty((paths, n_rec + 1, problem.n))
+def _march(problem, kernel, label, increments: CoarseIncrements | PathBundle, record_stride=1):
+    """Apply ``kernel`` at every step of ``increments``, recording every
+    ``record_stride`` steps; states are (paths, steps // record_stride + 1, n)."""
+    dW, eta, h = increments.dW, increments.eta, increments.h
+    paths, steps = dW.shape[:2]
+    states = np.empty((paths, steps // record_stride + 1, problem.n))
     x = np.broadcast_to(problem.x0, (paths, problem.n)).copy()
     states[:, 0] = x
     for k in range(steps):
-        x = kernel(x, dW[:, k, :], eta[:, k], h)
+        x = kernel(problem, x, dW[:, k, :], eta[:, k], h)
         if (k + 1) % record_stride == 0:
             states[:, (k + 1) // record_stride] = x
     # one explosion check for the whole sweep: non-finite values propagate
@@ -224,33 +218,22 @@ def _check_grid(problem: Problem, bundle: PathBundle, grid: GridSpec):
         raise ValueError(f"grid N={grid.N} does not divide bundle N_fine={bundle.n_fine}")
 
 
-def nv_trajectory(
-    problem: Problem, bundle: PathBundle, grid: GridSpec, config: FlowConfig = DEFAULT_FLOW_CONFIG
-) -> Trajectory:
+def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, grid: GridSpec) -> Trajectory:
+    """The shared driver: ``kernel`` marched on the bundle coarsened to the grid."""
     _check_grid(problem, bundle, grid)
-    view = coarsen(bundle, grid.N)
-    kernel = lambda x, dW, eta, h: _nv_kernel(problem, x, dW, eta, h, config)
-    return Trajectory(grid=grid, states=_march(problem, view, kernel, "nv"), label="nv")
+    states = _march(problem, kernel, label, coarsen(bundle, grid.N))
+    return Trajectory(grid=grid, states=states, label=label)
+
+
+def nv_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
+    return _scheme(problem, _nv_kernel, "nv", bundle, grid)
 
 
 def discrete_nv_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
-    _check_grid(problem, bundle, grid)
-    view = coarsen(bundle, grid.N)
-    kernel = lambda x, dW, eta, h: _discrete_nv_kernel(problem, x, dW, eta, h)
-    states = _march(problem, view, kernel, "discrete-nv")
-    return Trajectory(grid=grid, states=states, label="discrete-nv")
+    return _scheme(problem, _discrete_nv_kernel, "discrete-nv", bundle, grid)
 
 
-def euler_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
-    _check_grid(problem, bundle, grid)
-    view = coarsen(bundle, grid.N)
-    kernel = lambda x, dW, eta, h: _euler_kernel(problem, x, dW, eta, h)
-    return Trajectory(grid=grid, states=_march(problem, view, kernel, "euler"), label="euler")
-
-
-def exact_trajectory(
-    problem: Problem, bundle: PathBundle, grid: GridSpec, config: FlowConfig = DEFAULT_FLOW_CONFIG
-) -> Trajectory:
+def exact_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
     """Reference states at the grid times.
 
     Uses the problem's closed form when available (evaluated from the bundle's
@@ -267,26 +250,20 @@ def exact_trajectory(
             f"problem {problem.name!r} has no closed form and the bundle has no "
             "refinement to build a proxy reference from"
         )
-    kernel = lambda x, dW, eta, h: _nv_kernel(problem, x, dW, eta, h, config)
-    stride = bundle.n_fine // grid.N
-    states = _march(problem, bundle, kernel, "nv-proxy", record_stride=stride)
+    states = _march(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine // grid.N)
     return Trajectory(grid=grid, states=states, label="nv-proxy")
 
 
-def trajectory(
-    problem: Problem,
-    scheme: str,
-    bundle: PathBundle,
-    grid: GridSpec,
-    config: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> Trajectory:
+def trajectory(problem: Problem, scheme: str, bundle: PathBundle, grid: GridSpec) -> Trajectory:
     """Run one scheme by selector string ("nv", "discrete-nv", "euler", "exact")."""
+    # the named drivers are looked up as module globals on every call, so a
+    # rebinding of them (tracing, say) also covers calls made through here
     if scheme == "nv":
-        return nv_trajectory(problem, bundle, grid, config)
+        return nv_trajectory(problem, bundle, grid)
     if scheme == "discrete-nv":
         return discrete_nv_trajectory(problem, bundle, grid)
     if scheme == "euler":
-        return euler_trajectory(problem, bundle, grid)
+        return _scheme(problem, _euler_kernel, "euler", bundle, grid)
     if scheme == "exact":
-        return exact_trajectory(problem, bundle, grid, config)
+        return exact_trajectory(problem, bundle, grid)
     raise KeyError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEME_IDS)}")

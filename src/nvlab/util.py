@@ -1,15 +1,17 @@
 """Shared helpers: deterministic batching and worker pools.
 
-Monte Carlo loops are organised as a fixed list of path batches. Batches are
-defined by path indices only, every path owns its own random stream, and
-results are reduced in batch order, so estimates are byte-identical for any
-worker count.
+Every Monte Carlo estimator runs through :func:`run_paths`: paths are cut into
+memory-bounded chunks defined by path indices only, every path owns its own
+random stream, and each chunk fills its own rows of the output, so estimates
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
 
 R = TypeVar("R")
 S = TypeVar("S")
@@ -47,23 +49,50 @@ def chunk_ranges(start: int, count: int, max_chunk: int) -> Iterable[tuple[int, 
         done += c
 
 
-# Transient per-chunk allocation cap, in float64 counts (~540 MB across the
-# handful of live fine-grid arrays); path chunks are sized to stay under it.
+# Transient allocation cap, in float64 counts (~540 MB across the handful of
+# live fine-grid arrays), shared by all workers; path chunks are sized so the
+# chunks in flight together stay under it.
 CHUNK_FLOAT_BUDGET = 2**26
 
 
 def compute_chunks(total: int, per_path_floats: int, threads: int) -> list[tuple[int, int]]:
     """Path ranges for the compute workers.
 
-    Chunks are as large as the memory budget allows, but small enough to feed
+    Each of the resolved workers gets an equal share of the memory budget
+    (never fewer than 16 paths per chunk), and chunks are small enough to feed
     every worker. Per-path results never depend on how paths are grouped (all
     kernels act path-wise), so any chunking yields identical output arrays.
     """
     workers = resolve_threads(threads)
-    max_chunk = max(16, CHUNK_FLOAT_BUDGET // max(1, per_path_floats))
+    max_chunk = max(16, CHUNK_FLOAT_BUDGET // workers // max(1, per_path_floats))
     if workers > 1:
         max_chunk = min(max_chunk, max(16, -(-total // workers)))
     return list(chunk_ranges(0, total, max_chunk))
+
+
+def run_paths(
+    paths: int,
+    per_path_floats: int,
+    threads: int,
+    worker: Callable[[int, int], np.ndarray],
+    width: int | None = None,
+) -> np.ndarray:
+    """Per-path values of paths 0..paths-1: the one Monte Carlo loop.
+
+    ``worker(start, count)`` returns the values of paths start..start+count-1
+    (shape (count,), or (count, width) when ``width`` is given). Paths are cut
+    into memory-bounded chunks (``per_path_floats`` is the transient float64
+    footprint of one path) and the workers fill disjoint rows of the output,
+    so the result is the same for every thread count and chunking.
+    """
+    out = np.empty(paths if width is None else (paths, width))
+
+    def task(spec):
+        start, count = spec
+        out[start : start + count] = worker(start, count)
+
+    run_batches(task, compute_chunks(paths, per_path_floats, threads), threads)
+    return out
 
 
 def resolve_threads(threads: int) -> int:

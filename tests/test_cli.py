@@ -31,13 +31,6 @@ def test_problems_lists_catalog(capsys, tmp_path):
     assert (tmp_path / "problems.json").exists()
 
 
-def test_flow_check_heisenberg(tmp_path, capsys):
-    assert main(["flow-check", "--problem", "heisenberg", "--out", str(tmp_path)]) == 0
-    payload = read_json(tmp_path / "flowcheck.json")
-    assert payload["max_deviation"] <= 1e-13
-    assert "overall" in capsys.readouterr().out
-
-
 def test_convergence_euler_baseline(tmp_path, capsys):
     code = main(
         [
@@ -185,22 +178,24 @@ def test_bad_config_file_rejected(tmp_path):
 
 
 def test_format_selection(tmp_path):
-    args = [
-        "flow-check",
-        "--problem",
-        "gbm1d",
-        "--format",
-        "json",
-        "--out",
-        str(tmp_path / "j"),
-    ]
+    args = ["problems", "--format", "json", "--out", str(tmp_path / "j")]
     assert main(args) == 0
-    assert (tmp_path / "j" / "flowcheck.json").exists()
-    assert not (tmp_path / "j" / "flowcheck.csv").exists()
-    args = ["flow-check", "--problem", "gbm1d", "--format", "csv", "--out", str(tmp_path / "c")]
+    assert (tmp_path / "j" / "problems.json").exists()
+    assert not (tmp_path / "j" / "problems.csv").exists()
+    args = ["problems", "--format", "csv", "--out", str(tmp_path / "c")]
     assert main(args) == 0
-    assert (tmp_path / "c" / "flowcheck.csv").exists()
-    assert not (tmp_path / "c" / "flowcheck.json").exists()
+    assert (tmp_path / "c" / "problems.csv").exists()
+    assert not (tmp_path / "c" / "problems.json").exists()
+
+
+def test_flow_options_are_gone(tmp_path):
+    # flows are closed forms only: no flow-check command, no RK4 settings
+    assert main(["flow-check", "--problem", "heisenberg"]) == 1
+    assert main(["problems", "--trials", "10"]) == 1
+    for line in ("flows.delta_max = 0.1\n", "trials = 50\n"):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(line)
+        assert main(["problems", "--config", str(cfg)]) == 1
 
 
 def test_limit_law_cli_gbm_collapses(tmp_path):

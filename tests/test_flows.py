@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nvlab import FlowConfig, FlowExplosionError, FlowRequest, Problem, VectorFieldSet, flow
+from nvlab import (
+    PROBLEM_IDS,
+    FlowExplosionError,
+    Problem,
+    VectorFieldSet,
+    get_problem,
+    stratonovich_drift,
+)
 from nvlab.catalog import GBM_MU, GBM_SIGMA
-from nvlab.flows import apply_flow, flow_selfcheck, _rk4, field_callable
+from nvlab.flows import apply_flow
 
 from conftest import sample_states
 
@@ -13,19 +20,19 @@ times = st.floats(-1.0, 1.0)
 
 
 def test_constant_field_flow(heisenberg):
-    out = flow(heisenberg, FlowRequest(field_index=1, t=0.7, x0=np.zeros(2)))
+    out = apply_flow(heisenberg, 1, 0.7, np.zeros(2))
     np.testing.assert_allclose(out, [0.7, 0.0], atol=1e-15)
 
 
 def test_nilpotent_field_flow(heisenberg):
     a, b, s = 1.3, -0.4, 0.25
-    out = flow(heisenberg, FlowRequest(field_index=2, t=s, x0=np.array([a, b])))
+    out = apply_flow(heisenberg, 2, s, np.array([a, b]))
     np.testing.assert_allclose(out, [a, b + s * a], atol=1e-15)
 
 
 def test_gbm_drift_flow_half_step(gbm):
     h = 0.02
-    out = flow(gbm, FlowRequest(field_index=0, t=h / 2, x0=np.array([1.0])))
+    out = apply_flow(gbm, 0, h / 2, np.array([1.0]))
     np.testing.assert_allclose(out, np.exp((GBM_MU - GBM_SIGMA**2 / 2) * h / 2), rtol=1e-15)
 
 
@@ -34,43 +41,6 @@ def test_flow_identity_at_zero(problems):
         xs = sample_states(prob, count=5)
         for idx in range(prob.d + 1):
             np.testing.assert_array_equal(apply_flow(prob, idx, 0.0, xs), xs)
-
-
-def test_selfcheck_heisenberg_rk4_exact(heisenberg):
-    # both fields have polynomial flows that RK4 integrates exactly
-    res = flow_selfcheck(heisenberg, trials=200)
-    assert res.max_deviation <= 1e-13
-
-
-def test_selfcheck_gbm_drift(gbm):
-    res = flow_selfcheck(gbm, trials=200)
-    assert res.per_field[0] <= 1e-10
-
-
-def test_selfcheck_zero_time_deviation(linear_nc):
-    xs = sample_states(linear_nc, count=8)
-    for idx in range(3):
-        rk = _rk4(field_callable(linear_nc, idx), np.zeros(8), xs, FlowConfig())
-        np.testing.assert_array_equal(rk, xs)
-
-
-def test_selfcheck_requires_exact_flows(heisenberg):
-    bare = Problem(
-        name="bare",
-        fields=VectorFieldSet(
-            n=1,
-            d=1,
-            b=lambda x: 0.0 * x,
-            sigma=(lambda x: 0.0 * x,),
-            jac_b=lambda x: np.zeros(np.asarray(x).shape + (1,)),
-            jac_sigma=(lambda x: np.zeros(np.asarray(x).shape + (1,)),),
-        ),
-        x0=np.zeros(1),
-        T=1.0,
-        commutative=True,
-    )
-    with pytest.raises(ValueError):
-        flow_selfcheck(bare)
 
 
 @given(times, times, st.sampled_from(["gbm1d", "diag-comm", "linear-nc", "heisenberg"]))
@@ -96,12 +66,6 @@ def test_reversibility(t, name):
         assert np.max(np.abs(back - xs)) <= 1e-12
 
 
-def test_rk4_fallback_matches_closed_forms(linear_nc):
-    res = flow_selfcheck(linear_nc, trials=150)
-    # linear fields with |coef| <= 0.5: fifth-order local error, far below MC scales
-    assert res.max_deviation <= 1e-8
-
-
 def test_diag_comm_drift_flow_scalar_and_array_paths_agree(diag_comm):
     # the scalar-time branch caches a propagator matrix; it must match the
     # eigen-basis evaluation used for per-path times
@@ -112,36 +76,57 @@ def test_diag_comm_drift_flow_scalar_and_array_paths_agree(diag_comm):
     assert np.max(np.abs(scalar - arr)) <= 1e-14
 
 
-def test_negative_times_use_negative_steps(diag_comm):
-    xs = sample_states(diag_comm, count=6, seed=9)
-    cfg = FlowConfig()
-    for idx in range(3):
-        exact = apply_flow(diag_comm, idx, -0.3, xs)
-        rk = _rk4(field_callable(diag_comm, idx), np.full(6, -0.3), xs, cfg)
-        assert np.max(np.abs(exact - rk)) <= 1e-8
-
-
 def test_flow_explosion_raises():
-    quad = Problem(
+    # sigma(x) = x with b = x/2 has zero Stratonovich drift; its flow x e^t
+    # overflows at t = 1000
+    growth = Problem(
         name="blowup",
         fields=VectorFieldSet(
             n=1,
             d=1,
-            b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            sigma=(lambda x: np.asarray(x, dtype=float) ** 2,),
-            jac_b=lambda x: np.zeros(np.asarray(x).shape + (1,)),
-            jac_sigma=(lambda x: 2.0 * np.asarray(x, dtype=float)[..., None],),
+            b=lambda x: 0.5 * np.asarray(x, dtype=float),
+            sigma=(lambda x: np.asarray(x, dtype=float),),
+            jac_b=lambda x: np.full(np.asarray(x).shape + (1,), 0.5),
+            jac_sigma=(lambda x: np.ones(np.asarray(x).shape + (1,)),),
+            exact_flows={
+                0: lambda t, x: np.asarray(x, dtype=float),
+                1: lambda t, x: np.asarray(x, dtype=float) * np.exp(np.asarray(t)[..., None]),
+            },
         ),
         x0=np.array([1.0]),
         T=1.0,
         commutative=True,
     )
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
-        flow(quad, FlowRequest(field_index=1, t=50.0, x0=np.array([5.0])))
+        apply_flow(growth, 1, 1e3, np.array([5.0]))
     assert info.value.problem == "blowup"
     assert info.value.field_index == 1
 
 
 def test_field_index_validation(gbm):
     with pytest.raises(ValueError):
-        flow(gbm, FlowRequest(field_index=2, t=0.1, x0=np.array([1.0])))
+        apply_flow(gbm, 2, 0.1, np.array([1.0]))
+    with pytest.raises(ValueError):
+        apply_flow(gbm, -1, 0.1, np.array([1.0]))
+
+
+FD_EPS = 1e-5
+
+
+@pytest.mark.parametrize("name", PROBLEM_IDS)
+def test_closed_forms_solve_their_odes(name):
+    # central difference of t -> exp(t V) x against V(exp(t V) x), with field 0
+    # the Stratonovich drift: the closed forms are the only flows, so this is
+    # the check that each one integrates its own field
+    prob = get_problem(name)
+    xs = sample_states(prob, count=16, seed=41, spread=0.5)
+    per_path = np.random.default_rng(43).uniform(-1.0, 1.0, size=16)
+    fields = [lambda x: stratonovich_drift(prob.fields, x)]
+    fields += [prob.fields.sigma_j(j) for j in range(1, prob.d + 1)]
+    for idx, V in enumerate(fields):
+        for t in (-1.0, -0.35, 0.0, 0.6, 1.0, per_path):
+            phi = apply_flow(prob, idx, t, xs)
+            fd = apply_flow(prob, idx, t + FD_EPS, xs) - apply_flow(prob, idx, t - FD_EPS, xs)
+            fd /= 2 * FD_EPS
+            v = V(phi)
+            assert np.max(np.abs(fd - v)) <= 1e-8 * max(1.0, np.max(np.abs(v))), (idx, t)

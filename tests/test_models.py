@@ -19,6 +19,15 @@ from conftest import sample_states
 state2 = st.lists(st.floats(-3, 3), min_size=2, max_size=2).map(np.array)
 
 
+def _translation(v):
+    """Flow of the constant field v: x + t v, per-path t allowed."""
+    return lambda t, x: np.asarray(x, dtype=float) + np.asarray(t, dtype=float)[..., None] * v
+
+
+def _identity_flows(d):
+    return {idx: (lambda t, x: x) for idx in range(d + 1)}
+
+
 def test_catalog_contents():
     probs = {p.name: p for p in catalog()}
     assert set(probs) == {"gbm1d", "heisenberg", "diag-comm", "linear-nc"}
@@ -62,6 +71,11 @@ def test_stratonovich_drift_constant_fields_is_drift():
             lambda x: np.zeros(np.asarray(x).shape + (2,)),
             lambda x: np.zeros(np.asarray(x).shape + (2,)),
         ),
+        exact_flows={
+            0: _translation(drift),
+            1: _translation(np.array([1.0, 2.0])),
+            2: _translation(np.array([-1.0, 0.5])),
+        },
     )
     x = np.array([1.0, 4.0])
     np.testing.assert_array_equal(stratonovich_drift(fields, x), drift)
@@ -170,6 +184,7 @@ def test_dimension_cap_enforced():
             sigma=(lambda x: x,),
             jac_b=lambda x: None,
             jac_sigma=(lambda x: None,),
+            exact_flows=_identity_flows(1),
         )
 
 
@@ -182,7 +197,24 @@ def test_field_count_must_match_d():
             sigma=(lambda x: x,),
             jac_b=lambda x: None,
             jac_sigma=(lambda x: None,),
+            exact_flows=_identity_flows(2),
         )
+
+
+def test_flows_must_cover_every_field():
+    kwargs = dict(
+        n=1,
+        d=1,
+        b=lambda x: x,
+        sigma=(lambda x: x,),
+        jac_b=lambda x: None,
+        jac_sigma=(lambda x: None,),
+    )
+    VectorFieldSet(**kwargs, exact_flows=_identity_flows(1))
+    with pytest.raises(ValueError, match=r"field\(s\) \[0\]"):
+        VectorFieldSet(**kwargs, exact_flows={1: lambda t, x: x})
+    with pytest.raises(ValueError, match=r"\[1\]"):
+        VectorFieldSet(**kwargs, exact_flows={0: lambda t, x: x})
 
 
 def test_problem_descriptor_keys(heisenberg):

@@ -8,6 +8,7 @@ from nvlab import (
     GridSpec,
     PathBundle,
     StepInputs,
+    coarsen,
     discrete_nv_step,
     discrete_nv_trajectory,
     euler_step,
@@ -232,6 +233,27 @@ def test_exact_trajectory_heisenberg_first_coordinate_is_brownian(heisenberg):
     view = coarsen(bundle, 16)
     W1 = np.cumsum(view.dW[:, :, 0], axis=1)
     np.testing.assert_array_equal(ref.states[:, 1:, 0], W1)
+
+
+def _heisenberg_exact_by_concatenation(bundle, grid):
+    """The closed form as first written, with three full-resolution temporaries."""
+    view = coarsen(bundle, grid.N)
+    paths, N = bundle.paths, grid.N
+    block = bundle.n_fine // N
+    zeros = np.zeros((paths, 1))
+    X1 = np.concatenate([zeros, np.cumsum(view.dW[:, :, 0], axis=1)], axis=1)
+    W1_left = np.concatenate([zeros, np.cumsum(bundle.dW[:, :, 0], axis=1)[:, :-1]], axis=1)
+    csum = np.cumsum(W1_left * bundle.dW[:, :, 1], axis=1)
+    X2 = np.concatenate([zeros, csum[:, block * np.arange(1, N + 1) - 1]], axis=1)
+    return np.stack([X1, X2], axis=2)
+
+
+@pytest.mark.parametrize("N, refine", [(8, 16), (3, 5), (4, 1)])
+def test_heisenberg_closed_form_in_place_is_bit_identical(heisenberg, N, refine):
+    bundle = make_bundle_batch(8, 0, 24, N * refine, 2, 1.0)
+    grid = GridSpec(N, 1.0)
+    ref = exact_trajectory(heisenberg, bundle, grid).states
+    np.testing.assert_array_equal(ref, _heisenberg_exact_by_concatenation(bundle, grid))
 
 
 def test_exact_trajectory_proxy_mode(diag_comm):
