@@ -38,13 +38,9 @@ from .models import (
 from .paths import GridSpec, PathBundle, coarsen, make_bundle, make_bundle_batch
 from .schemes import (
     SCHEME_IDS,
-    StepInputs,
     Trajectory,
-    discrete_nv_step,
     discrete_nv_trajectory,
-    euler_step,
     exact_trajectory,
-    nv_step,
     nv_trajectory,
     trajectory,
 )
@@ -63,16 +59,13 @@ __all__ = [
     "RateFit",
     "SCHEME_IDS",
     "SourceTermEstimate",
-    "StepInputs",
     "Trajectory",
     "VectorFieldSet",
     "build_bracket_table",
     "catalog",
     "coarsen",
     "compare_distributions",
-    "discrete_nv_step",
     "discrete_nv_trajectory",
-    "euler_step",
     "exact_trajectory",
     "fit_rate",
     "get_problem",
@@ -83,7 +76,6 @@ __all__ = [
     "make_bundle_batch",
     "mlmc_estimate",
     "normalized_error_samples",
-    "nv_step",
     "nv_trajectory",
     "parse_payoff",
     "scheme_gap",

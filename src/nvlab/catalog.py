@@ -1,6 +1,8 @@
 """Catalog of test problems with known structure.
 
-Every problem ships analytic Jacobians and closed-form flows, so scheme and
+Every problem is affine: it declares its matrices A_k and offsets c_k (index
+0 the Ito drift), from which :meth:`VectorFieldSet.affine` builds the fields
+and their constant Jacobians, and it ships closed-form flows, so scheme and
 limit-law studies are anchored on exact algebra; finite differences only ever
 appear as test oracles. The four problems cover the interesting corners:
 
@@ -26,25 +28,6 @@ def _tcol(t):
     return np.asarray(t, dtype=float)[..., None]
 
 
-def _const_mat(M):
-    M = np.asarray(M, dtype=float)
-
-    def f(x):
-        x = np.asarray(x)
-        return np.broadcast_to(M, x.shape[:-1] + M.shape)
-
-    return f
-
-
-def _linear_field(A):
-    A = np.asarray(A, dtype=float)
-
-    def f(x):
-        return np.einsum("ik,...k->...i", A, np.asarray(x, dtype=float))
-
-    return f
-
-
 # ---------------------------------------------------------------------------
 # gbm1d
 # ---------------------------------------------------------------------------
@@ -68,13 +51,9 @@ def _gbm_exact(problem: Problem, bundle: PathBundle, grid: GridSpec) -> np.ndarr
 def _make_gbm1d() -> Problem:
     mu, s = GBM_MU, GBM_SIGMA
     rate = mu - 0.5 * s**2
-    fields = VectorFieldSet(
-        n=1,
-        d=1,
-        b=lambda x: mu * np.asarray(x, dtype=float),
-        sigma=(lambda x: s * np.asarray(x, dtype=float),),
-        jac_b=_const_mat([[mu]]),
-        jac_sigma=(_const_mat([[s]]),),
+    fields = VectorFieldSet.affine(
+        A=[[[mu]], [[s]]],
+        c=np.zeros((2, 1)),
         exact_flows={
             0: lambda t, x: np.asarray(x, dtype=float) * np.exp(rate * _tcol(t)),
             1: lambda t, x: np.asarray(x, dtype=float) * np.exp(s * _tcol(t)),
@@ -132,19 +111,10 @@ def _heisenberg_flow2(t, x):
 
 def _make_heisenberg() -> Problem:
     zero2 = np.zeros(2)
-    fields = VectorFieldSet(
-        n=2,
-        d=2,
-        b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=(
-            lambda x: np.broadcast_to([1.0, 0.0], np.asarray(x).shape).copy(),
-            lambda x: np.stack(
-                [np.zeros_like(np.asarray(x, dtype=float)[..., 0]), np.asarray(x, dtype=float)[..., 0]],
-                axis=-1,
-            ),
-        ),
-        jac_b=_const_mat(np.zeros((2, 2))),
-        jac_sigma=(_const_mat(np.zeros((2, 2))), _const_mat([[0.0, 0.0], [1.0, 0.0]])),
+    # s1 = (1, 0), s2 = (0, x1), zero drift
+    fields = VectorFieldSet.affine(
+        A=[np.zeros((2, 2)), np.zeros((2, 2)), [[0.0, 0.0], [1.0, 0.0]]],
+        c=[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
         exact_flows={
             0: lambda t, x: x,  # drift vanishes identically
             1: _heisenberg_flow1,
@@ -204,22 +174,9 @@ def _make_diag_comm() -> Problem:
         out[..., 1] *= np.exp(a2 * np.asarray(t, dtype=float))
         return out
 
-    fields = VectorFieldSet(
-        n=2,
-        d=2,
-        b=_linear_field([[0.0, theta], [theta, 0.0]]),
-        sigma=(
-            lambda x: np.stack(
-                [a1 * np.asarray(x, dtype=float)[..., 0], np.zeros_like(np.asarray(x, dtype=float)[..., 1])],
-                axis=-1,
-            ),
-            lambda x: np.stack(
-                [np.zeros_like(np.asarray(x, dtype=float)[..., 0]), a2 * np.asarray(x, dtype=float)[..., 1]],
-                axis=-1,
-            ),
-        ),
-        jac_b=_const_mat([[0.0, theta], [theta, 0.0]]),
-        jac_sigma=(_const_mat([[a1, 0.0], [0.0, 0.0]]), _const_mat([[0.0, 0.0], [0.0, a2]])),
+    fields = VectorFieldSet.affine(
+        A=[[[0.0, theta], [theta, 0.0]], [[a1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, a2]]],
+        c=np.zeros((3, 2)),
         exact_flows={0: flow0, 1: flow1, 2: flow2},
     )
     return Problem(
@@ -261,13 +218,9 @@ def _make_linear_nc() -> Problem:
         c, s = np.cosh(k2 * t), np.sinh(k2 * t)
         return np.stack([x[..., 0] * c + x[..., 1] * s, x[..., 0] * s + x[..., 1] * c], axis=-1)
 
-    fields = VectorFieldSet(
-        n=2,
-        d=2,
-        b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=(_linear_field(A1), _linear_field(A2)),
-        jac_b=_const_mat(np.zeros((2, 2))),
-        jac_sigma=(_const_mat(A1), _const_mat(A2)),
+    fields = VectorFieldSet.affine(
+        A=[np.zeros((2, 2)), A1, A2],
+        c=np.zeros((3, 2)),
         exact_flows={0: flow0, 1: flow1, 2: flow2},
     )
     return Problem(

@@ -1,20 +1,25 @@
-"""SDE problem definitions: coefficient fields, Jacobians, derived quantities.
+"""SDE problem definitions: affine coefficient fields and derived quantities.
 
 An Ito SDE  dX = b(X) dt + sum_j sigma^j(X) dW^j  is described by a
-:class:`VectorFieldSet`. All coefficient callables are vectorized: they accept
-states of shape (n,) or (paths, n) and return the matching shape; Jacobian
-callables return (..., n, n) with entry (i, k) = d sigma^{i j} / d x_k.
+:class:`VectorFieldSet`. Every field is affine: sigma^k(x) = A_k x + c_k, with
+index 0 the Ito drift b, so a problem is the matrices A of shape (d+1, n, n)
+and the offsets c of shape (d+1, n). The coefficient callables are built from
+them; they accept states of shape (n,) or (paths, n) and return the matching
+shape, and Jacobian callables return (..., n, n) with entry (i, k) =
+d sigma^{i j} / d x_k, the constant A_j.
 
 Derived quantities follow the Stratonovich calculus conventions used by
 splitting schemes:
 
 * drift after Ito -> Stratonovich conversion:
   sigma^0 = b - 1/2 sum_j (d sigma^j) sigma^j
+          = (A_0 - 1/2 sum_j A_j^2) x + c_0 - 1/2 sum_j A_j c_j
 * Lie bracket of two Brownian fields:
   [sigma^j, sigma^m] = (d sigma^m) sigma^j - (d sigma^j) sigma^m
+                     = (A_m A_j - A_j A_m) x + A_m c_j - A_j c_m
 
 Brownian field indices are 1-based throughout the public API (index 0 is
-reserved for the Stratonovich drift), matching the usual notation.
+reserved for the drift), matching the usual notation.
 """
 
 from __future__ import annotations
@@ -43,25 +48,59 @@ def _mat_vec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...k->...i", mat, vec)
 
 
+def _affine_field(M: np.ndarray, v: np.ndarray) -> Field:
+    return lambda x: np.einsum("ik,...k->...i", M, x) + v
+
+
+def _constant_jacobian(M: np.ndarray) -> MatrixField:
+    return lambda x: np.broadcast_to(M, np.shape(x)[:-1] + M.shape)
+
+
 @dataclass(frozen=True)
 class VectorFieldSet:
-    """Drift, Brownian fields, their Jacobians and a closed-form flow for every field.
+    """Affine drift and Brownian fields, their callables and closed-form flows.
 
-    exact_flows maps each field index (0 = Stratonovich drift, 1..d = Brownian
-    fields) to the flow map (t, x0) -> exp(t V) x0 of that field, vectorized
-    over both a batch of states and a per-path vector of times. Every index
-    0..d must be present: the schemes evaluate flows only in closed form.
+    A[k] and c[k] define field k (0 = Ito drift b, 1..d = Brownian fields);
+    build instances with :meth:`affine`, which derives the callables from
+    them. exact_flows maps each field index (0 = Stratonovich drift, 1..d =
+    Brownian fields) to the flow map (t, x0) -> exp(t V) x0 of that field,
+    vectorized over both a batch of states and a per-path vector of times.
+    Every index 0..d must be present: the schemes evaluate flows only in
+    closed form.
     """
 
-    n: int
-    d: int
+    A: np.ndarray
+    c: np.ndarray
     b: Field
     sigma: tuple[Field, ...]
     jac_b: MatrixField
     jac_sigma: tuple[MatrixField, ...]
     exact_flows: Mapping[int, FlowMap]
 
+    @classmethod
+    def affine(cls, A, c, exact_flows: Mapping[int, FlowMap]) -> "VectorFieldSet":
+        """Fields sigma^k(x) = A[k] x + c[k] with their constant Jacobians."""
+        A = np.array(A, dtype=float)
+        c = np.array(c, dtype=float)
+        A.flags.writeable = c.flags.writeable = False
+        # zip stops at the shorter array; __post_init__ rejects mismatched shapes
+        fields = [_affine_field(M, v) for M, v in zip(A, c)]
+        jacobians = [_constant_jacobian(M) for M in A]
+        return cls(
+            A=A,
+            c=c,
+            b=fields[0],
+            sigma=tuple(fields[1:]),
+            jac_b=jacobians[0],
+            jac_sigma=tuple(jacobians[1:]),
+            exact_flows=exact_flows,
+        )
+
     def __post_init__(self):
+        if self.A.ndim != 3 or self.A.shape[1:] != (self.n, self.n):
+            raise ValueError(f"A must have shape (d+1, n, n), got {self.A.shape}")
+        if self.c.shape != self.A.shape[:2]:
+            raise ValueError(f"c must have shape {self.A.shape[:2]}, got {self.c.shape}")
         if not (1 <= self.n <= MAX_DIMENSION and 1 <= self.d <= MAX_DIMENSION):
             raise ValueError(f"dimensions must be in [1, {MAX_DIMENSION}]")
         if len(self.sigma) != self.d or len(self.jac_sigma) != self.d:
@@ -69,6 +108,21 @@ class VectorFieldSet:
         missing = set(range(self.d + 1)) - set(self.exact_flows)
         if missing:
             raise ValueError(f"no closed-form flow for field(s) {sorted(missing)}")
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[-1]
+
+    @property
+    def d(self) -> int:
+        return self.A.shape[0] - 1
+
+    def bracket_matrices(self, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(C, e) with [sigma^j, sigma^m](x) = C x + e, 1-based, m < j."""
+        if not 1 <= m < j <= self.d:
+            raise ValueError(f"need 1 <= m < j <= d, got j={j}, m={m}, d={self.d}")
+        A, c = self.A, self.c
+        return A[m] @ A[j] - A[j] @ A[m], A[m] @ c[j] - A[j] @ c[m]
 
     def sigma_j(self, j: int) -> Field:
         """Brownian field j, 1-based."""

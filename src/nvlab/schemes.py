@@ -1,4 +1,4 @@
-"""One-step maps and trajectory drivers for the simulation schemes.
+"""Scheme kernels and trajectory drivers for the simulation schemes.
 
 Schemes (selector strings in parentheses):
 
@@ -41,19 +41,6 @@ SCHEME_IDS = ("nv", "discrete-nv", "euler", "exact")
 
 
 @dataclass(frozen=True)
-class StepInputs:
-    """One-step data: step size, the d Brownian increments, a sign in {-1,+1}."""
-
-    h: float
-    dW: np.ndarray
-    eta: int | np.ndarray = 1
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("step size h must be > 0")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Scheme states at the grid times, states[:, k] at time k*h."""
 
@@ -69,26 +56,9 @@ class Trajectory:
         return self.states[:, -1, :]
 
 
-def _lift(problem: Problem, x, dW, eta):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.shape[-1] != problem.n:
-        raise ValueError(f"state dimension {xb.shape[-1]} != n={problem.n}")
-    dWb = np.asarray(dW, dtype=float)
-    if dWb.ndim == 1:
-        dWb = np.broadcast_to(dWb, (xb.shape[0], dWb.shape[0]))
-    if dWb.shape != (xb.shape[0], problem.d):
-        raise ValueError(f"dW must have shape (paths, {problem.d})")
-    etab = np.asarray(eta)
-    if etab.ndim == 0:
-        etab = np.full(xb.shape[0], int(etab), dtype=np.int8)
-    return xb, dWb, etab, single
-
-
 # ---------------------------------------------------------------------------
-# one-step maps: batched kernels, all with the signature (problem, x, dW, eta,
-# h), and public single/batch wrappers
+# one-step kernels, all with the signature (problem, x, dW, eta, h): a batch of
+# states (paths, n), the step's increments (paths, d) and signs (paths,)
 # ---------------------------------------------------------------------------
 
 
@@ -155,7 +125,7 @@ def _euler_kernel(problem: Problem, x, dW, eta, h):
     return out
 
 
-def _explosion(problem: Problem, label: str, states: np.ndarray, dt: float, path_start=0):
+def _explosion(problem: Problem, label: str, states: np.ndarray, dt: float, path_start: int):
     """The error naming the first recorded step, and its first path, that is non-finite.
 
     ``states`` is (paths, records, n) with record k at time k * dt.
@@ -164,26 +134,6 @@ def _explosion(problem: Problem, label: str, states: np.ndarray, dt: float, path
     step = int(np.argmax(bad.any(axis=0)))
     path = path_start + int(np.argmax(bad[:, step]))
     return FlowExplosionError(problem.name, None, step * dt, label, step, path)
-
-
-def _step(problem: Problem, kernel, label: str, x, step: StepInputs):
-    xb, dWb, etab, single = _lift(problem, x, step.dW, step.eta)
-    y = kernel(problem, xb, dWb, etab, step.h)
-    if not np.all(np.isfinite(y)):
-        raise _explosion(problem, label, np.stack([xb, y], axis=1), step.h)
-    return y[0] if single else y
-
-
-def nv_step(problem: Problem, x, step: StepInputs):
-    return _step(problem, _nv_kernel, "nv", x, step)
-
-
-def discrete_nv_step(problem: Problem, x, step: StepInputs):
-    return _step(problem, _discrete_nv_kernel, "discrete-nv", x, step)
-
-
-def euler_step(problem: Problem, x, step: StepInputs):
-    return _step(problem, _euler_kernel, "euler", x, step)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +162,10 @@ def _march(problem, kernel, label, increments: CoarseIncrements | PathBundle, re
 
 
 def _check_grid(problem: Problem, bundle: PathBundle, grid: GridSpec):
+    if bundle.d != problem.d:
+        raise ValueError(
+            f"bundle has d={bundle.d} Brownian coordinates, problem has d={problem.d}"
+        )
     if bundle.T != grid.T:
         raise ValueError(f"bundle horizon {bundle.T} != grid horizon {grid.T}")
     if bundle.n_fine % grid.N != 0:

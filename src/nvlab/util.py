@@ -8,6 +8,7 @@ are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -95,19 +96,26 @@ def run_paths(
     return out
 
 
+def _available_cores() -> int:
+    """Cores this process may run on (its CPU affinity where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_threads(threads: int) -> int:
     """0 means auto; negative is rejected.
 
     Auto resolves to 1: the marching kernels are dominated by many small numpy
     calls that hold the GIL, so oversubscribing threads slows them down. An
-    explicit positive count is honoured as given; results are identical either
-    way.
+    explicit positive count is capped at the available cores, so no request
+    starts more threads than can run; results are identical either way.
     """
     if threads < 0:
         raise ValueError("threads must be >= 0")
     if threads == 0:
         return 1
-    return threads
+    return min(threads, _available_cores())
 
 
 def run_batches(worker: Callable[[S], R], specs: Sequence[S], threads: int = 1) -> list[R]:

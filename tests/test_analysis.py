@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from nvlab import (
     ErrorPoint,
+    Problem,
+    VectorFieldSet,
     compare_distributions,
     fit_rate,
+    get_problem,
     limit_law_study,
     normalized_error_samples,
     scheme_gap,
@@ -12,6 +17,7 @@ from nvlab import (
     source_term_variance,
     strong_error,
 )
+from nvlab.paths import AUX_DOMAIN, StreamPool, make_bundle_batch
 
 # ---------------------------------------------------------------------------
 # strong error
@@ -143,6 +149,63 @@ def test_limit_sde_heisenberg_law(heisenberg):
     var = v[:, 1].var(ddof=1)
     se = 0.5 * np.sqrt(2.0 / 20000)
     assert abs(var - 0.5) <= 3 * se
+
+
+def _limit_sde_by_callables(problem, paths, n_fine, master_seed):
+    """The limit-SDE Euler loop as first written: path-major states, the
+    coefficient callables and the bracket table evaluated at every step."""
+    f = problem.fields
+    table = problem.brackets()
+    delta = problem.T / n_fine
+    coef = math.sqrt(problem.T / 2.0)
+    bundle = make_bundle_batch(master_seed, 0, paths, n_fine, problem.d, problem.T)
+    dB = np.empty((paths, n_fine, len(table.pairs)))
+    pool = StreamPool(master_seed)
+    for i in range(paths if table.pairs else 0):
+        pool.seek(i, AUX_DOMAIN).standard_normal(dB.shape[1:], out=dB[i])
+    dB *= math.sqrt(delta)
+    x = np.broadcast_to(problem.x0, (paths, problem.n)).copy()
+    v = np.zeros((paths, problem.n))
+    for k in range(n_fine):
+        dx = f.b(x) * delta
+        dv = np.einsum("...ik,...k->...i", f.jac_b(x), v) * delta
+        for j in range(problem.d):
+            w = bundle.dW[:, k, j][:, None]
+            dx = dx + f.sigma[j](x) * w
+            dv = dv + np.einsum("...ik,...k->...i", f.jac_sigma[j](x), v) * w
+        for idx, (j, m) in enumerate(table.pairs):
+            dv = dv + coef * table(j, m, x) * dB[:, k, idx][:, None]
+        x = x + dx
+        v = v + dv
+    return v
+
+
+def _affine_test_problem():
+    """Three non-commuting fields with offsets and a drift, so X reaches V.
+
+    The limit SDE never evaluates a flow; the identity maps only satisfy the
+    constructor."""
+    rng = np.random.default_rng(5)
+    fields = VectorFieldSet.affine(
+        A=0.3 * rng.standard_normal((4, 2, 2)),
+        c=0.5 * rng.standard_normal((4, 2)),
+        exact_flows={k: (lambda t, x: x) for k in range(4)},
+    )
+    return Problem("affine-nc", fields, x0=np.array([0.2, -0.4]), T=0.8, commutative=False)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "diag-comm", "gbm1d", "linear-nc", "affine-nc"])
+def test_limit_sde_matches_callable_loop(name):
+    # 100 steps span a full and a partial time-major block; paths run in one chunk
+    prob = _affine_test_problem() if name == "affine-nc" else get_problem(name)
+    new = simulate_limit_sde(prob, paths=40, n_fine=100, master_seed=4)
+    ref = _limit_sde_by_callables(prob, 40, 100, 4)
+    if name in ("heisenberg", "diag-comm", "gbm1d"):
+        np.testing.assert_array_equal(new, ref)
+        np.testing.assert_array_equal(np.signbit(new), np.signbit(ref))
+    else:
+        assert np.any(new != 0.0)
+        np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_limit_sde_self_consistent_in_resolution(heisenberg):

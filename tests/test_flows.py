@@ -81,13 +81,9 @@ def test_flow_explosion_raises():
     # overflows at t = 1000
     growth = Problem(
         name="blowup",
-        fields=VectorFieldSet(
-            n=1,
-            d=1,
-            b=lambda x: 0.5 * np.asarray(x, dtype=float),
-            sigma=(lambda x: np.asarray(x, dtype=float),),
-            jac_b=lambda x: np.full(np.asarray(x).shape + (1,), 0.5),
-            jac_sigma=(lambda x: np.ones(np.asarray(x).shape + (1,)),),
+        fields=VectorFieldSet.affine(
+            A=[[[0.5]], [[1.0]]],
+            c=np.zeros((2, 1)),
             exact_flows={
                 0: lambda t, x: np.asarray(x, dtype=float),
                 1: lambda t, x: np.asarray(x, dtype=float) * np.exp(np.asarray(t)[..., None]),

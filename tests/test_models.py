@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -58,19 +60,9 @@ def test_stratonovich_drift_heisenberg_vanishes(heisenberg):
 def test_stratonovich_drift_constant_fields_is_drift():
     # all Jacobians vanish, so the correction drops out
     drift = np.array([0.3, -0.7])
-    fields = VectorFieldSet(
-        n=2,
-        d=2,
-        b=lambda x: np.broadcast_to(drift, np.asarray(x).shape).copy(),
-        sigma=(
-            lambda x: np.broadcast_to([1.0, 2.0], np.asarray(x).shape).copy(),
-            lambda x: np.broadcast_to([-1.0, 0.5], np.asarray(x).shape).copy(),
-        ),
-        jac_b=lambda x: np.zeros(np.asarray(x).shape + (2,)),
-        jac_sigma=(
-            lambda x: np.zeros(np.asarray(x).shape + (2,)),
-            lambda x: np.zeros(np.asarray(x).shape + (2,)),
-        ),
+    fields = VectorFieldSet.affine(
+        A=np.zeros((3, 2, 2)),
+        c=[drift, [1.0, 2.0], [-1.0, 0.5]],
         exact_flows={
             0: _translation(drift),
             1: _translation(np.array([1.0, 2.0])),
@@ -176,45 +168,26 @@ def test_heisenberg_bracket_norm_is_one(heisenberg):
 
 
 def test_dimension_cap_enforced():
-    with pytest.raises(ValueError):
-        VectorFieldSet(
-            n=17,
-            d=1,
-            b=lambda x: x,
-            sigma=(lambda x: x,),
-            jac_b=lambda x: None,
-            jac_sigma=(lambda x: None,),
-            exact_flows=_identity_flows(1),
-        )
+    with pytest.raises(ValueError, match="dimensions"):
+        VectorFieldSet.affine(np.zeros((2, 17, 17)), np.zeros((2, 17)), _identity_flows(1))
 
 
 def test_field_count_must_match_d():
-    with pytest.raises(ValueError):
-        VectorFieldSet(
-            n=1,
-            d=2,
-            b=lambda x: x,
-            sigma=(lambda x: x,),
-            jac_b=lambda x: None,
-            jac_sigma=(lambda x: None,),
-            exact_flows=_identity_flows(2),
-        )
+    # offsets for two fields against matrices for three (d = 2)
+    with pytest.raises(ValueError, match="c must have shape"):
+        VectorFieldSet.affine(np.zeros((3, 1, 1)), np.zeros((2, 1)), _identity_flows(2))
+    fields = VectorFieldSet.affine(np.zeros((3, 1, 1)), np.zeros((3, 1)), _identity_flows(2))
+    with pytest.raises(ValueError, match="exactly d Brownian fields"):
+        replace(fields, sigma=fields.sigma[:1])
 
 
 def test_flows_must_cover_every_field():
-    kwargs = dict(
-        n=1,
-        d=1,
-        b=lambda x: x,
-        sigma=(lambda x: x,),
-        jac_b=lambda x: None,
-        jac_sigma=(lambda x: None,),
-    )
-    VectorFieldSet(**kwargs, exact_flows=_identity_flows(1))
+    A, c = np.ones((2, 1, 1)), np.zeros((2, 1))
+    VectorFieldSet.affine(A, c, _identity_flows(1))
     with pytest.raises(ValueError, match=r"field\(s\) \[0\]"):
-        VectorFieldSet(**kwargs, exact_flows={1: lambda t, x: x})
+        VectorFieldSet.affine(A, c, {1: lambda t, x: x})
     with pytest.raises(ValueError, match=r"\[1\]"):
-        VectorFieldSet(**kwargs, exact_flows={0: lambda t, x: x})
+        VectorFieldSet.affine(A, c, {0: lambda t, x: x})
 
 
 def test_problem_descriptor_keys(heisenberg):
@@ -241,3 +214,58 @@ def test_exact_flows_identity_at_zero(problems):
         xs = sample_states(prob, count=10, seed=3)
         for idx in prob.fields.exact_flows:
             np.testing.assert_array_equal(apply_flow(prob, idx, 0.0, xs), xs)
+
+
+# ---------------------------------------------------------------------------
+# the affine representation (A, c) behind every catalog problem
+# ---------------------------------------------------------------------------
+
+
+def test_callables_equal_their_matrix_forms(problems):
+    for prob in problems.values():
+        f = prob.fields
+        assert f.A.shape == (prob.d + 1, prob.n, prob.n) and f.c.shape == (prob.d + 1, prob.n)
+        xs = sample_states(prob, count=50, seed=21, spread=2.0)
+        callables = [(f.b, f.jac_b)] + list(zip(f.sigma, f.jac_sigma))
+        for k, (field, jac) in enumerate(callables):
+            np.testing.assert_array_equal(field(xs), xs @ f.A[k].T + f.c[k], err_msg=prob.name)
+            np.testing.assert_array_equal(jac(xs), np.broadcast_to(f.A[k], (50, prob.n, prob.n)))
+            np.testing.assert_array_equal(field(xs[0]), field(xs)[0])
+
+
+def test_bracket_matrices_equal_lie_bracket(problems):
+    for prob in problems.values():
+        xs = sample_states(prob, count=50, seed=22, spread=2.0)
+        for j, m in prob.brackets().pairs:
+            C, e = prob.fields.bracket_matrices(j, m)
+            precomputed = xs @ C.T + e
+            exact = lie_bracket(prob.fields, j, m, xs)
+            if prob.name in ("heisenberg", "diag-comm"):
+                np.testing.assert_array_equal(precomputed, exact)
+            else:
+                np.testing.assert_allclose(precomputed, exact, rtol=1e-13, atol=1e-13)
+
+
+def test_bracket_matrices_index_validation(heisenberg):
+    for j, m in [(1, 1), (1, 2), (3, 1), (2, 0)]:
+        with pytest.raises(ValueError):
+            heisenberg.fields.bracket_matrices(j, m)
+
+
+def test_stratonovich_drift_from_matrices(problems):
+    # sigma^0 = (A_0 - 1/2 sum_j A_j^2) x + c_0 - 1/2 sum_j A_j c_j
+    for prob in problems.values():
+        A, c = prob.fields.A, prob.fields.c
+        S = A[0] - 0.5 * sum(A[j] @ A[j] for j in range(1, prob.d + 1))
+        s0 = c[0] - 0.5 * sum(A[j] @ c[j] for j in range(1, prob.d + 1))
+        xs = sample_states(prob, count=50, seed=23, spread=2.0)
+        np.testing.assert_allclose(
+            stratonovich_drift(prob.fields, xs), xs @ S.T + s0, rtol=1e-13, atol=1e-13
+        )
+
+
+def test_affine_arrays_are_read_only(heisenberg):
+    with pytest.raises(ValueError):
+        heisenberg.fields.A[2, 1, 0] = 5.0
+    with pytest.raises(ValueError):
+        heisenberg.fields.c[1, 0] = 5.0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,17 +9,12 @@ from nvlab import (
     FlowExplosionError,
     GridSpec,
     PathBundle,
-    StepInputs,
     coarsen,
-    discrete_nv_step,
     discrete_nv_trajectory,
-    euler_step,
     exact_trajectory,
     fit_rate,
     get_problem,
-    make_bundle,
     make_bundle_batch,
-    nv_step,
     nv_trajectory,
     scheme_gap,
     trajectory,
@@ -29,8 +26,27 @@ from conftest import sample_states
 incr = st.floats(-1.5, 1.5)
 
 
+def _one_step_bundle(dW, eta, h):
+    """A hand-made one-step bundle: row i has increments dW[i] and sign eta[i]."""
+    dW = np.atleast_2d(np.asarray(dW, dtype=float))
+    eta = np.broadcast_to(np.asarray(eta, dtype=np.int8), (len(dW),))
+    return PathBundle(T=h, n_fine=1, d=dW.shape[1], dW=dW[:, None, :], eta=eta[:, None].copy())
+
+
+def _one_step(problem, scheme, x, dW, eta=1, h=0.1):
+    """The step of ``scheme`` from state x: a one-step trajectory started at x."""
+    start = replace(problem, x0=np.asarray(x, dtype=float))
+    traj = trajectory(start, scheme, _one_step_bundle(dW, eta, h), GridSpec(1, h))
+    return traj.states[0, 1]
+
+
+def _one_steps(problem, scheme, xs, dW, eta, h):
+    """Row i: the step of ``scheme`` from xs[i] with increments dW[i] and sign eta[i]."""
+    return np.array([_one_step(problem, scheme, *row, h) for row in zip(xs, dW, eta)])
+
+
 # ---------------------------------------------------------------------------
-# splitting-scheme one-step map
+# splitting-scheme step
 # ---------------------------------------------------------------------------
 
 
@@ -42,7 +58,7 @@ def test_nv_step_gbm_composes_to_exact_step(dw, h, eta):
     x = 1.3
     composed = x * np.exp(rate * h / 2) * np.exp(GBM_SIGMA * dw) * np.exp(rate * h / 2)
     exact = x * np.exp(rate * h + GBM_SIGMA * dw)
-    out = nv_step(gbm, np.array([x]), StepInputs(h=h, dW=np.array([dw]), eta=eta))
+    out = _one_step(gbm, "nv", [x], [dw], eta, h)
     assert abs(out[0] - composed) <= 1e-14 * abs(composed)
     assert abs(out[0] - exact) <= 1e-13 * abs(exact)
 
@@ -50,52 +66,52 @@ def test_nv_step_gbm_composes_to_exact_step(dw, h, eta):
 @given(incr, incr)
 def test_nv_step_heisenberg_hand_composition(dw1, dw2):
     heis = get_problem("heisenberg")
-    step = StepInputs(h=0.1, dW=np.array([dw1, dw2]), eta=1)
-    plus = nv_step(heis, np.zeros(2), step)
+    plus = _one_step(heis, "nv", np.zeros(2), [dw1, dw2], 1)
     np.testing.assert_allclose(plus, [dw1, dw2 * dw1], atol=1e-15)
-    minus = nv_step(heis, np.zeros(2), StepInputs(h=0.1, dW=step.dW, eta=-1))
+    minus = _one_step(heis, "nv", np.zeros(2), [dw1, dw2], -1)
     np.testing.assert_allclose(minus, [dw1, 0.0], atol=1e-15)
     np.testing.assert_allclose(plus - minus, [0.0, dw1 * dw2], atol=1e-15)
 
 
 def test_nv_step_sign_irrelevant_for_single_brownian(gbm):
     x = np.array([0.8])
-    step_plus = StepInputs(h=0.05, dW=np.array([0.3]), eta=1)
-    step_minus = StepInputs(h=0.05, dW=np.array([0.3]), eta=-1)
-    assert np.array_equal(nv_step(gbm, x, step_plus), nv_step(gbm, x, step_minus))
+    plus = _one_step(gbm, "nv", x, [0.3], 1, 0.05)
+    minus = _one_step(gbm, "nv", x, [0.3], -1, 0.05)
+    assert np.array_equal(plus, minus)
 
 
 def test_nv_step_sign_irrelevant_under_commutativity(diag_comm):
     rng = np.random.default_rng(0)
     xs = sample_states(diag_comm, count=40, seed=1)
     dW = 0.3 * rng.standard_normal((40, 2))
-    up = nv_step(diag_comm, xs, StepInputs(h=0.05, dW=dW, eta=np.ones(40, dtype=np.int8)))
-    down = nv_step(diag_comm, xs, StepInputs(h=0.05, dW=dW, eta=-np.ones(40, dtype=np.int8)))
+    up = _one_steps(diag_comm, "nv", xs, dW, np.ones(40), 0.05)
+    down = _one_steps(diag_comm, "nv", xs, dW, -np.ones(40), 0.05)
     assert np.max(np.abs(up - down)) <= 1e-12
 
 
 def test_nv_step_batched_matches_single(heisenberg):
+    # one ten-path bundle gives every path the step of its own one-path bundle
     rng = np.random.default_rng(42)
-    xs = rng.standard_normal((10, 2))
+    start = replace(heisenberg, x0=rng.standard_normal(2))
     dW = rng.standard_normal((10, 2))
-    eta = np.where(rng.random(10) < 0.5, 1, -1).astype(np.int8)
-    batch = nv_step(heisenberg, xs, StepInputs(h=0.2, dW=dW, eta=eta))
+    eta = np.where(rng.random(10) < 0.5, 1, -1)
+    batch = trajectory(start, "nv", _one_step_bundle(dW, eta, 0.2), GridSpec(1, 0.2)).states
     for i in range(10):
-        single = nv_step(heisenberg, xs[i], StepInputs(h=0.2, dW=dW[i], eta=int(eta[i])))
-        np.testing.assert_array_equal(batch[i], single)
+        single = _one_step(start, "nv", start.x0, dW[i], eta[i], 0.2)
+        np.testing.assert_array_equal(batch[i, 1], single)
 
 
 def test_step_inputs_validation(heisenberg):
     with pytest.raises(ValueError):
-        StepInputs(h=0.0, dW=np.zeros(2))
+        GridSpec(1, 0.0)  # step size h = T / N must be > 0
+    with pytest.raises(ValueError, match="bundle has d=3"):
+        _one_step(heisenberg, "nv", np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
-        nv_step(heisenberg, np.zeros(2), StepInputs(h=0.1, dW=np.zeros(3)))
-    with pytest.raises(ValueError):
-        nv_step(heisenberg, np.zeros(3), StepInputs(h=0.1, dW=np.zeros(2)))
+        _one_step(heisenberg, "nv", np.zeros(3), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
-# adapted surrogate one-step map
+# adapted surrogate step
 # ---------------------------------------------------------------------------
 
 
@@ -104,7 +120,7 @@ def test_discrete_step_gbm_is_milstein(dw, h):
     gbm = get_problem("gbm1d")
     x = 0.9
     milstein = x + GBM_MU * x * h + GBM_SIGMA * x * dw + 0.5 * GBM_SIGMA**2 * x * (dw**2 - h)
-    out = discrete_nv_step(gbm, np.array([x]), StepInputs(h=h, dW=np.array([dw]), eta=1))
+    out = _one_step(gbm, "discrete-nv", [x], [dw], 1, h)
     assert abs(out[0] - milstein) <= 1e-13 * max(1.0, abs(milstein))
 
 
@@ -112,9 +128,10 @@ def test_discrete_step_gbm_is_milstein(dw, h):
 def test_discrete_step_heisenberg_matches_nv(dw1, dw2, eta):
     heis = get_problem("heisenberg")
     xs = sample_states(heis, count=6, seed=8)
-    step = StepInputs(h=0.125, dW=np.array([dw1, dw2]), eta=eta)
-    nv = nv_step(heis, xs, step)
-    disc = discrete_nv_step(heis, xs, step)
+    dW = np.tile([dw1, dw2], (6, 1))
+    signs = np.full(6, eta)
+    nv = _one_steps(heis, "nv", xs, dW, signs, 0.125)
+    disc = _one_steps(heis, "discrete-nv", xs, dW, signs, 0.125)
     assert np.max(np.abs(nv - disc)) <= 1e-13
 
 
@@ -129,7 +146,7 @@ def test_discrete_step_zero_increments(diag_comm):
             x[1] + DIAG_THETA * x[0] * h - 0.5 * a2**2 * x[1] * h,
         ]
     )
-    out = discrete_nv_step(diag_comm, x, StepInputs(h=h, dW=np.zeros(2), eta=1))
+    out = _one_step(diag_comm, "discrete-nv", x, np.zeros(2), 1, h)
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
@@ -142,18 +159,17 @@ def test_euler_step_zero_increments(diag_comm):
     x = np.array([1.0, 2.0])
     h = 0.1
     expected = x + h * DIAG_THETA * np.array([x[1], x[0]])
-    np.testing.assert_allclose(
-        euler_step(diag_comm, x, StepInputs(h=h, dW=np.zeros(2))), expected, atol=1e-15
-    )
+    out = _one_step(diag_comm, "euler", x, np.zeros(2), 1, h)
+    np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
 def test_euler_step_gbm_arithmetic(gbm):
-    out = euler_step(gbm, np.array([1.0]), StepInputs(h=0.01, dW=np.array([0.1])))
+    out = _one_step(gbm, "euler", np.array([1.0]), [0.1], 1, 0.01)
     assert abs(out[0] - 1.051) <= 1e-12
 
 
 def test_euler_step_heisenberg_origin(heisenberg):
-    out = euler_step(heisenberg, np.zeros(2), StepInputs(h=0.3, dW=np.array([0.7, -0.2])))
+    out = _one_step(heisenberg, "euler", np.zeros(2), [0.7, -0.2], 1, 0.3)
     np.testing.assert_allclose(out, [0.7, 0.0], atol=1e-15)
 
 
@@ -163,12 +179,15 @@ def test_euler_step_heisenberg_origin(heisenberg):
 
 
 def test_single_step_trajectory_equals_step(heisenberg):
-    bundle = make_bundle(3, 0, 1, 2, 1.0)
-    grid = GridSpec(1, 1.0)
-    traj = nv_trajectory(heisenberg, bundle, grid)
-    step = StepInputs(h=1.0, dW=bundle.dW[0, 0], eta=int(bundle.eta[0, 0]))
-    np.testing.assert_array_equal(traj.states[0, 1], nv_step(heisenberg, heisenberg.x0, step))
-    np.testing.assert_array_equal(traj.states[0, 0], heisenberg.x0)
+    # the worked ordering example of the schemes module, on drawn increments and signs
+    bundle = make_bundle_batch(3, 0, 8, 1, 2, 1.0)
+    dw1, dw2 = bundle.dW[:, 0, 0], bundle.dW[:, 0, 1]
+    plus = bundle.eta[:, 0] > 0
+    assert 0 < plus.sum() < 8
+    states = nv_trajectory(heisenberg, bundle, GridSpec(1, 1.0)).states
+    np.testing.assert_array_equal(states[:, 0], np.zeros((8, 2)))
+    np.testing.assert_array_equal(states[:, 1, 0], dw1)
+    np.testing.assert_array_equal(states[:, 1, 1], np.where(plus, dw1 * dw2, 0.0))
 
 
 @pytest.mark.parametrize("N", [1, 3, 16, 128])
@@ -207,10 +226,10 @@ def test_explosion_names_scheme_step_and_path(gbm, scheme, big, step):
 
 
 def test_step_explosion_names_scheme_and_path(gbm):
-    x = np.ones((3, 1))
-    dW = np.array([[0.1], [0.1], [2e3]])
+    # one step on three paths; only path 2 overflows
+    bundle = _one_step_bundle([[0.1], [0.1], [2e3]], 1, 0.5)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
-        nv_step(gbm, x, StepInputs(h=0.5, dW=dW))
+        trajectory(gbm, "nv", bundle, GridSpec(1, 0.5))
     assert (info.value.scheme, info.value.step, info.value.path) == ("nv", 1, 2)
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,20 @@ def test_run_paths_fills_rows_in_path_order():
     flat = run_paths(50, 1, 1, lambda start, count: np.arange(start, start + count) ** 2)
     assert flat.shape == (50,)
     np.testing.assert_array_equal(flat, np.arange(50) ** 2)
+
+
+def test_thread_requests_are_capped_at_the_available_cores(monkeypatch):
+    # planning only: nothing here starts a thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert [resolve_threads(t) for t in (0, 1, 2, 3, 1000)] == [1, 1, 2, 3, 3]
+    assert len(compute_chunks(10**5, 1, 1000)) == 3
+    chunks = compute_chunks(10**5, 2**16 * 5, 1000)
+    assert sum(c for _, c in chunks) == 10**5
+    assert max(c for _, c in chunks) * 2**16 * 5 * 3 <= CHUNK_FLOAT_BUDGET
+    # without an affinity mask the cap is the machine's core count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert resolve_threads(1000) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_threads(1000) == 1
+
