@@ -37,20 +37,21 @@ import numpy as np
 from scipy import stats as _sstats
 
 from .models import Problem
-from .paths import AUX_DOMAIN, GridSpec, StreamPool, coarsen, make_bundle_batch
+from .paths import (
+    AUX_DOMAIN,
+    DW_DOMAIN,
+    GridSpec,
+    StreamPool,
+    coarsen,
+    make_bundle_batch,
+    time_major_blocks,
+)
 from .schemes import trajectory
 from .util import STAT_BATCHES, run_paths, split_paths
 
 # Seed stride separating the limit-SDE sample stream from the scheme stream,
 # so the two sides of the KS comparison are independent.
 LIMIT_SEED_STRIDE = 2**32
-
-# Steps per time-major block of limit-SDE increments. Reading one step of the
-# path-major arrays strides by n_fine * width floats, a power of two at the
-# usual n_fine that maps every path to the same cache set; a block is instead
-# copied path-major and then transposed over rows of LIMIT_BLOCK * width
-# floats, which do not alias because LIMIT_BLOCK is not a power of two.
-LIMIT_BLOCK = 60
 
 
 def _batch_mean_se(values: np.ndarray, batches: int = STAT_BATCHES) -> tuple[float, float]:
@@ -260,12 +261,6 @@ def normalized_error_samples(
     return run_paths(paths, n_fine * (problem.d + 3), threads, worker, width=problem.n)
 
 
-def _time_major(a: np.ndarray, k0: int, k1: int) -> np.ndarray:
-    """Steps k0..k1-1 of path-major increments (paths, steps, width), as
-    contiguous (steps, width, paths)."""
-    return a[:, k0:k1].copy().transpose(1, 2, 0).copy()
-
-
 def simulate_limit_sde(
     problem: Problem,
     paths: int,
@@ -281,10 +276,12 @@ def simulate_limit_sde(
     once; no coefficient callable is evaluated. The states are rows of
     shape (n, paths). The base SDE X (Ito form) is marched alongside V only
     when some bracket matrix C is non-zero; otherwise the sources are
-    constant and X never reaches V. The increments are read in time-major
-    blocks of LIMIT_BLOCK steps. The bracket sources are driven by fresh
-    increments of an independent d(d-1)/2-dimensional Brownian motion drawn
-    from each path's auxiliary stream. For commuting Brownian fields the
+    constant and X never reaches V. The increments dW are those of
+    :func:`~nvlab.paths.make_bundle_batch`, drawn without its signs. The
+    bracket sources are driven by fresh increments of an independent
+    d(d-1)/2-dimensional Brownian motion drawn from each path's auxiliary
+    stream. Both are read in blocks by
+    :func:`~nvlab.paths.time_major_blocks`. For commuting Brownian fields the
     source vanishes and V stays exactly zero.
     """
     A = problem.fields.A
@@ -297,29 +294,27 @@ def simulate_limit_sde(
     coef = math.sqrt(problem.T / 2.0)
 
     def worker(start, count):
-        bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
+        # the increments of make_bundle_batch, without its signs
+        pool = StreamPool(master_seed)
+        dW = pool.fill_normals(DW_DOMAIN, start, np.empty((count, n_fine, problem.d)))
+        dW *= math.sqrt(delta)
         dB = np.empty((count, n_fine, n_pairs))
         if n_pairs:
-            pool = StreamPool(master_seed)
-            for i in range(count):
-                pool.seek(start + i, AUX_DOMAIN).standard_normal((n_fine, n_pairs), out=dB[i])
+            pool.fill_normals(AUX_DOMAIN, start, dB)
             dB *= math.sqrt(delta)
         x = np.repeat(problem.x0[:, None], count, axis=1)
         v = np.zeros((problem.n, count))
-        for k0 in range(0, n_fine, LIMIT_BLOCK):
-            k1 = min(k0 + LIMIT_BLOCK, n_fine)
-            dW = _time_major(bundle.dW, k0, k1)
-            dBk = _time_major(dB, k0, k1)
-            for k in range(k1 - k0):
+        for _, dW_rows, dB_rows in time_major_blocks(dW, dB):
+            for dW_k, dB_k in zip(dW_rows, dB_rows):
                 dv = (A[0] @ v) * delta
                 for j in range(1, problem.d + 1):
-                    dv = dv + (A[j] @ v) * dW[k, j - 1]
+                    dv = dv + (A[j] @ v) * dW_k[j - 1]
                 for idx, (C, e) in enumerate(brackets):
-                    dv = dv + coef * (C @ x + e[:, None]) * dBk[k, idx]
+                    dv = dv + coef * (C @ x + e[:, None]) * dB_k[idx]
                 if march_x:
                     dx = (A[0] @ x + c[0]) * delta
                     for j in range(1, problem.d + 1):
-                        dx = dx + (A[j] @ x + c[j]) * dW[k, j - 1]
+                        dx = dx + (A[j] @ x + c[j]) * dW_k[j - 1]
                     x = x + dx
                 v = v + dv
         return v.T

@@ -15,6 +15,7 @@ stream (see :func:`rademacher_from_raw`), not from numpy's integer sampler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -68,6 +69,13 @@ class StreamPool:
         self._bitgen.state = self._state
         return self.generator
 
+    def fill_normals(self, domain: int, path_start: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out[i]`` with the standard normals of path ``path_start + i``'s
+        ``domain`` stream, drawn in the row-major order of ``out[i]``."""
+        for i in range(out.shape[0]):
+            self.seek(path_start + i, domain).standard_normal(out.shape[1:], out=out[i])
+        return out
+
 
 def rademacher_from_raw(raw: np.ndarray, n: int) -> np.ndarray:
     """Signs in {-1, +1} from raw 64-bit Philox words, computed in place.
@@ -91,6 +99,54 @@ def rademacher_from_raw(raw: np.ndarray, n: int) -> np.ndarray:
     eta *= 2
     eta -= 1
     return eta
+
+
+# Blocks of :func:`time_major_blocks`. Reading one step of path-major
+# (paths, steps, width) arrays strides by steps * width elements, a power of
+# two at the usual step counts, which maps every path to the same cache set.
+# A block is instead copied path-major, one tile of paths at a time, into a
+# staging buffer of at most TIME_MAJOR_STAGE_BYTES, and transposed from there;
+# the staged rows are short (TIME_MAJOR_BLOCK is not a power of two, so they
+# do not alias either). A block is at most TIME_MAJOR_BLOCK steps and at most
+# 1/TIME_MAJOR_FRACTION of the steps (but at least one), so its buffer stays
+# small next to the arrays it reads even where many paths take few steps,
+# and long marches still read several cache lines of each path per block.
+TIME_MAJOR_BLOCK = 60
+TIME_MAJOR_FRACTION = 16
+TIME_MAJOR_STAGE_BYTES = 2**17
+
+
+def time_major_blocks(*arrays: np.ndarray):
+    """Read path-major arrays (paths, steps, ...) in blocks of at most
+    TIME_MAJOR_BLOCK steps.
+
+    Yields ``(k0, rows_1, rows_2, ...)``: steps ``k0 .. k0 + len(rows_i) - 1``
+    of each array as one contiguous time-major block (steps, ..., paths), so
+    ``rows_i[k]`` holds step ``k0 + k`` of every path in rows of (..., paths).
+    The arrays share their (paths, steps). One block buffer per array serves
+    every block: a block is only valid until the next is read, and its
+    holder may overwrite it.
+    """
+    paths, steps = arrays[0].shape[:2]
+    step_bytes = [a.itemsize * math.prod(a.shape[2:]) for a in arrays]
+    size = max(1, min(TIME_MAJOR_BLOCK, steps // TIME_MAJOR_FRACTION))
+    buffers = []
+    for a, nbytes in zip(arrays, step_bytes):
+        tile = max(1, min(paths, TIME_MAJOR_STAGE_BYTES // max(1, size * nbytes)))
+        stage = np.empty((tile, size) + a.shape[2:], a.dtype)
+        buffers.append((stage, np.empty((size,) + a.shape[2:] + (paths,), a.dtype)))
+    for k0 in range(0, steps, size):
+        n = min(size, steps - k0)
+        blocks = []
+        for a, (stage, time_major) in zip(arrays, buffers):
+            rows = time_major[:n]
+            for p0 in range(0, paths, len(stage)):
+                p1 = min(p0 + len(stage), paths)
+                part = stage[: p1 - p0, :n]
+                np.copyto(part, a[p0:p1, k0 : k0 + n])
+                np.copyto(rows[..., p0:p1], np.moveaxis(part, 0, -1))
+            blocks.append(rows)
+        yield (k0, *blocks)
 
 
 @dataclass(frozen=True)
@@ -162,18 +218,15 @@ def make_bundle_batch(
         raise ValueError("n_paths must be >= 1")
     if not T > 0:
         raise ValueError("T must be > 0")
-    scale = np.sqrt(T / N_fine)
-    dW = np.empty((n_paths, N_fine, d))
+    pool = StreamPool(master_seed)
+    dW = pool.fill_normals(DW_DOMAIN, path_start, np.empty((n_paths, N_fine, d)))
+    dW *= np.sqrt(T / N_fine)
     words = -(-N_fine // 8)  # one sign per byte
     raw = np.empty((n_paths, words), dtype="<u8")
-    pool = StreamPool(master_seed)
     random_raw = pool.generator.bit_generator.random_raw
     for i in range(n_paths):
-        idx = path_start + i
-        pool.seek(idx, DW_DOMAIN).standard_normal((N_fine, d), out=dW[i])
-        pool.seek(idx, ETA_DOMAIN)
+        pool.seek(path_start + i, ETA_DOMAIN)
         raw[i] = random_raw(words)
-    dW *= scale
     eta = rademacher_from_raw(raw, N_fine)
     dW.setflags(write=False)
     eta.setflags(write=False)

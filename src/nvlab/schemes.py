@@ -21,6 +21,14 @@ Schemes (selector strings in parentheses):
                     an ``nv`` run at the bundle's full fine resolution, used as
                     a reference proxy and labelled as such.
 
+Every scheme is one kernel run by one march, ``_march``, which reads the
+increments and signs in time-major blocks (:func:`~nvlab.paths.time_major_blocks`)
+and hands the kernel, at each step, the states (paths, n), the step's
+increments as contiguous rows (d, paths) and one boolean sweep row (paths,),
+True where the sign is +1. The ``nv`` kernel runs both sweep orders over every path and keeps
+one per path with ``np.where``; every flow acts path by path, so this is
+bit-identical to sweeping each path alone.
+
 Worked ordering example (``heisenberg``, fields s1=(1,0), s2=(0,x1), zero
 drift): from x=(0,0) with sign +1 the s1 flow acts first, so the step lands on
 (dW1, dW1*dW2); with sign -1 the s2 flow acts first on x1=0 and the step lands
@@ -35,7 +43,7 @@ import numpy as np
 
 from .flows import FlowExplosionError, flow_unchecked
 from .models import Problem
-from .paths import CoarseIncrements, GridSpec, PathBundle, coarsen
+from .paths import CoarseIncrements, GridSpec, PathBundle, coarsen, time_major_blocks
 
 SCHEME_IDS = ("nv", "discrete-nv", "euler", "exact")
 
@@ -57,37 +65,33 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# one-step kernels, all with the signature (problem, x, dW, eta, h): a batch of
-# states (paths, n), the step's increments (paths, d) and signs (paths,)
+# one-step kernels, all with the signature (problem, x, dW, plus, h): a batch of
+# states (paths, n), the step's increments as rows (d, paths), so dW[j - 1]
+# drives field j, and the boolean sweep row plus (paths,), True where the sign
+# is +1
 # ---------------------------------------------------------------------------
 
 
-def _nv_kernel(problem: Problem, x, dW, eta, h):
+def _nv_kernel(problem: Problem, x, dW, plus, h):
     half = 0.5 * h
     x = flow_unchecked(problem, 0, half, x)
     d = problem.d
     if d == 1:
         # a single Brownian flow: the two sweep directions coincide
-        x = flow_unchecked(problem, 1, dW[:, 0], x)
+        x = flow_unchecked(problem, 1, dW[0], x)
     else:
-        plus = eta > 0
-        minus = ~plus
-        out = np.empty_like(x)
-        if plus.any():
-            xp = x[plus]
-            for j in range(1, d + 1):
-                xp = flow_unchecked(problem, j, dW[plus, j - 1], xp)
-            out[plus] = xp
-        if minus.any():
-            xm = x[minus]
-            for j in range(d, 0, -1):
-                xm = flow_unchecked(problem, j, dW[minus, j - 1], xm)
-            out[minus] = xm
-        x = out
+        # both sweeps over every path, then each path keeps its own: the flows
+        # act path by path, so this equals sweeping each path alone
+        x_plus = x_minus = x
+        for j in range(1, d + 1):
+            x_plus = flow_unchecked(problem, j, dW[j - 1], x_plus)
+        for j in range(d, 0, -1):
+            x_minus = flow_unchecked(problem, j, dW[j - 1], x_minus)
+        x = np.where(plus[:, None], x_plus, x_minus)
     return flow_unchecked(problem, 0, half, x)
 
 
-def _discrete_nv_kernel(problem: Problem, x, dW, eta, h):
+def _discrete_nv_kernel(problem: Problem, x, dW, plus, h):
     f = problem.fields
     d = problem.d
     sig = [f.sigma[j](x) for j in range(d)]
@@ -98,7 +102,7 @@ def _discrete_nv_kernel(problem: Problem, x, dW, eta, h):
 
     out = x + f.b(x) * h
     for j in range(1, d + 1):
-        w = dW[:, j - 1][:, None]
+        w = dW[j - 1][:, None]
         out = out + sig[j - 1] * w
         out = out + 0.5 * corr(j, j) * (w * w - h)
     if d > 1:
@@ -108,20 +112,20 @@ def _discrete_nv_kernel(problem: Problem, x, dW, eta, h):
             for m in range(1, d + 1):
                 if m == j:
                     continue
-                term = corr(j, m) * (dW[:, m - 1] * dW[:, j - 1])[:, None]
+                term = corr(j, m) * (dW[m - 1] * dW[j - 1])[:, None]
                 if m < j:
                     cross_plus = cross_plus + term
                 else:
                     cross_minus = cross_minus + term
-        out = out + np.where((eta > 0)[:, None], cross_plus, cross_minus)
+        out = out + np.where(plus[:, None], cross_plus, cross_minus)
     return out
 
 
-def _euler_kernel(problem: Problem, x, dW, eta, h):
+def _euler_kernel(problem: Problem, x, dW, plus, h):
     f = problem.fields
     out = x + f.b(x) * h
     for j in range(problem.d):
-        out = out + f.sigma[j](x) * dW[:, j][:, None]
+        out = out + f.sigma[j](x) * dW[j][:, None]
     return out
 
 
@@ -143,16 +147,23 @@ def _explosion(problem: Problem, label: str, states: np.ndarray, dt: float, path
 
 def _march(problem, kernel, label, increments: CoarseIncrements | PathBundle, record_stride=1):
     """Apply ``kernel`` at every step of ``increments``, recording every
-    ``record_stride`` steps; states are (paths, steps // record_stride + 1, n)."""
+    ``record_stride`` steps; states are (paths, steps // record_stride + 1, n).
+
+    The increments and signs are read in time-major blocks, so a step's
+    kernel gets contiguous rows (d, paths) and a boolean sweep row (paths,).
+    """
     dW, eta, h = increments.dW, increments.eta, increments.h
     paths, steps = dW.shape[:2]
     states = np.empty((paths, steps // record_stride + 1, problem.n))
     x = np.broadcast_to(problem.x0, (paths, problem.n)).copy()
     states[:, 0] = x
-    for k in range(steps):
-        x = kernel(problem, x, dW[:, k, :], eta[:, k], h)
-        if (k + 1) % record_stride == 0:
-            states[:, (k + 1) // record_stride] = x
+    for k0, dW_rows, eta_rows in time_major_blocks(dW, eta):
+        # the block's signs become its boolean sweep rows, in their own buffer
+        plus = np.greater(eta_rows, 0, out=eta_rows.view(bool))
+        for k, (dW_k, plus_k) in enumerate(zip(dW_rows, plus), start=k0 + 1):
+            x = kernel(problem, x, dW_k, plus_k, h)
+            if k % record_stride == 0:
+                states[:, k // record_stride] = x
     # one explosion check for the whole sweep: non-finite values propagate
     # through every kernel, so the last recorded states carry the evidence
     if not np.all(np.isfinite(x)):

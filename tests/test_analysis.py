@@ -17,7 +17,7 @@ from nvlab import (
     source_term_variance,
     strong_error,
 )
-from nvlab.paths import AUX_DOMAIN, StreamPool, make_bundle_batch
+from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, make_bundle_batch
 
 # ---------------------------------------------------------------------------
 # strong error
@@ -192,6 +192,20 @@ def _affine_test_problem():
         exact_flows={k: (lambda t, x: x) for k in range(4)},
     )
     return Problem("affine-nc", fields, x0=np.array([0.2, -0.4]), T=0.8, commutative=False)
+
+
+def test_limit_sde_seeks_increments_and_aux_only(heisenberg, monkeypatch):
+    # two streams per path: its increments and its auxiliary noise, no signs
+    seeks = []
+    seek = StreamPool.seek
+
+    def counting_seek(pool, path_index, domain):
+        seeks.append((path_index, domain))
+        return seek(pool, path_index, domain)
+
+    monkeypatch.setattr(StreamPool, "seek", counting_seek)
+    simulate_limit_sde(heisenberg, 5, n_fine=8, master_seed=3)
+    assert sorted(seeks) == sorted((i, dom) for i in range(5) for dom in (DW_DOMAIN, AUX_DOMAIN))
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "diag-comm", "gbm1d", "linear-nc", "affine-nc"])

@@ -7,7 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nvlab import GridSpec, PathBundle, coarsen, make_bundle, make_bundle_batch
-from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, ETA_DOMAIN, StreamPool, rademacher_from_raw, stream
+from nvlab.paths import (
+    AUX_DOMAIN,
+    DW_DOMAIN,
+    ETA_DOMAIN,
+    TIME_MAJOR_BLOCK,
+    TIME_MAJOR_FRACTION,
+    StreamPool,
+    rademacher_from_raw,
+    stream,
+    time_major_blocks,
+)
 
 
 def test_same_seed_and_index_bitwise_identical():
@@ -39,6 +49,33 @@ def test_stream_pool_matches_fresh_streams():
         fresh = stream(99, idx, domain).standard_normal(8)
         pooled = pool.seek(idx, domain).standard_normal(8)
         assert np.array_equal(fresh, pooled)
+
+
+def test_fill_normals_matches_fresh_streams():
+    out = StreamPool(99).fill_normals(AUX_DOMAIN, 40, np.empty((3, 5, 2)))
+    for i in range(3):
+        assert np.array_equal(out[i], stream(99, 40 + i, AUX_DOMAIN).standard_normal((5, 2)))
+
+
+@pytest.mark.parametrize("paths, steps", [(1, 1), (7, 130), (1000, 61), (3, 4096), (20000, 7)])
+def test_time_major_blocks_reassemble_the_arrays(paths, steps):
+    # 20000 paths are staged in several path tiles, the last one partial
+    rng = np.random.default_rng(paths)
+    dW = rng.standard_normal((paths, steps, 2))
+    eta = rng.integers(-1, 2, (paths, steps)).astype(np.int8)
+    lengths = []
+    blocks = []
+    for k0, dW_rows, eta_rows in time_major_blocks(dW, eta):
+        assert k0 == sum(lengths) and len(eta_rows) == len(dW_rows)
+        assert dW_rows.flags.c_contiguous and eta_rows.flags.c_contiguous
+        np.testing.assert_array_equal(eta_rows, eta[:, k0 : k0 + len(eta_rows)].T)
+        lengths.append(len(dW_rows))
+        blocks.append(dW_rows.copy())
+    np.testing.assert_array_equal(np.concatenate(blocks), np.moveaxis(dW, 0, -1))
+    # equal blocks, the last one possibly partial, each at most a fixed
+    # fraction of the steps: long marches read full TIME_MAJOR_BLOCK blocks
+    assert len(set(lengths[:-1])) <= 1 and lengths[-1] <= lengths[0]
+    assert lengths[0] == max(1, min(TIME_MAJOR_BLOCK, steps // TIME_MAJOR_FRACTION))
 
 
 def test_domains_are_separate_streams():

@@ -19,7 +19,9 @@ from nvlab import (
     scheme_gap,
     trajectory,
 )
-from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA
+from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA, PROBLEM_IDS
+from nvlab.flows import flow_unchecked
+from nvlab.schemes import _discrete_nv_kernel, _euler_kernel, _march, _nv_kernel
 
 from conftest import sample_states
 
@@ -225,6 +227,36 @@ def test_explosion_names_scheme_step_and_path(gbm, scheme, big, step):
     assert "path 101" in str(err)
 
 
+@pytest.mark.parametrize(
+    "scheme, big, step", [("nv", 2e3, 11), ("discrete-nv", 1e200, 11), ("euler", 1e200, 12)]
+)
+def test_explosion_in_second_block_names_scheme_step_and_path(gbm, scheme, big, step):
+    # 130 steps are read in blocks of 8; path 503 of the stream numbering
+    # overflows first at step 11 or 12, inside the second block
+    dW = np.full((6, 130, 1), 0.01)
+    dW[3, 10:12, 0] = big
+    eta = np.where(np.arange(130) % 3 == 0, 1, -1).astype(np.int8) * np.ones((6, 1), np.int8)
+    bundle = PathBundle(T=1.0, n_fine=130, d=1, dW=dW, eta=eta, path_start=500)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
+        trajectory(gbm, scheme, bundle, GridSpec(130, 1.0))
+    err = info.value
+    assert (err.scheme, err.step, err.path, err.t) == (scheme, step, 503, step * (1.0 / 130))
+
+
+def test_proxy_explosion_in_second_block_names_recorded_step_and_path(diag_comm):
+    # the proxy records every 65th of 130 fine steps, read in blocks of 8: the
+    # overflow at fine step 12, in the second block, first shows in record 1
+    rng = np.random.default_rng(3)
+    dW = 0.05 * rng.standard_normal((5, 130, 2))
+    dW[2, 11, 1] = 2e3
+    eta = np.where(rng.random((5, 130)) < 0.5, 1, -1).astype(np.int8)
+    bundle = PathBundle(T=1.0, n_fine=130, d=2, dW=dW, eta=eta, path_start=40)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
+        exact_trajectory(diag_comm, bundle, GridSpec(2, 1.0))
+    err = info.value
+    assert (err.scheme, err.step, err.path, err.t) == ("nv-proxy", 1, 42, 0.5)
+
+
 def test_step_explosion_names_scheme_and_path(gbm):
     # one step on three paths; only path 2 overflows
     bundle = _one_step_bundle([[0.1], [0.1], [2e3]], 1, 0.5)
@@ -308,6 +340,90 @@ def test_grid_must_divide_bundle(heisenberg):
         nv_trajectory(heisenberg, bundle, GridSpec(3, 1.0))
     with pytest.raises(ValueError):
         nv_trajectory(heisenberg, bundle, GridSpec(8, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# march oracle: the path-major march with a masked-gather nv step
+# ---------------------------------------------------------------------------
+
+
+def _masked_nv_kernel(problem, x, dW, eta, h):
+    """The nv step on one step of path-major increments dW (paths, d) and signs
+    eta (paths,): each sweep direction gathers its paths with a boolean mask and
+    scatters them back."""
+    half = 0.5 * h
+    x = flow_unchecked(problem, 0, half, x)
+    d = problem.d
+    if d == 1:
+        x = flow_unchecked(problem, 1, dW[:, 0], x)
+    else:
+        plus = eta > 0
+        minus = ~plus
+        out = np.empty_like(x)
+        if plus.any():
+            xp = x[plus]
+            for j in range(1, d + 1):
+                xp = flow_unchecked(problem, j, dW[plus, j - 1], xp)
+            out[plus] = xp
+        if minus.any():
+            xm = x[minus]
+            for j in range(d, 0, -1):
+                xm = flow_unchecked(problem, j, dW[minus, j - 1], xm)
+            out[minus] = xm
+        x = out
+    return flow_unchecked(problem, 0, half, x)
+
+
+def _on_path_major_step(kernel):
+    """``kernel`` fed one step of path-major increments and signs."""
+    return lambda problem, x, dW, eta, h: kernel(problem, x, dW.T, eta > 0, h)
+
+
+def _path_major_march(problem, step, bundle):
+    """Every state of ``step`` marched over the bundle, reading the increments
+    of step k as the strided view dW[:, k, :]; shape (paths, steps + 1, n)."""
+    dW, eta, h = bundle.dW, bundle.eta, bundle.h
+    paths, steps = dW.shape[:2]
+    states = np.empty((paths, steps + 1, problem.n))
+    x = np.broadcast_to(problem.x0, (paths, problem.n)).copy()
+    states[:, 0] = x
+    for k in range(steps):
+        x = step(problem, x, dW[:, k, :], eta[:, k], h)
+        states[:, k + 1] = x
+    return states
+
+
+_MARCH_KERNELS = {
+    "nv": (_nv_kernel, _masked_nv_kernel),
+    "discrete-nv": (_discrete_nv_kernel, _on_path_major_step(_discrete_nv_kernel)),
+    "euler": (_euler_kernel, _on_path_major_step(_euler_kernel)),
+}
+
+
+@pytest.mark.parametrize("paths", [1, 1000])
+@pytest.mark.parametrize("scheme", list(_MARCH_KERNELS))
+@pytest.mark.parametrize("name", PROBLEM_IDS)
+def test_time_major_march_matches_path_major_reference(name, scheme, paths):
+    # 1, 59, 60, 61 and 130 steps are read in blocks of 1, 3, 3, 3 and 8
+    # steps, ending full or partial; 961 steps, on one path only to keep the
+    # test short, read 16 blocks of TIME_MAJOR_BLOCK = 60 steps and one more
+    problem = get_problem(name)
+    kernel, reference = _MARCH_KERNELS[scheme]
+    rng = np.random.default_rng(2024)
+    for steps in (1, 59, 60, 61, 130) + ((961,) if paths == 1 else ()):
+        dW = rng.standard_normal((paths, steps, problem.d)) / np.sqrt(steps)
+        mixed = np.where(rng.random((paths, steps)) < 0.5, 1, -1)
+        for eta in (np.ones_like(mixed), -np.ones_like(mixed), mixed):
+            bundle = PathBundle(
+                T=1.0, n_fine=steps, d=problem.d, dW=dW, eta=eta.astype(np.int8)
+            )
+            want = _path_major_march(problem, reference, bundle)
+            for stride in (1, 64):
+                got = _march(problem, kernel, scheme, bundle, stride)
+                expected = want[:, ::stride]
+                assert got.shape == expected.shape
+                np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
 
 # ---------------------------------------------------------------------------
