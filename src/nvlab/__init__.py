@@ -23,6 +23,7 @@ from .analysis import (
     simulate_limit_sde,
     source_term_variance,
     strong_error,
+    strong_error_ladder,
 )
 from .catalog import PROBLEM_IDS, catalog, get_problem
 from .flows import FlowExplosionError
@@ -83,5 +84,6 @@ __all__ = [
     "source_term_variance",
     "stratonovich_drift",
     "strong_error",
+    "strong_error_ladder",
     "trajectory",
 ]

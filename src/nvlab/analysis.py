@@ -4,6 +4,8 @@ The statistical core of the lab:
 
 * coupled strong errors  E[max_k |X_{t_k} - X^scheme_{t_k}|^{2p}]^{1/(2p)}
   against an exact or refined reference sharing the same Brownian bundle;
+  a whole step ladder shares one bundle and one reference per path (common
+  random numbers across rungs);
 * log-log rate fits over a step ladder;
 * samples of the rescaled terminal error sqrt(N) (X_T - X^nv_T);
 * an Euler simulator for the limiting affine SDE of that rescaled error,
@@ -41,6 +43,7 @@ from .paths import (
     AUX_DOMAIN,
     DW_DOMAIN,
     GridSpec,
+    PathBundle,
     StreamPool,
     coarsen,
     make_bundle_batch,
@@ -86,7 +89,11 @@ class ErrorPoint:
 
 @dataclass(frozen=True)
 class RateFit:
-    """OLS fit of log(err) against log(h); slope is the empirical strong order."""
+    """OLS fit of log(err) against log(h); slope is the empirical strong order.
+
+    Over the correlated rungs of :func:`strong_error_ladder`, ``r_squared``
+    describes the fit but does not test independent residuals.
+    """
 
     points: tuple[ErrorPoint, ...]
     slope: float
@@ -133,29 +140,23 @@ def _check_reference(problem: Problem, refine_factor: int):
         )
 
 
-def _coupled_gap(
-    problem: Problem,
-    scheme_a: str,
-    scheme_b: str,
-    N: int,
-    n_fine: int,
-    paths: int,
-    master_seed: int,
-    p: int,
-    threads: int,
-) -> ErrorPoint:
-    """L^{2p} max-over-grid distance of two schemes at N steps on shared bundles
-    drawn at n_fine steps, with its batch standard error."""
-    grid = GridSpec(N, problem.T)
+def _check_ladder(Ns: Sequence[int]) -> int:
+    """The finest rung of a step ladder; every rung must divide it, once."""
+    if not Ns:
+        raise ValueError("the step ladder is empty")
+    if any(N < 1 for N in Ns):
+        raise ValueError(f"ladder rung N={min(Ns)} is not >= 1")
+    N_max = max(Ns)
+    for i, N in enumerate(Ns):
+        if N in Ns[:i]:
+            raise ValueError(f"ladder rung N={N} is repeated")
+        if N_max % N != 0:
+            raise ValueError(f"ladder rung N={N} does not divide the finest rung N={N_max}")
+    return N_max
 
-    def worker(start, count):
-        bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
-        a = trajectory(problem, scheme_a, bundle, grid).states
-        b = trajectory(problem, scheme_b, bundle, grid).states
-        sup = np.linalg.norm(a - b, axis=2).max(axis=1)
-        return sup ** (2 * p)
 
-    values = run_paths(paths, n_fine * (problem.d + 3), threads, worker)
+def _error_point(values: np.ndarray, N: int, p: int) -> ErrorPoint:
+    """The L^{2p} error from per-path values |gap|^{2p}, with its batch standard error."""
     grand, se = _batch_mean_se(values)
     if grand > 0.0:
         err = grand ** (1.0 / (2 * p))
@@ -165,31 +166,109 @@ def _coupled_gap(
     return ErrorPoint(N=N, err=err, stderr=stderr, p=p)
 
 
+def _coupled_ladder(
+    problem: Problem,
+    reference: str,
+    scheme: str,
+    Ns: Sequence[int],
+    refine_factor: int,
+    paths: int,
+    master_seed: int,
+    p: int,
+    threads: int,
+) -> list[ErrorPoint]:
+    """L^{2p} max-over-grid distance of ``scheme`` at every rung N of ``Ns``
+    from ``reference`` at the finest rung N_max, on common random numbers.
+
+    Each chunk draws one bundle at N_max * refine_factor fine steps and runs
+    the reference on it once, at N_max steps. The scheme then runs at every
+    rung on the bundle's N_max increments (wrapped as a bundle of their own,
+    so each rung sums them, not the fine ones) and is compared with the
+    reference at the rung's grid times.
+    """
+    N_max = _check_ladder(Ns)
+    n_fine = N_max * refine_factor
+    T = problem.T
+
+    def worker(start, count):
+        bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, T)
+        ref = trajectory(problem, reference, bundle, GridSpec(N_max, T)).states
+        top = coarsen(bundle, N_max)
+        rungs = PathBundle(
+            T=T, n_fine=N_max, d=problem.d, dW=top.dW, eta=top.eta, path_start=start
+        )
+        del bundle, top  # the fine increments are no longer needed
+        out = np.empty((count, len(Ns)))
+        for i, N in enumerate(Ns):
+            states = trajectory(problem, scheme, rungs, GridSpec(N, T)).states
+            sup = np.linalg.norm(ref[:, :: N_max // N] - states, axis=2).max(axis=1)
+            out[:, i] = sup ** (2 * p)
+        return out
+
+    values = run_paths(paths, n_fine * (problem.d + 3), threads, worker, width=len(Ns))
+    return [_error_point(v, N, p) for v, N in zip(values.T, Ns)]
+
+
 def strong_error(
     problem: Problem,
     scheme: str,
-    N: int,
+    N: int | Sequence[int],
     paths: int,
     master_seed: int,
     p: int = 1,
     refine_factor: int = 64,
     threads: int = 1,
-) -> ErrorPoint:
-    """Coupled L^{2p} max-over-grid error of ``scheme`` at N steps.
+) -> ErrorPoint | list[ErrorPoint]:
+    """Coupled L^{2p} max-over-grid error of ``scheme`` at N steps, or, for a
+    step ladder N, at every rung (a list with one point per rung).
 
-    The scheme at N and the reference run on the same bundle generated at
-    N * refine_factor fine steps; problems without a closed form use the
-    splitting scheme at full fine resolution as reference, so refine_factor
-    must be >= 2 for them.
+    The scheme and the reference run on the same bundle, generated at
+    max(N) * refine_factor fine steps; the reference is the closed form at
+    max(N) steps or, for problems without one, the splitting scheme at full
+    fine resolution (so refine_factor must be >= 2 for them). All rungs of a
+    ladder share that bundle and that reference: each rung's increments are
+    sums of the max(N) increments, and its error is read at its own grid
+    times. Every rung must divide max(N), no rung may repeat, and a ladder
+    may not measure ``scheme`` "exact", the reference itself: below the
+    finest rung it would be evaluated on summed increments and report an
+    error that is not one.
+
+    The rungs are common random numbers, so their errors are correlated: the
+    r^2 of a rate fit over them no longer tests independent residuals.
     """
+    one = np.ndim(N) == 0
+    Ns = (N,) if one else tuple(N)
+    if scheme == "exact" and len(Ns) > 1:
+        raise ValueError("scheme 'exact' is the reference; pick a scheme to measure")
     if paths < 100:
         raise ValueError("strong_error needs paths >= 100")
     if p < 1:
         raise ValueError("moment order p must be >= 1")
     _check_reference(problem, refine_factor)
-    return _coupled_gap(
-        problem, "exact", scheme, N, N * refine_factor, paths, master_seed, p, threads
+    points = _coupled_ladder(
+        problem, "exact", scheme, Ns, refine_factor, paths, master_seed, p, threads
     )
+    return points[0] if one else points
+
+
+def strong_error_ladder(
+    problem: Problem,
+    scheme: str,
+    Ns: Sequence[int],
+    paths: int,
+    master_seed: int,
+    p: int = 1,
+    refine_factor: int = 64,
+    threads: int = 1,
+) -> list[ErrorPoint]:
+    """:func:`strong_error` at every rung of the step ladder ``Ns``, one point
+    per rung, all on common random numbers.
+
+    It calls ``strong_error`` by its module-level name, so a wrapper installed
+    there (perfbench's tracer) sees ladder runs as strong-error runs.
+    """
+    Ns = tuple(Ns)
+    return strong_error(problem, scheme, Ns, paths, master_seed, p, refine_factor, threads)
 
 
 def scheme_gap(
@@ -210,7 +289,10 @@ def scheme_gap(
     """
     if p < 1:
         raise ValueError("moment order p must be >= 1")
-    return _coupled_gap(problem, scheme_a, scheme_b, N, N, paths, master_seed, p, threads)
+    (point,) = _coupled_ladder(
+        problem, scheme_a, scheme_b, (N,), 1, paths, master_seed, p, threads
+    )
+    return point
 
 
 def fit_rate(points: Sequence[ErrorPoint], T: float = 1.0) -> RateFit:

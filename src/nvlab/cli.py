@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .analysis import fit_rate, limit_law_study, source_term_variance, strong_error
+from .analysis import fit_rate, limit_law_study, source_term_variance, strong_error_ladder
 from .catalog import catalog, get_problem
 from .config import (
     ConfigFileError,
@@ -175,19 +175,16 @@ def cmd_convergence(cfg: RunConfig) -> int:
     problem = _problem(cfg)
     if cfg.scheme not in SCHEME_IDS:
         raise UsageError(f"unknown scheme {cfg.scheme!r}; known: {', '.join(SCHEME_IDS)}")
-    points = [
-        strong_error(
-            problem,
-            cfg.scheme,
-            N,
-            cfg.paths,
-            cfg.seed,
-            p=cfg.p,
-            refine_factor=cfg.refine,
-            threads=cfg.threads,
-        )
-        for N in cfg.n_ladder
-    ]
+    points = strong_error_ladder(
+        problem,
+        cfg.scheme,
+        cfg.n_ladder,
+        cfg.paths,
+        cfg.seed,
+        p=cfg.p,
+        refine_factor=cfg.refine,
+        threads=cfg.threads,
+    )
     fit = fit_rate(points, T=problem.T)
     rows = [
         [problem.name, cfg.scheme, pt.N, problem.T / pt.N, pt.err, pt.stderr, pt.p]

@@ -5,6 +5,8 @@ import pytest
 
 from nvlab import (
     ErrorPoint,
+    GridSpec,
+    PathBundle,
     Problem,
     VectorFieldSet,
     compare_distributions,
@@ -16,8 +18,10 @@ from nvlab import (
     simulate_limit_sde,
     source_term_variance,
     strong_error,
+    strong_error_ladder,
+    trajectory,
 )
-from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, make_bundle_batch
+from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, coarsen, make_bundle_batch
 
 # ---------------------------------------------------------------------------
 # strong error
@@ -51,6 +55,41 @@ def test_strong_error_input_validation(heisenberg, diag_comm):
         strong_error(diag_comm, "nv", 8, 200, 0, refine_factor=1)  # no reference
     with pytest.raises(ValueError):
         strong_error(heisenberg, "nv", 8, 200, 0, p=0)
+    with pytest.raises(ValueError, match="N=12 does not divide"):
+        strong_error_ladder(heisenberg, "nv", (8, 12, 16), 200, 0)
+    with pytest.raises(ValueError, match="N=8 is repeated"):
+        strong_error_ladder(heisenberg, "nv", (8, 16, 8), 200, 0)
+    with pytest.raises(ValueError, match="reference"):
+        strong_error_ladder(heisenberg, "exact", (8, 16), 200, 0)
+
+
+@pytest.mark.parametrize("name, scheme", [("heisenberg", "nv"), ("diag-comm", "discrete-nv")])
+def test_strong_error_ladder_matches_per_rung_oracle(name, scheme):
+    # every rung runs on sums of the finest rung's increments of one bundle
+    # and is compared with one reference at the finest rung's grid
+    problem = get_problem(name)
+    Ns, N_max, refine, paths, seed = (4, 16, 8), 16, 4, 100, 3
+    points = strong_error_ladder(problem, scheme, Ns, paths, seed, refine_factor=refine)
+    bundle = make_bundle_batch(seed, 0, paths, N_max * refine, problem.d, problem.T)
+    ref = trajectory(problem, "exact", bundle, GridSpec(N_max, problem.T)).states
+    top = coarsen(bundle, N_max)
+    for pt, N in zip(points, Ns):
+        block = N_max // N
+        rung = PathBundle(
+            T=problem.T,
+            n_fine=N,
+            d=problem.d,
+            dW=top.dW.reshape(paths, N, block, problem.d).sum(axis=2),
+            eta=top.eta[:, ::block],
+        )
+        states = trajectory(problem, scheme, rung, GridSpec(N, problem.T)).states
+        sup_sq = np.sum((ref[:, ::block] - states) ** 2, axis=2).max(axis=1)
+        assert pt.N == N
+        assert pt.err == pytest.approx(math.sqrt(sup_sq.mean()), rel=1e-12)
+    # the finest rung is exactly the one-rung estimate, and a ladder given to
+    # strong_error is the same run
+    assert points[1] == strong_error(problem, scheme, N_max, paths, seed, refine_factor=refine)
+    assert strong_error(problem, scheme, list(Ns), paths, seed, refine_factor=refine) == points
 
 
 def test_strong_error_higher_moment_order(heisenberg):

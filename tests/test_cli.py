@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from nvlab import report
+from nvlab import get_problem, report, strong_error_ladder, util
 from nvlab.cli import main
 from nvlab.config import RunConfig
 from nvlab.report import csv_body
@@ -175,6 +175,35 @@ def test_bad_config_file_rejected(tmp_path):
     assert main(["problems", "--config", str(cfg)]) == 1
     cfg.write_text("unknown_key = 3\n")
     assert main(["problems", "--config", str(cfg)]) == 1
+
+
+def test_convergence_rejects_ladder_rung_not_dividing_the_finest(tmp_path, capsys):
+    args = ["convergence", "--problem", "heisenberg", "--nladder", "8,12,16", "--paths", "200"]
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    assert "N=12" in capsys.readouterr().err
+    assert not (tmp_path / "rate.csv").exists()
+
+
+@pytest.mark.parametrize("problem", ["heisenberg", "diag-comm"])
+def test_ladder_outputs_identical_across_chunk_layouts(problem, tmp_path, monkeypatch):
+    # the chunk plan is forced through the memory budget, so this holds on any
+    # core count: one chunk, 16-path chunks, and ragged 50/50/28 chunks
+    paths, Ns, refine = 128, (8, 16, 32), 4
+    per_path = 32 * refine * (2 + 3)  # the ladder's footprint: n_fine * (d + 3)
+    layouts = {"one": 2**40, "sixteen": 1, "ragged": 50 * per_path}
+    expected = {"one": [128], "sixteen": [16] * 8, "ragged": [50, 50, 28]}
+    args = ["convergence", "--problem", problem, "--scheme", "nv", "--nladder", "8,16,32"]
+    args += ["--paths", str(paths), "--refine", str(refine), "--threads", "1", "--format", "csv"]
+    points, bodies = {}, {}
+    for name, budget in layouts.items():
+        monkeypatch.setattr(util, "CHUNK_FLOAT_BUDGET", budget)
+        assert [c for _, c in util.compute_chunks(paths, per_path, 1)] == expected[name]
+        points[name] = strong_error_ladder(get_problem(problem), "nv", Ns, paths, 9, 1, refine)
+        out = tmp_path / name
+        assert main(args + ["--out", str(out)]) == 0
+        bodies[name] = csv_body(out / "rate.csv")
+    assert points["one"] == points["sixteen"] == points["ragged"]
+    assert bodies["one"] == bodies["sixteen"] == bodies["ragged"]
 
 
 def test_format_selection(tmp_path):

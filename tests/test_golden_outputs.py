@@ -4,13 +4,18 @@ The digests were recorded before the Monte Carlo engine, the scheme driver
 and the flow layer were consolidated; a refactor that changes any per-path
 value, chunk reduction or float formatting changes a digest. Metadata lines
 (config hash, git revision) are excluded, so the digests pin results only.
+
+The three ``convergence-*`` digests were re-recorded when the rungs of a
+ladder came to share one bundle and one reference per path (common random
+numbers); the finest rung's row kept its value. The one-rung estimators are
+pinned separately by their ``ErrorPoint`` values, recorded before that change.
 """
 
 import hashlib
 
 import pytest
 
-from nvlab import get_problem, scheme_gap
+from nvlab import get_problem, scheme_gap, strong_error
 from nvlab.cli import main
 from nvlab.report import csv_body
 
@@ -51,15 +56,27 @@ RUNS = {
 
 GOLDEN = {
     "problems": "36aef452abfea2c0efdbbe4288151a48dccde799a22208bc8492f736451f9e78",
-    "convergence-heisenberg-nv": "25cc3dbb2ed4eeea56dcd482bac8e2f2666dfbfebf86a089112fe472a2448949",
-    "convergence-diag-comm-discrete-nv": "6d3a86f17db016c538789142da75d691323bcef253edf9c6576079f04da22dcf",
-    "convergence-gbm1d-euler": "99a43abf6bdffce6b77171bb2d3572cf5629e0137da8a042d36cceb09ece5d65",
+    "convergence-heisenberg-nv": "36863c87abe0e69b59a06be385658eea71829d3434fc08ed5b7510ff8ff53028",
+    "convergence-diag-comm-discrete-nv": "f3c65cd45dccba01db5d8ddee6cf3730ddd6cc5f019a8f6c0e1af4541b7c9d66",
+    "convergence-gbm1d-euler": "fa90f81c74279ada878315e468de9f7bbb879177386e5d73fae04267d4a00f6c",
     "limit-law-heisenberg": "a3b5be507a3aa31c0fd1f170992e7a5ccea9439002a1b02d5a7b54d87248d855",
     "source-term": "5b99316aeb26c476130c5234e971f90ff0ac2a866c00998a64bbb592dcdc582b",
     "mlmc-diag-comm": "b81d8ae05537a9309035fd047849d762ecffdae17cc37925f76ede2a2cb7df81",
 }
 
 GOLDEN_GAP = "ErrorPoint(N=8, err=0.02644560106130768, stderr=0.004543891509242418, p=1)"
+
+# strong_error(problem, scheme, N, 300 paths, seed 11, refine_factor=refine)
+GOLDEN_STRONG = {
+    ("gbm1d", "euler", 16, 4): "ErrorPoint(N=16, err=0.060963922967151855, "
+    "stderr=0.0034237877471746535, p=1)",
+    ("heisenberg", "nv", 16, 8): "ErrorPoint(N=16, err=0.2101975297147711, "
+    "stderr=0.005354451135617842, p=1)",
+    ("diag-comm", "nv", 8, 8): "ErrorPoint(N=8, err=0.029083600330527343, "
+    "stderr=0.0013497330211562665, p=1)",
+    ("linear-nc", "discrete-nv", 8, 4): "ErrorPoint(N=8, err=0.1492926695788376, "
+    "stderr=0.006466733252977858, p=1)",
+}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -69,6 +86,13 @@ def test_golden_csv_body(name, tmp_path, capsys):
     capsys.readouterr()
     body = csv_body(tmp_path / f"{stem}.csv")
     assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STRONG))
+def test_golden_strong_error(case):
+    name, scheme, N, refine = case
+    pt = strong_error(get_problem(name), scheme, N, 300, 11, refine_factor=refine)
+    assert repr(pt) == GOLDEN_STRONG[case]
 
 
 def test_golden_scheme_gap():
