@@ -506,7 +506,7 @@ def source_term_variance(
 
     def worker(start, count):
         bundle = make_bundle_batch(master_seed, start, count, n_fine, 2, T)
-        eta = coarsen(bundle, N).eta
+        eta = bundle.eta[:, ::substeps]  # the sign of each step's first substep
         dWm = bundle.dW[:, :, 0].reshape(count, N, substeps)
         dWj = bundle.dW[:, :, 1].reshape(count, N, substeps)
         lag_m = np.zeros_like(dWm)

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nvlab import GridSpec, PathBundle, coarsen, make_bundle, make_bundle_batch
+from nvlab import GridSpec, PathBundle, coarsen, make_bundle, make_bundle_batch, paths
 from nvlab.paths import (
     AUX_DOMAIN,
     DW_DOMAIN,
     ETA_DOMAIN,
+    PHILOX_TILE,
     TIME_MAJOR_BLOCK,
     TIME_MAJOR_FRACTION,
+    VECTOR_SIGN_BLOCKS,
     StreamPool,
+    _philox_key,
+    philox_words,
     rademacher_from_raw,
     stream,
     time_major_blocks,
@@ -49,6 +53,99 @@ def test_stream_pool_matches_fresh_streams():
         fresh = stream(99, idx, domain).standard_normal(8)
         pooled = pool.seek(idx, domain).standard_normal(8)
         assert np.array_equal(fresh, pooled)
+
+
+def test_seek_resets_a_pool_left_mid_block():
+    pool = StreamPool(99)
+    for idx, domain in [(3, ETA_DOMAIN), (10**6, DW_DOMAIN), (2**40, AUX_DOMAIN)]:
+        gen = pool.seek(7, DW_DOMAIN)
+        gen.bit_generator.random_raw(3)  # output buffer left mid-block
+        gen.integers(0, 2**32, dtype=np.uint32)  # caches the other half-word
+        state = gen.bit_generator.state
+        assert state["buffer_pos"] == 4 and state["has_uint32"] == 1
+        fresh = stream(99, idx, domain)
+        assert np.array_equal(
+            pool.seek(idx, domain).integers(0, 2**32, 5, dtype=np.uint32),
+            fresh.integers(0, 2**32, 5, dtype=np.uint32),
+        )
+        pool.seek(7, DW_DOMAIN).bit_generator.random_raw(1)
+        assert np.array_equal(
+            pool.seek(idx, domain).bit_generator.random_raw(6),
+            stream(99, idx, domain).bit_generator.random_raw(6),
+        )
+
+
+def test_interleaved_pools_do_not_share_state():
+    a, b, c = StreamPool(99), StreamPool(99), StreamPool(42)
+    ga = a.seek(1, DW_DOMAIN)
+    first = ga.standard_normal(3)
+    b.seek(2, ETA_DOMAIN).standard_normal(5)
+    c.seek(1, DW_DOMAIN).standard_normal(2)
+    second = ga.standard_normal(3)
+    assert np.array_equal(np.concatenate([first, second]), stream(99, 1, DW_DOMAIN).standard_normal(6))
+    assert np.array_equal(b.generator.standard_normal(2), stream(99, 2, ETA_DOMAIN).standard_normal(7)[5:])
+    assert np.array_equal(c.generator.standard_normal(2), stream(42, 1, DW_DOMAIN).standard_normal(4)[2:])
+
+
+def test_philox_key_is_the_key_numpy_applies():
+    for seed in (42, 99):
+        key = _philox_key(seed)
+        applied = np.random.Philox(key=key).state["state"]["key"]
+        assert [int(k) for k in applied] == list(key)
+    # 99's SeedSequence words straddle 2**63, so numpy rounds them through float64
+    words = np.random.SeedSequence(99).generate_state(2, np.uint64)
+    assert _philox_key(99) != (int(words[0]), int(words[1]))
+    assert _philox_key(42) == tuple(int(w) for w in np.random.SeedSequence(42).generate_state(2, np.uint64))
+
+
+SWITCH_WORDS = 4 * VECTOR_SIGN_BLOCKS
+
+
+@pytest.mark.parametrize("seed", [42, 99])
+@pytest.mark.parametrize("domain", [DW_DOMAIN, ETA_DOMAIN, AUX_DOMAIN])
+@pytest.mark.parametrize("path_start", [0, 10**6, 2**40])
+def test_philox_words_match_numpy_generator(seed, domain, path_start):
+    # from one word to past the switch, partial last blocks included
+    for words in (1, 2, 3, 4, 5, 7, 8, 9, SWITCH_WORDS - 1, SWITCH_WORDS, SWITCH_WORDS + 3):
+        raw = philox_words(seed, domain, path_start, 3, words)
+        assert raw.shape == (3, words) and raw.dtype == np.dtype("<u8")
+        for i in range(3):
+            expected = stream(seed, path_start + i, domain).bit_generator.random_raw(words)
+            assert np.array_equal(raw[i], expected)
+
+
+@pytest.mark.parametrize("tile", [1, 4, 7, None])
+def test_philox_words_across_tiles(monkeypatch, tile):
+    if tile is None:
+        # the real tile size: 3 blocks per path put a tile edge inside a path
+        n_paths, words = PHILOX_TILE // 3 + 5, 11
+    else:
+        # small tiles that end mid-path, the last one partial
+        monkeypatch.setattr(paths, "PHILOX_TILE", tile)
+        n_paths, words = 13, 11
+    raw = philox_words(99, ETA_DOMAIN, 10**6, n_paths, words)
+    pool = StreamPool(99)
+    for i in range(n_paths):
+        expected = stream(99, 10**6 + i, ETA_DOMAIN).bit_generator.random_raw(words)
+        assert np.array_equal(raw[i], expected)
+    assert np.array_equal(raw, pool.fill_raw(ETA_DOMAIN, 10**6, np.empty_like(raw)))
+
+
+@pytest.mark.parametrize("N", [1, 7, 64, 8 * SWITCH_WORDS, 8 * SWITCH_WORDS + 1, 8 * SWITCH_WORDS + 70])
+def test_bundle_signs_on_both_sides_of_the_switch(monkeypatch, N):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return philox_words(*args)
+
+    monkeypatch.setattr(paths, "philox_words", spy)
+    bundle = make_bundle_batch(99, 2**40, 5, N, 1, 1.0)
+    words = -(-N // 8)
+    assert len(calls) == (words <= SWITCH_WORDS)
+    for i in range(5):
+        raw = stream(99, 2**40 + i, ETA_DOMAIN).bit_generator.random_raw(words)
+        assert np.array_equal(bundle.eta[i], rademacher_from_raw(raw.astype("<u8"), N))
 
 
 def test_fill_normals_matches_fresh_streams():
