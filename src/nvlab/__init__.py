@@ -23,20 +23,12 @@ from .analysis import (
     simulate_limit_sde,
     source_term_variance,
     strong_error,
-    strong_error_ladder,
 )
 from .catalog import PROBLEM_IDS, catalog, get_problem
 from .flows import FlowExplosionError
 from .mlmc import LevelStats, MlmcReport, level_difference_samples, mlmc_estimate, parse_payoff
-from .models import (
-    BracketTable,
-    Problem,
-    VectorFieldSet,
-    build_bracket_table,
-    lie_bracket,
-    stratonovich_drift,
-)
-from .paths import GridSpec, PathBundle, coarsen, make_bundle, make_bundle_batch
+from .models import BracketTable, Problem, VectorFieldSet, build_bracket_table
+from .paths import GridSpec, PathBundle, coarsen, make_bundle_batch
 from .schemes import (
     SCHEME_IDS,
     Trajectory,
@@ -71,9 +63,7 @@ __all__ = [
     "fit_rate",
     "get_problem",
     "level_difference_samples",
-    "lie_bracket",
     "limit_law_study",
-    "make_bundle",
     "make_bundle_batch",
     "mlmc_estimate",
     "normalized_error_samples",
@@ -82,8 +72,6 @@ __all__ = [
     "scheme_gap",
     "simulate_limit_sde",
     "source_term_variance",
-    "stratonovich_drift",
     "strong_error",
-    "strong_error_ladder",
     "trajectory",
 ]

@@ -91,7 +91,7 @@ class ErrorPoint:
 class RateFit:
     """OLS fit of log(err) against log(h); slope is the empirical strong order.
 
-    Over the correlated rungs of :func:`strong_error_ladder`, ``r_squared``
+    Over the correlated rungs of a :func:`strong_error` ladder, ``r_squared``
     describes the fit but does not test independent residuals.
     """
 
@@ -249,26 +249,6 @@ def strong_error(
         problem, "exact", scheme, Ns, refine_factor, paths, master_seed, p, threads
     )
     return points[0] if one else points
-
-
-def strong_error_ladder(
-    problem: Problem,
-    scheme: str,
-    Ns: Sequence[int],
-    paths: int,
-    master_seed: int,
-    p: int = 1,
-    refine_factor: int = 64,
-    threads: int = 1,
-) -> list[ErrorPoint]:
-    """:func:`strong_error` at every rung of the step ladder ``Ns``, one point
-    per rung, all on common random numbers.
-
-    It calls ``strong_error`` by its module-level name, so a wrapper installed
-    there (perfbench's tracer) sees ladder runs as strong-error runs.
-    """
-    Ns = tuple(Ns)
-    return strong_error(problem, scheme, Ns, paths, master_seed, p, refine_factor, threads)
 
 
 def scheme_gap(

@@ -14,9 +14,10 @@ import json
 import sys
 
 from . import __version__
-from .analysis import fit_rate, limit_law_study, source_term_variance, strong_error_ladder
+from .analysis import fit_rate, limit_law_study, source_term_variance, strong_error
 from .catalog import catalog, get_problem
 from .config import (
+    FILE_KEYS,
     ConfigFileError,
     RunConfig,
     apply_file_values,
@@ -98,39 +99,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_FLAG_ATTRS = (
-    "seed",
-    "threads",
-    "out",
-    "format",
-    "problem",
-    "scheme",
-    "paths",
-    "p",
-    "refine",
-    "N",
-    "nfine",
-    "j",
-    "m",
-    "t",
-    "substeps",
-    "payoff",
-    "levels",
-    "paths_per_level",
-    "n0",
-)
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
         apply_file_values(cfg, load_config_file(args.config))
-    for attr in _FLAG_ATTRS:
-        value = getattr(args, attr, None)
+    for key, attr in FILE_KEYS.items():
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "nladder", None) is not None:
-        cfg.n_ladder = parse_ladder(args.nladder)
+            setattr(cfg, attr, parse_ladder(value) if attr == "n_ladder" else value)
     if getattr(args, "force", False):
         cfg.force = True
     return cfg
@@ -175,7 +151,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     problem = _problem(cfg)
     if cfg.scheme not in SCHEME_IDS:
         raise UsageError(f"unknown scheme {cfg.scheme!r}; known: {', '.join(SCHEME_IDS)}")
-    points = strong_error_ladder(
+    points = strong_error(
         problem,
         cfg.scheme,
         cfg.n_ladder,

@@ -44,28 +44,12 @@ class RunConfig:
         return out
 
 
-# config-file key -> attribute
+# config-file key (and command-line flag dest) -> attribute: every field but
+# the command and the flag-only --force; the step ladder is spelled nladder
 FILE_KEYS = {
-    "problem": "problem",
-    "scheme": "scheme",
-    "seed": "seed",
-    "threads": "threads",
-    "out": "out",
-    "format": "format",
-    "paths": "paths",
-    "nladder": "n_ladder",
-    "p": "p",
-    "refine": "refine",
-    "N": "N",
-    "nfine": "nfine",
-    "j": "j",
-    "m": "m",
-    "t": "t",
-    "substeps": "substeps",
-    "payoff": "payoff",
-    "levels": "levels",
-    "paths_per_level": "paths_per_level",
-    "n0": "n0",
+    "nladder" if f.name == "n_ladder" else f.name: f.name
+    for f in dataclasses.fields(RunConfig)
+    if f.name not in ("command", "force")
 }
 
 
@@ -106,8 +90,6 @@ def apply_file_values(cfg: RunConfig, values: dict[str, str]) -> None:
         current = getattr(cfg, attr)
         if attr == "n_ladder":
             setattr(cfg, attr, parse_ladder(text))
-        elif isinstance(current, bool):
-            setattr(cfg, attr, text.lower() in ("1", "true", "yes", "on"))
         elif isinstance(current, int):
             setattr(cfg, attr, int(text))
         elif isinstance(current, float):

@@ -14,39 +14,23 @@ from .models import Problem
 
 
 class FlowExplosionError(RuntimeError):
-    """A flow, or a scheme step built from flows, produced a non-finite state.
+    """A scheme step built from flows produced a non-finite state.
 
-    Raised by a scheme, it names the scheme, the first recorded grid step with
-    a non-finite state (``t`` is that step's time) and the first path index
-    with a non-finite state at that step.
+    It names the scheme, the first recorded grid step with a non-finite state
+    (``t`` is that step's time) and the first path index with a non-finite
+    state at that step.
     """
 
-    def __init__(
-        self,
-        problem: str,
-        field_index: int | None,
-        t,
-        scheme: str | None = None,
-        step: int | None = None,
-        path: int | None = None,
-    ):
+    def __init__(self, problem: str, t: float, scheme: str, step: int, path: int):
         self.problem = problem
-        self.field_index = field_index
         self.t = t
         self.scheme = scheme
         self.step = step
         self.path = path
-        if scheme is not None:
-            message = (
-                f"non-finite state from scheme {scheme!r} on problem {problem!r}: "
-                f"first at step {step} (t={t:.3g}), path {path}"
-            )
-        else:
-            message = (
-                f"non-finite state from the flow of field {field_index} "
-                f"on problem {problem!r} (t={np.max(np.abs(t)):.3g} max abs)"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"non-finite state from scheme {scheme!r} on problem {problem!r}: "
+            f"first at step {step} (t={t:.3g}), path {path}"
+        )
 
 
 def flow_unchecked(problem: Problem, field_index: int, t, x):
@@ -56,13 +40,3 @@ def flow_unchecked(problem: Problem, field_index: int, t, x):
     if t_arr.ndim == 0 and t_arr == 0.0:
         return np.asarray(x, dtype=float)  # flow at time zero is the identity, bit-exact
     return problem.fields.exact_flows[field_index](t, x)
-
-
-def apply_flow(problem: Problem, field_index: int, t, x):
-    """exp(t V_{field_index}) applied to x; t may vary per path."""
-    if not 0 <= field_index <= problem.d:
-        raise ValueError(f"field_index {field_index} out of range 0..{problem.d}")
-    y = flow_unchecked(problem, field_index, t, x)
-    if not np.all(np.isfinite(y)):
-        raise FlowExplosionError(problem.name, field_index, t)
-    return y

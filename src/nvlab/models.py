@@ -9,12 +9,13 @@ shape, and Jacobian callables return (..., n, n) with entry (i, k) =
 d sigma^{i j} / d x_k, the constant A_j.
 
 Derived quantities follow the Stratonovich calculus conventions used by
-splitting schemes:
+splitting schemes, and for affine fields they are affine too:
 
-* drift after Ito -> Stratonovich conversion:
+* drift after Ito -> Stratonovich conversion (the catalog's field-0 flows):
   sigma^0 = b - 1/2 sum_j (d sigma^j) sigma^j
           = (A_0 - 1/2 sum_j A_j^2) x + c_0 - 1/2 sum_j A_j c_j
-* Lie bracket of two Brownian fields:
+* Lie bracket of two Brownian fields, the matrices (C, e) that
+  :meth:`VectorFieldSet.bracket_matrices` returns:
   [sigma^j, sigma^m] = (d sigma^m) sigma^j - (d sigma^j) sigma^m
                      = (A_m A_j - A_j A_m) x + A_m c_j - A_j c_m
 
@@ -35,17 +36,6 @@ FlowMap = Callable[[np.ndarray | float, np.ndarray], np.ndarray]
 
 # Desk scale: keeps catalog problems cheap and rules out accidental misuse.
 MAX_DIMENSION = 16
-
-
-def _as_state(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (n,):
-        raise ValueError(f"state has trailing dimension {x.shape[-1:]}, expected ({n},)")
-    return x
-
-
-def _mat_vec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return np.einsum("...ik,...k->...i", mat, vec)
 
 
 def _affine_field(M: np.ndarray, v: np.ndarray) -> Field:
@@ -124,50 +114,12 @@ class VectorFieldSet:
         A, c = self.A, self.c
         return A[m] @ A[j] - A[j] @ A[m], A[m] @ c[j] - A[j] @ c[m]
 
-    def sigma_j(self, j: int) -> Field:
-        """Brownian field j, 1-based."""
-        self._check_index(j)
-        return self.sigma[j - 1]
-
-    def jac_sigma_j(self, j: int) -> MatrixField:
-        self._check_index(j)
-        return self.jac_sigma[j - 1]
-
-    def dsigma_sigma(self, j: int, m: int, x: np.ndarray) -> np.ndarray:
-        """(d sigma^j) sigma^m at x; j may equal m."""
-        x = _as_state(x, self.n)
-        return _mat_vec(self.jac_sigma_j(j)(x), self.sigma_j(m)(x))
-
-    def _check_index(self, j: int):
-        if not 1 <= j <= self.d:
-            raise ValueError(f"Brownian field index {j} out of range 1..{self.d}")
-
-
-def stratonovich_drift(fields: VectorFieldSet, x: np.ndarray) -> np.ndarray:
-    """sigma^0(x) = b(x) - 1/2 sum_j (d sigma^j)(x) sigma^j(x)."""
-    x = _as_state(x, fields.n)
-    out = np.asarray(fields.b(x), dtype=float).copy()
-    for j in range(1, fields.d + 1):
-        out -= 0.5 * fields.dsigma_sigma(j, j, x)
-    return out
-
-
-def lie_bracket(fields: VectorFieldSet, j: int, m: int, x: np.ndarray) -> np.ndarray:
-    """[sigma^j, sigma^m](x) = (d sigma^m) sigma^j - (d sigma^j) sigma^m, m < j."""
-    if not 1 <= m < j <= fields.d:
-        raise ValueError(f"need 1 <= m < j <= d, got j={j}, m={m}, d={fields.d}")
-    x = _as_state(x, fields.n)
-    return fields.dsigma_sigma(m, j, x) - fields.dsigma_sigma(j, m, x)
-
 
 @dataclass(frozen=True)
 class BracketTable:
     """All pairwise Brownian-field brackets, keyed by (j, m) with m < j."""
 
     entries: Mapping[tuple[int, int], Field]
-
-    def __call__(self, j: int, m: int, x: np.ndarray) -> np.ndarray:
-        return self.entries[(j, m)](x)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -176,7 +128,8 @@ class BracketTable:
 
 def build_bracket_table(fields: VectorFieldSet) -> BracketTable:
     def make(j, m):
-        return lambda x: lie_bracket(fields, j, m, x)
+        C, e = fields.bracket_matrices(j, m)
+        return lambda x: x @ C.T + e
 
     entries = {(j, m): make(j, m) for j in range(2, fields.d + 1) for m in range(1, j)}
     return BracketTable(entries=entries)

@@ -125,8 +125,9 @@ PHILOX_ROUNDS = 10
 # of one tile (640 KiB) stay in cache and bounded whatever the batch size.
 PHILOX_TILE = 8192
 # make_bundle_batch evaluates a sign stream of at most this many Philox blocks
-# (four words, 256 signs, each) with philox_words, and a longer one through
-# numpy's generator. It is the measured break-even at 5000 paths (2-vCPU VM,
+# (four 64-bit words, one sign per byte: 32 signs each, so 12 blocks cover
+# N <= 384 steps) with philox_words, and a longer one through numpy's
+# generator. It is the measured break-even at 5000 paths (2-vCPU VM,
 # numpy 2.4): the vectorised pass costs 130-180 ns per block, a seek plus a
 # random_raw call about 1.6 us per path plus 25 ns per block.
 VECTOR_SIGN_BLOCKS = 12
@@ -330,17 +331,14 @@ class PathBundle:
         return self.T / self.n_fine
 
 
-def make_bundle(master_seed: int, path_index: int, N_fine: int, d: int, T: float) -> PathBundle:
-    """Single-path bundle, bit-deterministic in (master_seed, path_index)."""
-    return make_bundle_batch(master_seed, path_index, 1, N_fine, d, T)
-
-
 def make_bundle_batch(
     master_seed: int, path_start: int, n_paths: int, N_fine: int, d: int, T: float
 ) -> PathBundle:
     """Bundle for path indices path_start .. path_start + n_paths - 1.
 
-    Row i is identical to ``make_bundle(master_seed, path_start + i, ...)``:
+    Row i holds the normals of ``stream(master_seed, path_start + i)``,
+    scaled, and the signs of ``stream(master_seed, path_start + i,
+    ETA_DOMAIN)``, so it is bit-deterministic in (master_seed, path index):
     batching is a packing detail, not part of the random stream.
     """
     if N_fine < 1 or d < 1:
@@ -381,16 +379,8 @@ class CoarseIncrements:
     eta: np.ndarray
 
     @property
-    def T(self) -> float:
-        return self.base.T
-
-    @property
     def h(self) -> float:
         return self.base.T / self.N
-
-    @property
-    def paths(self) -> int:
-        return self.dW.shape[0]
 
 
 def coarsen(source: PathBundle | CoarseIncrements, N_coarse: int) -> CoarseIncrements:

@@ -56,10 +56,6 @@ class Trajectory:
     states: np.ndarray  # (paths, N+1, n)
     label: str
 
-    @property
-    def paths(self) -> int:
-        return self.states.shape[0]
-
     def terminal(self) -> np.ndarray:
         return self.states[:, -1, :]
 
@@ -137,7 +133,7 @@ def _explosion(problem: Problem, label: str, states: np.ndarray, dt: float, path
     bad = ~np.isfinite(states).all(axis=2)
     step = int(np.argmax(bad.any(axis=0)))
     path = path_start + int(np.argmax(bad[:, step]))
-    return FlowExplosionError(problem.name, None, step * dt, label, step, path)
+    return FlowExplosionError(problem.name, step * dt, label, step, path)
 
 
 # ---------------------------------------------------------------------------

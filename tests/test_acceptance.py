@@ -23,7 +23,7 @@ from nvlab import (
     scheme_gap,
     simulate_limit_sde,
     source_term_variance,
-    strong_error_ladder,
+    strong_error,
 )
 from nvlab.cli import main
 from nvlab.report import csv_body
@@ -41,7 +41,7 @@ def _report(num: int, ok: bool, detail: str) -> bool:
 def test_criterion_1_strong_order_half_noncommutative():
     heis = get_problem("heisenberg")
     t0 = time.perf_counter()
-    points = strong_error_ladder(heis, "nv", LADDER, 10000, 42)
+    points = strong_error(heis, "nv", LADDER, 10000, 42)
     fit = fit_rate(points, T=heis.T)
     elapsed = time.perf_counter() - t0
     ok = 0.35 <= fit.slope <= 0.65 and fit.r_squared >= 0.95 and elapsed <= 120.0
@@ -56,7 +56,7 @@ def test_criterion_1_strong_order_half_noncommutative():
 def test_criterion_2_strong_order_one_commutative():
     dc = get_problem("diag-comm")
     t0 = time.perf_counter()
-    points = strong_error_ladder(dc, "nv", LADDER, 10000, 42, refine_factor=64)
+    points = strong_error(dc, "nv", LADDER, 10000, 42, refine_factor=64)
     fit = fit_rate(points, T=dc.T)
     elapsed = time.perf_counter() - t0
     ok = 0.85 <= fit.slope <= 1.15 and elapsed <= 300.0

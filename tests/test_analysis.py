@@ -18,10 +18,11 @@ from nvlab import (
     simulate_limit_sde,
     source_term_variance,
     strong_error,
-    strong_error_ladder,
     trajectory,
 )
 from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, coarsen, make_bundle_batch
+
+from conftest import jacobian_bracket
 
 # ---------------------------------------------------------------------------
 # strong error
@@ -56,11 +57,11 @@ def test_strong_error_input_validation(heisenberg, diag_comm):
     with pytest.raises(ValueError):
         strong_error(heisenberg, "nv", 8, 200, 0, p=0)
     with pytest.raises(ValueError, match="N=12 does not divide"):
-        strong_error_ladder(heisenberg, "nv", (8, 12, 16), 200, 0)
+        strong_error(heisenberg, "nv", (8, 12, 16), 200, 0)
     with pytest.raises(ValueError, match="N=8 is repeated"):
-        strong_error_ladder(heisenberg, "nv", (8, 16, 8), 200, 0)
+        strong_error(heisenberg, "nv", (8, 16, 8), 200, 0)
     with pytest.raises(ValueError, match="reference"):
-        strong_error_ladder(heisenberg, "exact", (8, 16), 200, 0)
+        strong_error(heisenberg, "exact", (8, 16), 200, 0)
 
 
 @pytest.mark.parametrize("name, scheme", [("heisenberg", "nv"), ("diag-comm", "discrete-nv")])
@@ -69,7 +70,7 @@ def test_strong_error_ladder_matches_per_rung_oracle(name, scheme):
     # and is compared with one reference at the finest rung's grid
     problem = get_problem(name)
     Ns, N_max, refine, paths, seed = (4, 16, 8), 16, 4, 100, 3
-    points = strong_error_ladder(problem, scheme, Ns, paths, seed, refine_factor=refine)
+    points = strong_error(problem, scheme, Ns, paths, seed, refine_factor=refine)
     bundle = make_bundle_batch(seed, 0, paths, N_max * refine, problem.d, problem.T)
     ref = trajectory(problem, "exact", bundle, GridSpec(N_max, problem.T)).states
     top = coarsen(bundle, N_max)
@@ -192,7 +193,8 @@ def test_limit_sde_heisenberg_law(heisenberg):
 
 def _limit_sde_by_callables(problem, paths, n_fine, master_seed):
     """The limit-SDE Euler loop as first written: path-major states, the
-    coefficient callables and the bracket table evaluated at every step."""
+    coefficient callables and their Jacobian-formula brackets evaluated at
+    every step."""
     f = problem.fields
     table = problem.brackets()
     delta = problem.T / n_fine
@@ -213,7 +215,7 @@ def _limit_sde_by_callables(problem, paths, n_fine, master_seed):
             dx = dx + f.sigma[j](x) * w
             dv = dv + np.einsum("...ik,...k->...i", f.jac_sigma[j](x), v) * w
         for idx, (j, m) in enumerate(table.pairs):
-            dv = dv + coef * table(j, m, x) * dB[:, k, idx][:, None]
+            dv = dv + coef * jacobian_bracket(f, j, m, x) * dB[:, k, idx][:, None]
         x = x + dx
         v = v + dv
     return v

@@ -1,12 +1,14 @@
+import argparse
+import dataclasses
 import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-from nvlab import get_problem, report, strong_error_ladder, util
+from nvlab import cli, get_problem, report, strong_error, util
 from nvlab.cli import main
-from nvlab.config import RunConfig
+from nvlab.config import FILE_KEYS, RunConfig
 from nvlab.report import csv_body
 
 
@@ -177,6 +179,20 @@ def test_bad_config_file_rejected(tmp_path):
     assert main(["problems", "--config", str(cfg)]) == 1
 
 
+def test_flags_and_config_keys_share_one_name_table():
+    # every option flag is stored under its config-file key, and the keys name
+    # every RunConfig field but the command and the flag-only --force
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in sub.choices.values() for a in p._actions}
+    assert dests - {"help", "config", "force"} == set(FILE_KEYS)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(FILE_KEYS.values()) == fields - {"command", "force"}
+    args = parser.parse_args(["convergence", "--nladder", "8,16", "--paths", "300"])
+    cfg = cli._resolve_config(args)
+    assert (cfg.n_ladder, cfg.paths, cfg.force) == ((8, 16), 300, False)
+
+
 def test_convergence_rejects_ladder_rung_not_dividing_the_finest(tmp_path, capsys):
     args = ["convergence", "--problem", "heisenberg", "--nladder", "8,12,16", "--paths", "200"]
     assert main(args + ["--out", str(tmp_path)]) == 1
@@ -198,7 +214,7 @@ def test_ladder_outputs_identical_across_chunk_layouts(problem, tmp_path, monkey
     for name, budget in layouts.items():
         monkeypatch.setattr(util, "CHUNK_FLOAT_BUDGET", budget)
         assert [c for _, c in util.compute_chunks(paths, per_path, 1)] == expected[name]
-        points[name] = strong_error_ladder(get_problem(problem), "nv", Ns, paths, 9, 1, refine)
+        points[name] = strong_error(get_problem(problem), "nv", Ns, paths, 9, 1, refine)
         out = tmp_path / name
         assert main(args + ["--out", str(out)]) == 0
         bodies[name] = csv_body(out / "rate.csv")

@@ -6,33 +6,35 @@ from hypothesis import strategies as st
 from nvlab import (
     PROBLEM_IDS,
     FlowExplosionError,
+    GridSpec,
+    PathBundle,
     Problem,
     VectorFieldSet,
     get_problem,
-    stratonovich_drift,
+    trajectory,
 )
 from nvlab.catalog import GBM_MU, GBM_SIGMA
-from nvlab.flows import apply_flow
+from nvlab.flows import flow_unchecked
 
-from conftest import sample_states
+from conftest import jacobian_drift, sample_states
 
 times = st.floats(-1.0, 1.0)
 
 
 def test_constant_field_flow(heisenberg):
-    out = apply_flow(heisenberg, 1, 0.7, np.zeros(2))
+    out = flow_unchecked(heisenberg, 1, 0.7, np.zeros(2))
     np.testing.assert_allclose(out, [0.7, 0.0], atol=1e-15)
 
 
 def test_nilpotent_field_flow(heisenberg):
     a, b, s = 1.3, -0.4, 0.25
-    out = apply_flow(heisenberg, 2, s, np.array([a, b]))
+    out = flow_unchecked(heisenberg, 2, s, np.array([a, b]))
     np.testing.assert_allclose(out, [a, b + s * a], atol=1e-15)
 
 
 def test_gbm_drift_flow_half_step(gbm):
     h = 0.02
-    out = apply_flow(gbm, 0, h / 2, np.array([1.0]))
+    out = flow_unchecked(gbm, 0, h / 2, np.array([1.0]))
     np.testing.assert_allclose(out, np.exp((GBM_MU - GBM_SIGMA**2 / 2) * h / 2), rtol=1e-15)
 
 
@@ -40,7 +42,7 @@ def test_flow_identity_at_zero(problems):
     for prob in problems.values():
         xs = sample_states(prob, count=5)
         for idx in range(prob.d + 1):
-            np.testing.assert_array_equal(apply_flow(prob, idx, 0.0, xs), xs)
+            np.testing.assert_array_equal(flow_unchecked(prob, idx, 0.0, xs), xs)
 
 
 @given(times, times, st.sampled_from(["gbm1d", "diag-comm", "linear-nc", "heisenberg"]))
@@ -50,8 +52,8 @@ def test_semigroup_property(t1, t2, name):
     prob = get_problem(name)
     xs = sample_states(prob, count=4, seed=17, spread=0.5)
     for idx in prob.fields.exact_flows:
-        two_step = apply_flow(prob, idx, t2, apply_flow(prob, idx, t1, xs))
-        one_step = apply_flow(prob, idx, t1 + t2, xs)
+        two_step = flow_unchecked(prob, idx, t2, flow_unchecked(prob, idx, t1, xs))
+        one_step = flow_unchecked(prob, idx, t1 + t2, xs)
         assert np.max(np.abs(two_step - one_step)) <= 1e-12
 
 
@@ -62,7 +64,7 @@ def test_reversibility(t, name):
     prob = get_problem(name)
     xs = sample_states(prob, count=4, seed=23, spread=0.5)
     for idx in prob.fields.exact_flows:
-        back = apply_flow(prob, idx, -t, apply_flow(prob, idx, t, xs))
+        back = flow_unchecked(prob, idx, -t, flow_unchecked(prob, idx, t, xs))
         assert np.max(np.abs(back - xs)) <= 1e-12
 
 
@@ -93,17 +95,16 @@ def test_flow_explosion_raises():
         T=1.0,
         commutative=True,
     )
+    with np.errstate(over="ignore"):
+        assert np.isinf(flow_unchecked(growth, 1, 1e3, np.array([5.0]))).all()
+    # a scheme step through that flow names the problem, scheme, step and path
+    dW = np.array([[[0.1], [0.1]], [[0.1], [1e3]]])
+    bundle = PathBundle(T=1.0, n_fine=2, d=1, dW=dW, eta=np.ones((2, 2), np.int8), path_start=7)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
-        apply_flow(growth, 1, 1e3, np.array([5.0]))
-    assert info.value.problem == "blowup"
-    assert info.value.field_index == 1
-
-
-def test_field_index_validation(gbm):
-    with pytest.raises(ValueError):
-        apply_flow(gbm, 2, 0.1, np.array([1.0]))
-    with pytest.raises(ValueError):
-        apply_flow(gbm, -1, 0.1, np.array([1.0]))
+        trajectory(growth, "nv", bundle, GridSpec(2, 1.0))
+    err = info.value
+    assert (err.problem, err.scheme, err.step, err.path, err.t) == ("blowup", "nv", 2, 8, 1.0)
+    assert "problem 'blowup'" in str(err)
 
 
 FD_EPS = 1e-5
@@ -117,12 +118,11 @@ def test_closed_forms_solve_their_odes(name):
     prob = get_problem(name)
     xs = sample_states(prob, count=16, seed=41, spread=0.5)
     per_path = np.random.default_rng(43).uniform(-1.0, 1.0, size=16)
-    fields = [lambda x: stratonovich_drift(prob.fields, x)]
-    fields += [prob.fields.sigma_j(j) for j in range(1, prob.d + 1)]
+    fields = [lambda x: jacobian_drift(prob.fields, x), *prob.fields.sigma]
     for idx, V in enumerate(fields):
         for t in (-1.0, -0.35, 0.0, 0.6, 1.0, per_path):
-            phi = apply_flow(prob, idx, t, xs)
-            fd = apply_flow(prob, idx, t + FD_EPS, xs) - apply_flow(prob, idx, t - FD_EPS, xs)
-            fd /= 2 * FD_EPS
+            phi = flow_unchecked(prob, idx, t, xs)
+            forward = flow_unchecked(prob, idx, t + FD_EPS, xs)
+            fd = (forward - flow_unchecked(prob, idx, t - FD_EPS, xs)) / (2 * FD_EPS)
             v = V(phi)
             assert np.max(np.abs(fd - v)) <= 1e-8 * max(1.0, np.max(np.abs(v))), (idx, t)

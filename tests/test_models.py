@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nvlab import (
-    PROBLEM_IDS,
-    VectorFieldSet,
-    build_bracket_table,
-    catalog,
-    get_problem,
-    lie_bracket,
-    stratonovich_drift,
-)
+from nvlab import PROBLEM_IDS, VectorFieldSet, build_bracket_table, catalog, get_problem
 from nvlab.catalog import GBM_MU, GBM_SIGMA, LINNC_K1, LINNC_K2
+from nvlab.flows import flow_unchecked
 
-from conftest import sample_states
+from conftest import jacobian_bracket, jacobian_drift, sample_states
 
 state2 = st.lists(st.floats(-3, 3), min_size=2, max_size=2).map(np.array)
 
@@ -28,6 +21,21 @@ def _translation(v):
 
 def _identity_flows(d):
     return {idx: (lambda t, x: x) for idx in range(d + 1)}
+
+
+def matrix_drift(fields, x):
+    """The Stratonovich drift in matrix form:
+    (A_0 - 1/2 sum_j A_j^2) x + c_0 - 1/2 sum_j A_j c_j."""
+    A, c = fields.A, fields.c
+    S = A[0] - 0.5 * sum(A[j] @ A[j] for j in range(1, fields.d + 1))
+    s0 = c[0] - 0.5 * sum(A[j] @ c[j] for j in range(1, fields.d + 1))
+    return x @ S.T + s0
+
+
+def bracket(fields, j, m, x):
+    """[sigma^j, sigma^m](x) from bracket_matrices."""
+    C, e = fields.bracket_matrices(j, m)
+    return x @ C.T + e
 
 
 def test_catalog_contents():
@@ -49,12 +57,14 @@ def test_gbm_exact_solution_zero_noise(gbm):
 def test_stratonovich_drift_gbm(gbm):
     xs = sample_states(gbm)
     expected = (GBM_MU - 0.5 * GBM_SIGMA**2) * xs
-    np.testing.assert_allclose(stratonovich_drift(gbm.fields, xs), expected, atol=1e-14)
+    for drift in (matrix_drift, jacobian_drift):
+        np.testing.assert_allclose(drift(gbm.fields, xs), expected, atol=1e-14)
 
 
 def test_stratonovich_drift_heisenberg_vanishes(heisenberg):
     xs = sample_states(heisenberg)
-    np.testing.assert_array_equal(stratonovich_drift(heisenberg.fields, xs), np.zeros_like(xs))
+    for drift in (matrix_drift, jacobian_drift):
+        np.testing.assert_array_equal(drift(heisenberg.fields, xs), np.zeros_like(xs))
 
 
 def test_stratonovich_drift_constant_fields_is_drift():
@@ -70,24 +80,22 @@ def test_stratonovich_drift_constant_fields_is_drift():
         },
     )
     x = np.array([1.0, 4.0])
-    np.testing.assert_array_equal(stratonovich_drift(fields, x), drift)
-
-
-def test_stratonovich_drift_dimension_mismatch(heisenberg):
-    with pytest.raises(ValueError):
-        stratonovich_drift(heisenberg.fields, np.zeros(3))
+    np.testing.assert_array_equal(matrix_drift(fields, x), drift)
+    np.testing.assert_array_equal(jacobian_drift(fields, x), drift)
 
 
 @given(state2)
 def test_lie_bracket_heisenberg_constant(x):
     heis = get_problem("heisenberg")
-    np.testing.assert_array_equal(lie_bracket(heis.fields, 2, 1, x), np.array([0.0, -1.0]))
+    for br in (bracket, jacobian_bracket):
+        np.testing.assert_array_equal(br(heis.fields, 2, 1, x), np.array([0.0, -1.0]))
 
 
 @given(state2)
 def test_lie_bracket_diag_comm_vanishes(x):
     dc = get_problem("diag-comm")
-    np.testing.assert_array_equal(lie_bracket(dc.fields, 2, 1, x), np.zeros(2))
+    for br in (bracket, jacobian_bracket):
+        np.testing.assert_array_equal(br(dc.fields, 2, 1, x), np.zeros(2))
 
 
 def test_lie_bracket_linear_matrix_commutator(linear_nc):
@@ -96,13 +104,8 @@ def test_lie_bracket_linear_matrix_commutator(linear_nc):
     comm = A1 @ A2 - A2 @ A1
     xs = sample_states(linear_nc, count=20)
     expected = xs @ comm.T
-    np.testing.assert_allclose(lie_bracket(linear_nc.fields, 2, 1, xs), expected, atol=1e-13)
-
-
-def test_lie_bracket_index_validation(heisenberg):
-    for j, m in [(1, 1), (1, 2), (3, 1), (2, 0)]:
-        with pytest.raises(ValueError):
-            lie_bracket(heisenberg.fields, j, m, np.zeros(2))
+    for br in (bracket, jacobian_bracket):
+        np.testing.assert_allclose(br(linear_nc.fields, 2, 1, xs), expected, atol=1e-13)
 
 
 def test_bracket_antisymmetry_all_problems(problems):
@@ -113,18 +116,23 @@ def test_bracket_antisymmetry_all_problems(problems):
         xs = sample_states(prob, count=50)
         for j in range(2, prob.d + 1):
             for m in range(1, j):
-                br = lie_bracket(prob.fields, j, m, xs)
-                reversed_combo = prob.fields.dsigma_sigma(j, m, xs) - prob.fields.dsigma_sigma(
-                    m, j, xs
-                )
+                br = bracket(prob.fields, j, m, xs)
+                reversed_combo = jacobian_bracket(prob.fields, m, j, xs)
                 assert np.max(np.abs(br + reversed_combo)) <= 1e-12
 
 
-def test_bracket_table_matches_op(heisenberg):
-    table = build_bracket_table(heisenberg.fields)
-    assert table.pairs == ((2, 1),)
+def test_bracket_table_matches_op(problems, heisenberg):
+    for prob in problems.values():
+        table = build_bracket_table(prob.fields)
+        assert table.pairs == tuple((j, m) for j in range(2, prob.d + 1) for m in range(1, j))
+        xs = sample_states(prob, count=20, seed=24, spread=2.0)
+        for (j, m), entry in table.entries.items():
+            exact = jacobian_bracket(prob.fields, j, m, xs)
+            np.testing.assert_allclose(entry(xs), exact, rtol=1e-13, atol=1e-13)
+            np.testing.assert_array_equal(entry(xs[0]), entry(xs)[0])
     x = np.array([0.4, -1.2])
-    np.testing.assert_array_equal(table(2, 1, x), lie_bracket(heisenberg.fields, 2, 1, x))
+    heis = build_bracket_table(heisenberg.fields).entries[(2, 1)]
+    np.testing.assert_array_equal(heis(x), jacobian_bracket(heisenberg.fields, 2, 1, x))
 
 
 def _fd_jacobian(f, x, step=1e-6):
@@ -154,7 +162,7 @@ def test_commutativity_flags_sound(problems):
         if prob.d < 2:
             continue
         xs = sample_states(prob, count=50, seed=5)
-        norms = np.linalg.norm(lie_bracket(prob.fields, 2, 1, xs), axis=-1)
+        norms = np.linalg.norm(bracket(prob.fields, 2, 1, xs), axis=-1)
         if prob.commutative:
             assert np.max(norms) <= 1e-12
         else:
@@ -163,7 +171,7 @@ def test_commutativity_flags_sound(problems):
 
 def test_heisenberg_bracket_norm_is_one(heisenberg):
     xs = sample_states(heisenberg, count=30)
-    norms = np.linalg.norm(lie_bracket(heisenberg.fields, 2, 1, xs), axis=-1)
+    norms = np.linalg.norm(bracket(heisenberg.fields, 2, 1, xs), axis=-1)
     np.testing.assert_array_equal(norms, np.ones(30))
 
 
@@ -208,12 +216,10 @@ def test_unknown_problem_rejected():
 
 
 def test_exact_flows_identity_at_zero(problems):
-    from nvlab.flows import apply_flow
-
     for prob in problems.values():
         xs = sample_states(prob, count=10, seed=3)
         for idx in prob.fields.exact_flows:
-            np.testing.assert_array_equal(apply_flow(prob, idx, 0.0, xs), xs)
+            np.testing.assert_array_equal(flow_unchecked(prob, idx, 0.0, xs), xs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +245,7 @@ def test_bracket_matrices_equal_lie_bracket(problems):
         for j, m in prob.brackets().pairs:
             C, e = prob.fields.bracket_matrices(j, m)
             precomputed = xs @ C.T + e
-            exact = lie_bracket(prob.fields, j, m, xs)
+            exact = jacobian_bracket(prob.fields, j, m, xs)
             if prob.name in ("heisenberg", "diag-comm"):
                 np.testing.assert_array_equal(precomputed, exact)
             else:
@@ -255,12 +261,9 @@ def test_bracket_matrices_index_validation(heisenberg):
 def test_stratonovich_drift_from_matrices(problems):
     # sigma^0 = (A_0 - 1/2 sum_j A_j^2) x + c_0 - 1/2 sum_j A_j c_j
     for prob in problems.values():
-        A, c = prob.fields.A, prob.fields.c
-        S = A[0] - 0.5 * sum(A[j] @ A[j] for j in range(1, prob.d + 1))
-        s0 = c[0] - 0.5 * sum(A[j] @ c[j] for j in range(1, prob.d + 1))
         xs = sample_states(prob, count=50, seed=23, spread=2.0)
         np.testing.assert_allclose(
-            stratonovich_drift(prob.fields, xs), xs @ S.T + s0, rtol=1e-13, atol=1e-13
+            jacobian_drift(prob.fields, xs), matrix_drift(prob.fields, xs), rtol=1e-13, atol=1e-13
         )
 
 

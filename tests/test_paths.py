@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nvlab import GridSpec, PathBundle, coarsen, make_bundle, make_bundle_batch, paths
+from nvlab import GridSpec, PathBundle, coarsen, make_bundle_batch, paths
 from nvlab.paths import (
     AUX_DOMAIN,
     DW_DOMAIN,
@@ -25,8 +25,8 @@ from nvlab.paths import (
 
 
 def test_same_seed_and_index_bitwise_identical():
-    a = make_bundle(42, 17, 16, 3, 1.0)
-    b = make_bundle(42, 17, 16, 3, 1.0)
+    a = make_bundle_batch(42, 17, 1, 16, 3, 1.0)
+    b = make_bundle_batch(42, 17, 1, 16, 3, 1.0)
     assert np.array_equal(a.dW, b.dW)
     assert np.array_equal(a.eta, b.eta)
 
@@ -34,15 +34,15 @@ def test_same_seed_and_index_bitwise_identical():
 def test_batch_rows_match_single_bundles():
     batch = make_bundle_batch(7, 100, 6, 8, 2, 2.0)
     for i in range(6):
-        single = make_bundle(7, 100 + i, 8, 2, 2.0)
+        single = make_bundle_batch(7, 100 + i, 1, 8, 2, 2.0)
         assert np.array_equal(batch.dW[i], single.dW[0])
         assert np.array_equal(batch.eta[i], single.eta[0])
 
 
 def test_distinct_indices_and_seeds_give_distinct_draws():
-    a = make_bundle(1, 0, 8, 1, 1.0)
-    b = make_bundle(1, 1, 8, 1, 1.0)
-    c = make_bundle(2, 0, 8, 1, 1.0)
+    a = make_bundle_batch(1, 0, 1, 8, 1, 1.0)
+    b = make_bundle_batch(1, 1, 1, 8, 1, 1.0)
+    c = make_bundle_batch(2, 0, 1, 8, 1, 1.0)
     assert not np.array_equal(a.dW, b.dW)
     assert not np.array_equal(a.dW, c.dW)
 
@@ -185,16 +185,16 @@ def test_domains_are_separate_streams():
 
 def test_negative_path_index_rejected():
     with pytest.raises(ValueError):
-        make_bundle(0, -1, 4, 1, 1.0)
+        make_bundle_batch(0, -1, 1, 4, 1, 1.0)
 
 
 def test_bad_shapes_rejected():
     with pytest.raises(ValueError):
-        make_bundle(0, 0, 0, 1, 1.0)
+        make_bundle_batch(0, 0, 1, 0, 1, 1.0)
     with pytest.raises(ValueError):
-        make_bundle(0, 0, 4, 0, 1.0)
+        make_bundle_batch(0, 0, 1, 4, 0, 1.0)
     with pytest.raises(ValueError):
-        make_bundle(0, 0, 4, 1, 0.0)
+        make_bundle_batch(0, 0, 1, 4, 1, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +243,7 @@ def test_coarsen_eta_takes_first_substep_sign():
 
 
 def test_coarsen_identity():
-    bundle = make_bundle(5, 0, 8, 2, 1.0)
+    bundle = make_bundle_batch(5, 0, 1, 8, 2, 1.0)
     view = coarsen(bundle, 8)
     assert np.array_equal(view.dW, bundle.dW)
     assert np.array_equal(view.eta, bundle.eta)
@@ -252,7 +252,7 @@ def test_coarsen_identity():
 def test_coarsen_preserves_total_increment():
     # telescoping: the total increment W_T computed through any coarsening
     # chain is the same, bit for bit
-    bundle = make_bundle(6, 3, 8, 2, 1.0)
+    bundle = make_bundle_batch(6, 3, 1, 8, 2, 1.0)
     total = coarsen(bundle, 1).dW
     for n_coarse in (1, 2, 4, 8):
         view = coarsen(bundle, n_coarse)
@@ -261,7 +261,7 @@ def test_coarsen_preserves_total_increment():
 
 
 def test_coarsen_rejects_non_divisor():
-    bundle = make_bundle(0, 0, 8, 1, 1.0)
+    bundle = make_bundle_batch(0, 0, 1, 8, 1, 1.0)
     with pytest.raises(ValueError):
         coarsen(bundle, 3)
     with pytest.raises(ValueError):
@@ -274,7 +274,7 @@ def test_coarsen_rejects_non_divisor():
 )
 def test_coarsen_chain_bit_exact(chain, path_index):
     n1, n2, n_fine = chain
-    bundle = make_bundle(11, path_index, n_fine, 2, 1.0)
+    bundle = make_bundle_batch(11, path_index, 1, n_fine, 2, 1.0)
     direct = coarsen(bundle, n1)
     chained = coarsen(coarsen(bundle, n2), n1)
     assert np.array_equal(direct.dW, chained.dW)
@@ -282,7 +282,7 @@ def test_coarsen_chain_bit_exact(chain, path_index):
 
 
 def test_coarse_view_rejects_refinement():
-    bundle = make_bundle(0, 0, 8, 1, 1.0)
+    bundle = make_bundle_batch(0, 0, 1, 8, 1, 1.0)
     view = coarsen(bundle, 4)
     with pytest.raises(ValueError):
         coarsen(view, 8)  # cannot refine a coarse view
@@ -301,7 +301,7 @@ def test_grid_spec():
 
 
 def test_bundle_arrays_read_only():
-    bundle = make_bundle(0, 0, 4, 1, 1.0)
+    bundle = make_bundle_batch(0, 0, 1, 4, 1, 1.0)
     with pytest.raises(ValueError):
         bundle.dW[0, 0, 0] = 1.0
 
@@ -327,7 +327,7 @@ GOLDEN_AUX = {
 
 @pytest.mark.parametrize("path_index", sorted(GOLDEN_DW))
 def test_golden_noise(path_index):
-    bundle = make_bundle(42, path_index, 16, 2, 1.0)
+    bundle = make_bundle_batch(42, path_index, 1, 16, 2, 1.0)
     assert bundle.dW[0, :2].ravel().tolist() == GOLDEN_DW[path_index]
     assert bundle.eta[0].tolist() == GOLDEN_ETA[path_index]
     aux = StreamPool(42).seek(path_index, AUX_DOMAIN).standard_normal(4)
@@ -340,7 +340,7 @@ def test_raw_word_signs_match_numpy_integer_sampler(n, path_index):
     bits = stream(42, path_index, ETA_DOMAIN).integers(0, 2, size=n, dtype=np.int8)
     raw = stream(42, path_index, ETA_DOMAIN).bit_generator.random_raw(-(-n // 8))
     assert np.array_equal(rademacher_from_raw(raw.astype("<u8"), n), 2 * bits - 1)
-    eta = make_bundle(42, path_index, n, 1, 1.0).eta[0]
+    eta = make_bundle_batch(42, path_index, 1, n, 1, 1.0).eta[0]
     assert np.array_equal(eta, 2 * bits - 1)
 
 
@@ -353,7 +353,7 @@ def test_coarsen_memoised_per_bundle():
 
 
 def test_coarsen_at_full_resolution_shares_bundle_arrays():
-    bundle = make_bundle(5, 0, 8, 2, 1.0)
+    bundle = make_bundle_batch(5, 0, 1, 8, 2, 1.0)
     view = coarsen(bundle, bundle.n_fine)
     assert view.dW is bundle.dW and view.eta is bundle.eta
     assert not view.dW.flags.writeable and not view.eta.flags.writeable
