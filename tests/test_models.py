@@ -108,6 +108,13 @@ def test_lie_bracket_linear_matrix_commutator(linear_nc):
         np.testing.assert_allclose(br(linear_nc.fields, 2, 1, xs), expected, atol=1e-13)
 
 
+def test_lie_bracket_index_validation(heisenberg):
+    # the bracket at a state needs 1 <= m < j <= d, as bracket_matrices checks
+    for j, m in [(1, 1), (1, 2), (3, 1), (2, 0)]:
+        with pytest.raises(ValueError):
+            bracket(heisenberg.fields, j, m, np.zeros(2))
+
+
 def test_bracket_antisymmetry_all_problems(problems):
     # [s^j, s^m] must equal minus the reversed composition of Jacobian products
     for prob in problems.values():
