@@ -4,6 +4,11 @@ Every problem registers a closed-form flow for each of its fields 0..d (see
 :class:`~nvlab.models.VectorFieldSet`), so a flow evaluation is exact up to
 rounding. Times may be negative (Brownian increments have either sign) and
 may vary per path.
+
+Flows take states as rows: a batch of states has shape (n, paths), so a flow
+reads coordinate i of every path as the contiguous row ``x[i]``, and a time
+per path is a vector (paths,) that broadcasts along the rows. A single state
+of shape (n,) is a batch of one and works the same way.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ class FlowExplosionError(RuntimeError):
 def flow_unchecked(problem: Problem, field_index: int, t, x):
     """Flow evaluation without the finite-state check (trajectory drivers check
     once per step instead of once per flow)."""
-    t_arr = np.asarray(t)
-    if t_arr.ndim == 0 and t_arr == 0.0:
+    if (not isinstance(t, np.ndarray) or t.ndim == 0) and t == 0.0:
         return np.asarray(x, dtype=float)  # flow at time zero is the identity, bit-exact
     return problem.fields.exact_flows[field_index](t, x)

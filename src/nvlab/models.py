@@ -54,7 +54,8 @@ class VectorFieldSet:
     build instances with :meth:`affine`, which derives the callables from
     them. exact_flows maps each field index (0 = Stratonovich drift, 1..d =
     Brownian fields) to the flow map (t, x0) -> exp(t V) x0 of that field,
-    vectorized over both a batch of states and a per-path vector of times.
+    vectorized over both a batch of states, as rows (n, paths), and a
+    per-path vector of times (see :mod:`nvlab.flows`).
     Every index 0..d must be present: the schemes evaluate flows only in
     closed form.
     """

@@ -11,12 +11,12 @@ Domains: 0 = Gaussian increments, 1 = Rademacher signs, 2 = auxiliary noise
 
 Rademacher signs are defined from the raw 64-bit Philox words of the sign
 stream (see :func:`rademacher_from_raw`), not from numpy's integer sampler.
-A short sign stream (at most VECTOR_SIGN_BLOCKS Philox blocks per path) has
-its words evaluated for all paths in one vectorised pass
-(:func:`philox_words`); a longer one is read through numpy's generator. Both
-give the same words. Every stream read through numpy's generator is
-positioned by :meth:`StreamPool.seek`, which sets the generator's state from
-plain ints.
+The short sign streams (at most VECTOR_SIGN_BLOCKS Philox blocks per path) of
+a batch of at least VECTOR_SIGN_PATHS paths have their words evaluated for
+all paths in one vectorised pass (:func:`philox_words`); other streams are
+read through numpy's generator. Both give the same words. Every stream read
+through numpy's generator is positioned by :meth:`StreamPool.seek`, which
+sets the generator's state from plain ints.
 """
 
 from __future__ import annotations
@@ -124,13 +124,18 @@ PHILOX_ROUNDS = 10
 # Lanes of philox_words evaluated together: the ten (lanes,) uint64 temporaries
 # of one tile (640 KiB) stay in cache and bounded whatever the batch size.
 PHILOX_TILE = 8192
-# make_bundle_batch evaluates a sign stream of at most this many Philox blocks
-# (four 64-bit words, one sign per byte: 32 signs each, so 12 blocks cover
-# N <= 384 steps) with philox_words, and a longer one through numpy's
-# generator. It is the measured break-even at 5000 paths (2-vCPU VM,
-# numpy 2.4): the vectorised pass costs 130-180 ns per block, a seek plus a
-# random_raw call about 1.6 us per path plus 25 ns per block.
+# make_bundle_batch evaluates the sign streams of at least VECTOR_SIGN_PATHS
+# paths of at most VECTOR_SIGN_BLOCKS Philox blocks each (four 64-bit words,
+# one sign per byte: 32 signs each, so 12 blocks cover N <= 384 steps) with
+# philox_words, and others through numpy's generator. The block count is the
+# measured break-even at 5000 paths (2-vCPU VM, numpy 2.4): the vectorised
+# pass costs 130-180 ns per block, a seek plus a random_raw call about 1.6 us
+# per path plus 25 ns per block. The path count is the break-even of the
+# vectorised pass's fixed cost, about 0.2 ms per call whatever its size: at
+# 1-8 words per path the two ways cost the same at 128 paths (220 us), and at
+# 16 paths the seeks take 41 us against 210 us.
 VECTOR_SIGN_BLOCKS = 12
+VECTOR_SIGN_PATHS = 128
 
 
 @lru_cache(maxsize=64)
@@ -243,40 +248,67 @@ def rademacher_from_raw(raw: np.ndarray, n: int) -> np.ndarray:
 # 1/TIME_MAJOR_FRACTION of the steps (but at least one), so its buffer stays
 # small next to the arrays it reads even where many paths take few steps,
 # and long marches still read several cache lines of each path per block.
+#
+# Arrays whose time-major copies take at most TIME_MAJOR_READ_BYTES together
+# (short marches: MLMC's 1-64 steps at 5000 paths, a ladder's coarse rungs)
+# are instead read as one block, each transposed a tile of whole paths at a
+# time straight into its time-major copy; there the blocks above would be
+# only 1-4 steps long, each with its own copies. At 5000 paths x 64 steps
+# (d = 2) one read took 1.8 ms against 5.6 ms in 4-step blocks; at 1000 paths
+# x 4096 steps the blocks took 29-40 ms against 90-150 ms in one read (2-vCPU
+# VM, numpy 2.4).
 TIME_MAJOR_BLOCK = 60
 TIME_MAJOR_FRACTION = 16
 TIME_MAJOR_STAGE_BYTES = 2**17
+TIME_MAJOR_READ_BYTES = 2**23
+
+
+def _time_major_copy(a: np.ndarray) -> np.ndarray:
+    """All of path-major ``a`` (paths, steps, ...) as a new time-major array
+    (steps, ..., paths), transposed TIME_MAJOR_STAGE_BYTES of paths at a time."""
+    paths = a.shape[0]
+    rows = np.empty(a.shape[1:] + (paths,), a.dtype)
+    flat, flat_rows = a.reshape(paths, -1), rows.reshape(-1, paths)
+    tile = max(1, TIME_MAJOR_STAGE_BYTES // max(1, flat.shape[1] * a.itemsize))
+    for p0 in range(0, paths, tile):
+        np.copyto(flat_rows[:, p0 : p0 + tile], flat[p0 : p0 + tile].T)
+    return rows
 
 
 def time_major_blocks(*arrays: np.ndarray):
     """Read path-major arrays (paths, steps, ...) in blocks of at most
-    TIME_MAJOR_BLOCK steps.
+    TIME_MAJOR_BLOCK steps, or, when small, in one block.
 
     Yields ``(k0, rows_1, rows_2, ...)``: steps ``k0 .. k0 + len(rows_i) - 1``
     of each array as one contiguous time-major block (steps, ..., paths), so
     ``rows_i[k]`` holds step ``k0 + k`` of every path in rows of (..., paths).
-    The arrays share their (paths, steps). One block buffer per array serves
-    every block: a block is only valid until the next is read, and its
-    holder may overwrite it.
+    The arrays share their (paths, steps). Each block is a buffer of its own
+    (never a view of the arrays), shared by every block: a block is only
+    valid until the next is read, and its holder may overwrite it.
     """
     paths, steps = arrays[0].shape[:2]
     step_bytes = [a.itemsize * math.prod(a.shape[2:]) for a in arrays]
+    if paths * steps * sum(step_bytes) <= TIME_MAJOR_READ_BYTES:
+        yield (0, *(_time_major_copy(a) for a in arrays))
+        return
     size = max(1, min(TIME_MAJOR_BLOCK, steps // TIME_MAJOR_FRACTION))
     buffers = []
     for a, nbytes in zip(arrays, step_bytes):
         tile = max(1, min(paths, TIME_MAJOR_STAGE_BYTES // max(1, size * nbytes)))
         stage = np.empty((tile, size) + a.shape[2:], a.dtype)
-        buffers.append((stage, np.empty((size,) + a.shape[2:] + (paths,), a.dtype)))
+        time_major = np.empty((size,) + a.shape[2:] + (paths,), a.dtype)
+        # the staged paths axis moved last, as a precomputed transpose
+        buffers.append((stage, time_major, (*range(1, a.ndim), 0)))
     for k0 in range(0, steps, size):
         n = min(size, steps - k0)
         blocks = []
-        for a, (stage, time_major) in zip(arrays, buffers):
+        for a, (stage, time_major, to_rows) in zip(arrays, buffers):
             rows = time_major[:n]
             for p0 in range(0, paths, len(stage)):
                 p1 = min(p0 + len(stage), paths)
                 part = stage[: p1 - p0, :n]
                 np.copyto(part, a[p0:p1, k0 : k0 + n])
-                np.copyto(rows[..., p0:p1], np.moveaxis(part, 0, -1))
+                np.copyto(rows[..., p0:p1], part.transpose(to_rows))
             blocks.append(rows)
         yield (k0, *blocks)
 
@@ -351,7 +383,7 @@ def make_bundle_batch(
     dW = pool.fill_normals(DW_DOMAIN, path_start, np.empty((n_paths, N_fine, d)))
     dW *= np.sqrt(T / N_fine)
     words = -(-N_fine // 8)  # one sign per byte
-    if words <= 4 * VECTOR_SIGN_BLOCKS:
+    if words <= 4 * VECTOR_SIGN_BLOCKS and n_paths >= VECTOR_SIGN_PATHS:
         raw = philox_words(master_seed, ETA_DOMAIN, path_start, n_paths, words)
     else:
         raw = pool.fill_raw(ETA_DOMAIN, path_start, np.empty((n_paths, words), dtype="<u8"))

@@ -21,13 +21,17 @@ Schemes (selector strings in parentheses):
                     an ``nv`` run at the bundle's full fine resolution, used as
                     a reference proxy and labelled as such.
 
-Every scheme is one kernel run by one march, ``_march``, which reads the
-increments and signs in time-major blocks (:func:`~nvlab.paths.time_major_blocks`)
-and hands the kernel, at each step, the states (paths, n), the step's
-increments as contiguous rows (d, paths) and one boolean sweep row (paths,),
-True where the sign is +1. The ``nv`` kernel runs both sweep orders over every path and keeps
-one per path with ``np.where``; every flow acts path by path, so this is
-bit-identical to sweeping each path alone.
+States are rows: the scheme layer holds a batch of states as one (n, paths)
+array, so coordinate i of every path is the contiguous row ``x[i]``. Every
+scheme is one kernel run by one march, ``_march``, which reads the increments
+and signs in time-major blocks (:func:`~nvlab.paths.time_major_blocks`) and
+hands the kernel, at each step, the state rows (n, paths), the step's
+increments as rows (d, paths) and one boolean sweep row (paths,), True where
+the sign is +1. The ``nv`` kernel runs both sweep orders over every path and
+keeps one per path with ``np.where`` over whole rows; every flow acts path by
+path, so this is bit-identical to sweeping each path alone. A kept state is
+written as one contiguous (n, paths) row of a time-major record
+(records, n, paths); :class:`Trajectory` exposes it as (paths, records, n).
 
 Worked ordering example (``heisenberg``, fields s1=(1,0), s2=(0,x1), zero
 drift): from x=(0,0) with sign +1 the s1 flow acts first, so the step lands on
@@ -50,7 +54,12 @@ SCHEME_IDS = ("nv", "discrete-nv", "euler", "exact")
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Scheme states at the grid times, states[:, k] at time k*h."""
+    """Scheme states at the grid times, states[:, k] at time k*h.
+
+    ``states`` is (paths, N+1, n). For a marched scheme it is a view of the
+    march's time-major rows (N+1, n, paths), so ``states[:, k]`` is the
+    transpose of one contiguous row; a closed form returns its own array.
+    """
 
     grid: GridSpec
     states: np.ndarray  # (paths, N+1, n)
@@ -61,10 +70,10 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# one-step kernels, all with the signature (problem, x, dW, plus, h): a batch of
-# states (paths, n), the step's increments as rows (d, paths), so dW[j - 1]
+# one-step kernels, all with the signature (problem, x, dW, plus, h): the
+# state rows (n, paths), the step's increments as rows (d, paths), so dW[j - 1]
 # drives field j, and the boolean sweep row plus (paths,), True where the sign
-# is +1
+# is +1; each returns the next state rows (n, paths)
 # ---------------------------------------------------------------------------
 
 
@@ -83,23 +92,31 @@ def _nv_kernel(problem: Problem, x, dW, plus, h):
             x_plus = flow_unchecked(problem, j, dW[j - 1], x_plus)
         for j in range(d, 0, -1):
             x_minus = flow_unchecked(problem, j, dW[j - 1], x_minus)
-        x = np.where(plus[:, None], x_plus, x_minus)
+        x = np.where(plus, x_plus, x_minus)
     return flow_unchecked(problem, 0, half, x)
+
+
+def _transposed(a):
+    """A contiguous transpose: state rows (n, paths) become the (paths, n)
+    states the coefficient callables take (the layout they always saw, so
+    their sums round as before), and their (paths, n) values become rows."""
+    return np.ascontiguousarray(a.T)
 
 
 def _discrete_nv_kernel(problem: Problem, x, dW, plus, h):
     f = problem.fields
     d = problem.d
-    sig = [f.sigma[j](x) for j in range(d)]
-    jac = [f.jac_sigma[j](x) for j in range(d)]
+    xp = _transposed(x)
+    sig = [f.sigma[j](xp) for j in range(d)]
+    jac = [f.jac_sigma[j](xp) for j in range(d)]
 
-    def corr(j, m):  # (d sigma^j) sigma^m, 1-based indices
-        return np.einsum("...ik,...k->...i", jac[j - 1], sig[m - 1])
+    def corr(j, m):  # (d sigma^j) sigma^m as rows, 1-based indices
+        return _transposed(np.einsum("...ik,...k->...i", jac[j - 1], sig[m - 1]))
 
-    out = x + f.b(x) * h
+    out = x + _transposed(f.b(xp)) * h
     for j in range(1, d + 1):
-        w = dW[j - 1][:, None]
-        out = out + sig[j - 1] * w
+        w = dW[j - 1]
+        out = out + _transposed(sig[j - 1]) * w
         out = out + 0.5 * corr(j, j) * (w * w - h)
     if d > 1:
         cross_plus = np.zeros_like(x)
@@ -108,31 +125,32 @@ def _discrete_nv_kernel(problem: Problem, x, dW, plus, h):
             for m in range(1, d + 1):
                 if m == j:
                     continue
-                term = corr(j, m) * (dW[m - 1] * dW[j - 1])[:, None]
+                term = corr(j, m) * (dW[m - 1] * dW[j - 1])
                 if m < j:
                     cross_plus = cross_plus + term
                 else:
                     cross_minus = cross_minus + term
-        out = out + np.where(plus[:, None], cross_plus, cross_minus)
+        out = out + np.where(plus, cross_plus, cross_minus)
     return out
 
 
 def _euler_kernel(problem: Problem, x, dW, plus, h):
     f = problem.fields
-    out = x + f.b(x) * h
+    xp = _transposed(x)
+    out = x + _transposed(f.b(xp)) * h
     for j in range(problem.d):
-        out = out + f.sigma[j](x) * dW[j][:, None]
+        out = out + _transposed(f.sigma[j](xp)) * dW[j]
     return out
 
 
-def _explosion(problem: Problem, label: str, states: np.ndarray, dt: float, path_start: int):
+def _explosion(problem: Problem, label: str, records: np.ndarray, dt: float, path_start: int):
     """The error naming the first recorded step, and its first path, that is non-finite.
 
-    ``states`` is (paths, records, n) with record k at time k * dt.
+    ``records`` is (records, n, paths) with record k at time k * dt.
     """
-    bad = ~np.isfinite(states).all(axis=2)
-    step = int(np.argmax(bad.any(axis=0)))
-    path = path_start + int(np.argmax(bad[:, step]))
+    bad = ~np.isfinite(records).all(axis=1)
+    step = int(np.argmax(bad.any(axis=1)))
+    path = path_start + int(np.argmax(bad[step]))
     return FlowExplosionError(problem.name, step * dt, label, step, path)
 
 
@@ -143,29 +161,36 @@ def _explosion(problem: Problem, label: str, states: np.ndarray, dt: float, path
 
 def _march(problem, kernel, label, increments: CoarseIncrements | PathBundle, record_stride=1):
     """Apply ``kernel`` at every step of ``increments``, recording every
-    ``record_stride`` steps; states are (paths, steps // record_stride + 1, n).
+    ``record_stride`` steps; the records are time-major rows
+    (steps // record_stride + 1, n, paths), record k the states at step
+    k * record_stride.
 
     The increments and signs are read in time-major blocks, so a step's
     kernel gets contiguous rows (d, paths) and a boolean sweep row (paths,).
     """
     dW, eta, h = increments.dW, increments.eta, increments.h
     paths, steps = dW.shape[:2]
-    states = np.empty((paths, steps // record_stride + 1, problem.n))
-    x = np.broadcast_to(problem.x0, (paths, problem.n)).copy()
-    states[:, 0] = x
+    records = np.empty((steps // record_stride + 1, problem.n, paths))
+    x = records[0]
+    x[:] = problem.x0[:, None]
     for k0, dW_rows, eta_rows in time_major_blocks(dW, eta):
         # the block's signs become its boolean sweep rows, in their own buffer
         plus = np.greater(eta_rows, 0, out=eta_rows.view(bool))
         for k, (dW_k, plus_k) in enumerate(zip(dW_rows, plus), start=k0 + 1):
             x = kernel(problem, x, dW_k, plus_k, h)
             if k % record_stride == 0:
-                states[:, k // record_stride] = x
+                records[k // record_stride] = x
     # one explosion check for the whole sweep: non-finite values propagate
     # through every kernel, so the last recorded states carry the evidence
     if not np.all(np.isfinite(x)):
         bundle = getattr(increments, "base", increments)
-        raise _explosion(problem, label, states, h * record_stride, bundle.path_start)
-    return states
+        raise _explosion(problem, label, records, h * record_stride, bundle.path_start)
+    return records
+
+
+def _states(records: np.ndarray) -> np.ndarray:
+    """Time-major records (records, n, paths) as states (paths, records, n), a view."""
+    return np.moveaxis(records, -1, 0)
 
 
 def _check_grid(problem: Problem, bundle: PathBundle, grid: GridSpec):
@@ -182,8 +207,8 @@ def _check_grid(problem: Problem, bundle: PathBundle, grid: GridSpec):
 def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, grid: GridSpec) -> Trajectory:
     """The shared driver: ``kernel`` marched on the bundle coarsened to the grid."""
     _check_grid(problem, bundle, grid)
-    states = _march(problem, kernel, label, coarsen(bundle, grid.N))
-    return Trajectory(grid=grid, states=states, label=label)
+    records = _march(problem, kernel, label, coarsen(bundle, grid.N))
+    return Trajectory(grid=grid, states=_states(records), label=label)
 
 
 def nv_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
@@ -211,8 +236,8 @@ def exact_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Tr
             f"problem {problem.name!r} has no closed form and the bundle has no "
             "refinement to build a proxy reference from"
         )
-    states = _march(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine // grid.N)
-    return Trajectory(grid=grid, states=states, label="nv-proxy")
+    records = _march(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine // grid.N)
+    return Trajectory(grid=grid, states=_states(records), label="nv-proxy")
 
 
 def trajectory(problem: Problem, scheme: str, bundle: PathBundle, grid: GridSpec) -> Trajectory:

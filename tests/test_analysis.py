@@ -22,7 +22,7 @@ from nvlab import (
 )
 from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, coarsen, make_bundle_batch
 
-from conftest import jacobian_bracket
+from oracles import jacobian_bracket
 
 # ---------------------------------------------------------------------------
 # strong error

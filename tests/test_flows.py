@@ -16,7 +16,7 @@ from nvlab import (
 from nvlab.catalog import GBM_MU, GBM_SIGMA
 from nvlab.flows import flow_unchecked
 
-from conftest import jacobian_drift, sample_states
+from oracles import jacobian_drift, sample_states
 
 times = st.floats(-1.0, 1.0)
 
@@ -40,7 +40,7 @@ def test_gbm_drift_flow_half_step(gbm):
 
 def test_flow_identity_at_zero(problems):
     for prob in problems.values():
-        xs = sample_states(prob, count=5)
+        xs = sample_states(prob, count=5).T
         for idx in range(prob.d + 1):
             np.testing.assert_array_equal(flow_unchecked(prob, idx, 0.0, xs), xs)
 
@@ -50,7 +50,7 @@ def test_semigroup_property(t1, t2, name):
     from nvlab import get_problem
 
     prob = get_problem(name)
-    xs = sample_states(prob, count=4, seed=17, spread=0.5)
+    xs = sample_states(prob, count=4, seed=17, spread=0.5).T
     for idx in prob.fields.exact_flows:
         two_step = flow_unchecked(prob, idx, t2, flow_unchecked(prob, idx, t1, xs))
         one_step = flow_unchecked(prob, idx, t1 + t2, xs)
@@ -62,7 +62,7 @@ def test_reversibility(t, name):
     from nvlab import get_problem
 
     prob = get_problem(name)
-    xs = sample_states(prob, count=4, seed=23, spread=0.5)
+    xs = sample_states(prob, count=4, seed=23, spread=0.5).T
     for idx in prob.fields.exact_flows:
         back = flow_unchecked(prob, idx, -t, flow_unchecked(prob, idx, t, xs))
         assert np.max(np.abs(back - xs)) <= 1e-12
@@ -71,7 +71,7 @@ def test_reversibility(t, name):
 def test_diag_comm_drift_flow_scalar_and_array_paths_agree(diag_comm):
     # the scalar-time branch caches a propagator matrix; it must match the
     # eigen-basis evaluation used for per-path times
-    xs = sample_states(diag_comm, count=12, seed=31)
+    xs = sample_states(diag_comm, count=12, seed=31).T
     fl = diag_comm.fields.exact_flows[0]
     scalar = fl(0.037, xs)
     arr = fl(np.full(12, 0.037), xs)
@@ -88,7 +88,7 @@ def test_flow_explosion_raises():
             c=np.zeros((2, 1)),
             exact_flows={
                 0: lambda t, x: np.asarray(x, dtype=float),
-                1: lambda t, x: np.asarray(x, dtype=float) * np.exp(np.asarray(t)[..., None]),
+                1: lambda t, x: np.asarray(x, dtype=float) * np.exp(np.asarray(t)),
             },
         ),
         x0=np.array([1.0]),
@@ -114,9 +114,10 @@ FD_EPS = 1e-5
 def test_closed_forms_solve_their_odes(name):
     # central difference of t -> exp(t V) x against V(exp(t V) x), with field 0
     # the Stratonovich drift: the closed forms are the only flows, so this is
-    # the check that each one integrates its own field
+    # the check that each one integrates its own field; the flows take state
+    # rows (n, paths), the coefficient callables path-major states (paths, n)
     prob = get_problem(name)
-    xs = sample_states(prob, count=16, seed=41, spread=0.5)
+    xs = sample_states(prob, count=16, seed=41, spread=0.5).T
     per_path = np.random.default_rng(43).uniform(-1.0, 1.0, size=16)
     fields = [lambda x: jacobian_drift(prob.fields, x), *prob.fields.sigma]
     for idx, V in enumerate(fields):
@@ -124,5 +125,5 @@ def test_closed_forms_solve_their_odes(name):
             phi = flow_unchecked(prob, idx, t, xs)
             forward = flow_unchecked(prob, idx, t + FD_EPS, xs)
             fd = (forward - flow_unchecked(prob, idx, t - FD_EPS, xs)) / (2 * FD_EPS)
-            v = V(phi)
+            v = V(phi.T).T
             assert np.max(np.abs(fd - v)) <= 1e-8 * max(1.0, np.max(np.abs(v))), (idx, t)

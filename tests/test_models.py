@@ -9,14 +9,14 @@ from nvlab import PROBLEM_IDS, VectorFieldSet, build_bracket_table, catalog, get
 from nvlab.catalog import GBM_MU, GBM_SIGMA, LINNC_K1, LINNC_K2
 from nvlab.flows import flow_unchecked
 
-from conftest import jacobian_bracket, jacobian_drift, sample_states
+from oracles import jacobian_bracket, jacobian_drift, sample_states
 
 state2 = st.lists(st.floats(-3, 3), min_size=2, max_size=2).map(np.array)
 
 
 def _translation(v):
-    """Flow of the constant field v: x + t v, per-path t allowed."""
-    return lambda t, x: np.asarray(x, dtype=float) + np.asarray(t, dtype=float)[..., None] * v
+    """Flow of the constant field v on state rows: x + t v, per-path t allowed."""
+    return lambda t, x: np.asarray(x, dtype=float) + np.multiply.outer(v, t)
 
 
 def _identity_flows(d):
@@ -224,7 +224,7 @@ def test_unknown_problem_rejected():
 
 def test_exact_flows_identity_at_zero(problems):
     for prob in problems.values():
-        xs = sample_states(prob, count=10, seed=3)
+        xs = sample_states(prob, count=10, seed=3).T
         for idx in prob.fields.exact_flows:
             np.testing.assert_array_equal(flow_unchecked(prob, idx, 0.0, xs), xs)
 

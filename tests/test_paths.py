@@ -14,7 +14,9 @@ from nvlab.paths import (
     PHILOX_TILE,
     TIME_MAJOR_BLOCK,
     TIME_MAJOR_FRACTION,
+    TIME_MAJOR_READ_BYTES,
     VECTOR_SIGN_BLOCKS,
+    VECTOR_SIGN_PATHS,
     StreamPool,
     _philox_key,
     philox_words,
@@ -140,12 +142,15 @@ def test_bundle_signs_on_both_sides_of_the_switch(monkeypatch, N):
         return philox_words(*args)
 
     monkeypatch.setattr(paths, "philox_words", spy)
-    bundle = make_bundle_batch(99, 2**40, 5, N, 1, 1.0)
     words = -(-N // 8)
-    assert len(calls) == (words <= SWITCH_WORDS)
-    for i in range(5):
-        raw = stream(99, 2**40 + i, ETA_DOMAIN).bit_generator.random_raw(words)
-        assert np.array_equal(bundle.eta[i], rademacher_from_raw(raw.astype("<u8"), N))
+    # a batch one path short of the switch's path count, and one at it
+    for n_paths in (5, VECTOR_SIGN_PATHS - 1, VECTOR_SIGN_PATHS):
+        calls.clear()
+        bundle = make_bundle_batch(99, 2**40, n_paths, N, 1, 1.0)
+        assert len(calls) == (words <= SWITCH_WORDS and n_paths >= VECTOR_SIGN_PATHS)
+        for i in range(n_paths):
+            raw = stream(99, 2**40 + i, ETA_DOMAIN).bit_generator.random_raw(words)
+            assert np.array_equal(bundle.eta[i], rademacher_from_raw(raw.astype("<u8"), N))
 
 
 def test_fill_normals_matches_fresh_streams():
@@ -154,25 +159,37 @@ def test_fill_normals_matches_fresh_streams():
         assert np.array_equal(out[i], stream(99, 40 + i, AUX_DOMAIN).standard_normal((5, 2)))
 
 
-@pytest.mark.parametrize("paths, steps", [(1, 1), (7, 130), (1000, 61), (3, 4096), (20000, 7)])
-def test_time_major_blocks_reassemble_the_arrays(paths, steps):
-    # 20000 paths are staged in several path tiles, the last one partial
-    rng = np.random.default_rng(paths)
-    dW = rng.standard_normal((paths, steps, 2))
-    eta = rng.integers(-1, 2, (paths, steps)).astype(np.int8)
-    lengths = []
-    blocks = []
-    for k0, dW_rows, eta_rows in time_major_blocks(dW, eta):
-        assert k0 == sum(lengths) and len(eta_rows) == len(dW_rows)
-        assert dW_rows.flags.c_contiguous and eta_rows.flags.c_contiguous
-        np.testing.assert_array_equal(eta_rows, eta[:, k0 : k0 + len(eta_rows)].T)
-        lengths.append(len(dW_rows))
-        blocks.append(dW_rows.copy())
-    np.testing.assert_array_equal(np.concatenate(blocks), np.moveaxis(dW, 0, -1))
-    # equal blocks, the last one possibly partial, each at most a fixed
-    # fraction of the steps: long marches read full TIME_MAJOR_BLOCK blocks
-    assert len(set(lengths[:-1])) <= 1 and lengths[-1] <= lengths[0]
-    assert lengths[0] == max(1, min(TIME_MAJOR_BLOCK, steps // TIME_MAJOR_FRACTION))
+@pytest.mark.parametrize(
+    "n_paths, steps", [(1, 1), (7, 130), (1000, 61), (3, 4096), (20000, 7), (5000, 128)]
+)
+def test_time_major_blocks_reassemble_the_arrays(n_paths, steps, monkeypatch):
+    # each pair is read twice: in blocks (20000 paths are staged in several
+    # path tiles, the last one partial), and as by default, in one block of
+    # path tiles while the time-major copies fit TIME_MAJOR_READ_BYTES (all
+    # but 5000 x 128)
+    rng = np.random.default_rng(n_paths)
+    dW = rng.standard_normal((n_paths, steps, 2))
+    eta = rng.integers(-1, 2, (n_paths, steps)).astype(np.int8)
+    short = n_paths * steps * (dW.itemsize * 2 + eta.itemsize) <= TIME_MAJOR_READ_BYTES
+    for read_bytes in (0, TIME_MAJOR_READ_BYTES):
+        monkeypatch.setattr(paths, "TIME_MAJOR_READ_BYTES", read_bytes)
+        lengths = []
+        blocks = []
+        for k0, dW_rows, eta_rows in time_major_blocks(dW, eta):
+            assert k0 == sum(lengths) and len(eta_rows) == len(dW_rows)
+            assert dW_rows.flags.c_contiguous and eta_rows.flags.c_contiguous
+            assert not np.shares_memory(eta_rows, eta)  # the holder may overwrite it
+            np.testing.assert_array_equal(eta_rows, eta[:, k0 : k0 + len(eta_rows)].T)
+            lengths.append(len(dW_rows))
+            blocks.append(dW_rows.copy())
+        np.testing.assert_array_equal(np.concatenate(blocks), np.moveaxis(dW, 0, -1))
+        if read_bytes and short:
+            assert lengths == [steps]
+            continue
+        # equal blocks, the last one possibly partial, each at most a fixed
+        # fraction of the steps: long marches read full TIME_MAJOR_BLOCK blocks
+        assert len(set(lengths[:-1])) <= 1 and lengths[-1] <= lengths[0]
+        assert lengths[0] == max(1, min(TIME_MAJOR_BLOCK, steps // TIME_MAJOR_FRACTION))
 
 
 def test_domains_are_separate_streams():

@@ -20,10 +20,11 @@ from nvlab import (
     trajectory,
 )
 from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA, PROBLEM_IDS
+import nvlab.paths as paths_module
 from nvlab.flows import flow_unchecked
 from nvlab.schemes import _discrete_nv_kernel, _euler_kernel, _march, _nv_kernel
 
-from conftest import sample_states
+from oracles import sample_states
 
 incr = st.floats(-1.5, 1.5)
 
@@ -343,14 +344,14 @@ def test_grid_must_divide_bundle(heisenberg):
 
 
 # ---------------------------------------------------------------------------
-# march oracle: the path-major march with a masked-gather nv step
+# march oracle: a path-major march with a masked-gather nv step
 # ---------------------------------------------------------------------------
 
 
 def _masked_nv_kernel(problem, x, dW, eta, h):
-    """The nv step on one step of path-major increments dW (paths, d) and signs
-    eta (paths,): each sweep direction gathers its paths with a boolean mask and
-    scatters them back."""
+    """The nv step on state rows x (n, paths) with one step of path-major
+    increments dW (paths, d) and signs eta (paths,): each sweep direction
+    gathers its paths with a boolean mask and scatters them back."""
     half = 0.5 * h
     x = flow_unchecked(problem, 0, half, x)
     d = problem.d
@@ -361,15 +362,15 @@ def _masked_nv_kernel(problem, x, dW, eta, h):
         minus = ~plus
         out = np.empty_like(x)
         if plus.any():
-            xp = x[plus]
+            xp = x[:, plus]
             for j in range(1, d + 1):
                 xp = flow_unchecked(problem, j, dW[plus, j - 1], xp)
-            out[plus] = xp
+            out[:, plus] = xp
         if minus.any():
-            xm = x[minus]
+            xm = x[:, minus]
             for j in range(d, 0, -1):
                 xm = flow_unchecked(problem, j, dW[minus, j - 1], xm)
-            out[minus] = xm
+            out[:, minus] = xm
         x = out
     return flow_unchecked(problem, 0, half, x)
 
@@ -381,15 +382,16 @@ def _on_path_major_step(kernel):
 
 def _path_major_march(problem, step, bundle):
     """Every state of ``step`` marched over the bundle, reading the increments
-    of step k as the strided view dW[:, k, :]; shape (paths, steps + 1, n)."""
+    of step k as the strided view dW[:, k, :] and recording each state path
+    by path; shape (paths, steps + 1, n)."""
     dW, eta, h = bundle.dW, bundle.eta, bundle.h
     paths, steps = dW.shape[:2]
     states = np.empty((paths, steps + 1, problem.n))
-    x = np.broadcast_to(problem.x0, (paths, problem.n)).copy()
-    states[:, 0] = x
+    x = np.repeat(problem.x0[:, None], paths, axis=1)
+    states[:, 0] = x.T
     for k in range(steps):
         x = step(problem, x, dW[:, k, :], eta[:, k], h)
-        states[:, k + 1] = x
+        states[:, k + 1] = x.T
     return states
 
 
@@ -403,27 +405,31 @@ _MARCH_KERNELS = {
 @pytest.mark.parametrize("paths", [1, 1000])
 @pytest.mark.parametrize("scheme", list(_MARCH_KERNELS))
 @pytest.mark.parametrize("name", PROBLEM_IDS)
-def test_time_major_march_matches_path_major_reference(name, scheme, paths):
-    # 1, 59, 60, 61 and 130 steps are read in blocks of 1, 3, 3, 3 and 8
-    # steps, ending full or partial; 961 steps, on one path only to keep the
-    # test short, read 16 blocks of TIME_MAJOR_BLOCK = 60 steps and one more
+def test_time_major_march_matches_path_major_reference(name, scheme, paths, monkeypatch):
+    # read in blocks: 1, 59, 60, 61 and 130 steps are read in blocks of 1, 3,
+    # 3, 3 and 8 steps, ending full or partial; 961 steps, on one path only to
+    # keep the test short, read 16 blocks of TIME_MAJOR_BLOCK = 60 steps and
+    # one more. With the short-march read at 60 steps, marches of up to 60
+    # steps are read in one block and longer ones in blocks as above
     problem = get_problem(name)
     kernel, reference = _MARCH_KERNELS[scheme]
-    rng = np.random.default_rng(2024)
-    for steps in (1, 59, 60, 61, 130) + ((961,) if paths == 1 else ()):
-        dW = rng.standard_normal((paths, steps, problem.d)) / np.sqrt(steps)
-        mixed = np.where(rng.random((paths, steps)) < 0.5, 1, -1)
-        for eta in (np.ones_like(mixed), -np.ones_like(mixed), mixed):
-            bundle = PathBundle(
-                T=1.0, n_fine=steps, d=problem.d, dW=dW, eta=eta.astype(np.int8)
-            )
-            want = _path_major_march(problem, reference, bundle)
-            for stride in (1, 64):
-                got = _march(problem, kernel, scheme, bundle, stride)
-                expected = want[:, ::stride]
-                assert got.shape == expected.shape
-                np.testing.assert_array_equal(got, expected)
-                np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+    for read_bytes in (0, 60 * paths * (8 * problem.d + 1)):
+        monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", read_bytes)
+        rng = np.random.default_rng(2024)
+        for steps in (1, 59, 60, 61, 130) + ((961,) if paths == 1 else ()):
+            dW = rng.standard_normal((paths, steps, problem.d)) / np.sqrt(steps)
+            mixed = np.where(rng.random((paths, steps)) < 0.5, 1, -1)
+            for eta in (np.ones_like(mixed), -np.ones_like(mixed), mixed):
+                bundle = PathBundle(
+                    T=1.0, n_fine=steps, d=problem.d, dW=dW, eta=eta.astype(np.int8)
+                )
+                want = _path_major_march(problem, reference, bundle)
+                for stride in (1, 64):
+                    got = _march(problem, kernel, scheme, bundle, stride)
+                    expected = np.moveaxis(want[:, ::stride], 0, -1)
+                    assert got.shape == expected.shape
+                    np.testing.assert_array_equal(got, expected)
+                    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
 
 # ---------------------------------------------------------------------------
