@@ -14,7 +14,8 @@ The statistical core of the lab:
   driven by a fresh d(d-1)/2-dimensional Brownian motion B independent of W
   (Kurtz-Protter 1991); the fields are affine, so this is a constant-
   coefficient march on the matrices A_k and precomputed bracket matrices;
-* distribution comparison (moments + per-coordinate two-sample KS);
+* distribution comparison (moments + per-coordinate two-sample KS); scipy is
+  imported only when a comparison runs, so no other estimator pays for it;
 * the variance of the sign-ordered within-step integral
     Y^{j,m,N}_t = sqrt(N) ( int Psi1 (W^m - W^m-lagged) dW^j
                           + int Psi2 (W^j - W^j-lagged) dW^m ),
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _sstats
 
 from .models import Problem
 from .paths import (
@@ -344,7 +344,9 @@ def simulate_limit_sde(
     d(d-1)/2-dimensional Brownian motion drawn from each path's auxiliary
     stream. Both are read in blocks by
     :func:`~nvlab.paths.time_major_blocks`. For commuting Brownian fields the
-    source vanishes and V stays exactly zero.
+    source vanishes and V stays exactly zero. A non-finite terminal state
+    raises :class:`FloatingPointError` naming the problem and the first such
+    path.
     """
     A = problem.fields.A
     c = problem.fields.c[:, :, None]
@@ -379,6 +381,13 @@ def simulate_limit_sde(
                         dx = dx + (A[j] @ x + c[j]) * dW_k[j - 1]
                     x = x + dx
                 v = v + dv
+        # one check per chunk: a non-finite value propagates to the terminal state
+        bad = ~np.isfinite(v).all(axis=0)
+        if bad.any():
+            raise FloatingPointError(
+                f"non-finite state from the limit SDE on problem {problem.name!r}: "
+                f"first at path {start + int(np.argmax(bad))}"
+            )
         return v.T
 
     per_path = n_fine * (problem.d + max(1, n_pairs))
@@ -402,11 +411,15 @@ def compare_distributions(a: np.ndarray, b: np.ndarray, N: int | None = None) ->
         raise ValueError("sample sets must be non-empty")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    # imported here, not at module level: scipy.stats costs most of the
+    # package's import time and memory, and only this comparison uses it
+    from scipy.stats import ks_2samp
+
     n = a.shape[1]
     ks_stat = np.empty(n)
     ks_p = np.empty(n)
     for i in range(n):
-        res = _sstats.ks_2samp(a[:, i], b[:, i], method="asymp")
+        res = ks_2samp(a[:, i], b[:, i], method="asymp")
         ks_stat[i] = res.statistic
         ks_p[i] = res.pvalue
     cov_a = np.atleast_2d(np.cov(a, rowvar=False))

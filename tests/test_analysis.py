@@ -9,6 +9,7 @@ from nvlab import (
     PathBundle,
     Problem,
     VectorFieldSet,
+    cli,
     compare_distributions,
     fit_rate,
     get_problem,
@@ -19,6 +20,7 @@ from nvlab import (
     source_term_variance,
     strong_error,
     trajectory,
+    util,
 )
 from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, coarsen, make_bundle_batch
 
@@ -233,6 +235,37 @@ def _affine_test_problem():
         exact_flows={k: (lambda t, x: x) for k in range(4)},
     )
     return Problem("affine-nc", fields, x0=np.array([0.2, -0.4]), T=0.8, commutative=False)
+
+
+def test_limit_sde_overflow_raises(tmp_path, monkeypatch, capsys):
+    # V's first step takes the bracket source -A[1] c[2] = -1e200 into V, and
+    # A[1] = 1e200 overflows it on the next; the identity flows keep the
+    # scheme side of the limit-law study finite, so only the limit SDE fails
+    blowup = Problem(
+        "blowup",
+        VectorFieldSet.affine(
+            A=[[[0.0]], [[1e200]], [[0.0]]],
+            c=[[0.0], [0.0], [1.0]],
+            exact_flows={k: (lambda t, x: x) for k in range(3)},
+        ),
+        x0=np.array([0.0]),
+        T=1.0,
+        commutative=False,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="limit SDE on problem 'blowup'.*path 0$"):
+            simulate_limit_sde(blowup, paths=6, n_fine=8, master_seed=1)
+        # a chunk of paths 3..5 run first names its global path 3, not its row 0
+        monkeypatch.setattr(util, "compute_chunks", lambda *args: [(3, 3), (0, 3)])
+        with pytest.raises(FloatingPointError, match="path 3$"):
+            simulate_limit_sde(blowup, paths=6, n_fine=8, master_seed=1)
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "get_problem", lambda name: blowup)
+        args = ["limit-law", "--problem", "blowup", "--N", "2", "--paths", "6", "--nfine", "8"]
+        assert cli.main(args + ["--refine", "2", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite state from the limit SDE on problem 'blowup'" in err
+    assert not (tmp_path / "limitlaw.csv").exists()
 
 
 def test_limit_sde_seeks_increments_and_aux_only(heisenberg, monkeypatch):

@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -345,3 +347,34 @@ def test_metadata_paths_is_the_command_path_count():
     assert report.run_metadata(cfg)["paths"] == 300
     cfg = RunConfig(command="convergence", paths=1200, paths_per_level=300)
     assert report.run_metadata(cfg)["paths"] == 1200
+
+
+_FRESH_INTERPRETER = """
+import sys
+import numpy as np
+import nvlab, nvlab.cli
+out = sys.argv[1]
+assert "scipy.stats" not in sys.modules, "import nvlab loaded scipy.stats"
+convergence = ["convergence", "--problem", "heisenberg", "--nladder", "4,8,16", "--paths", "100"]
+assert nvlab.cli.main(convergence + ["--refine", "2", "--out", out + "/c"]) == 0
+mlmc = ["mlmc", "--problem", "heisenberg", "--payoff", "coord2", "--levels", "1"]
+assert nvlab.cli.main(mlmc + ["--paths-per-level", "20", "--out", out + "/m"]) == 0
+assert "scipy.stats" not in sys.modules, "a convergence or mlmc run loaded scipy.stats"
+rng = np.random.default_rng(0)
+nvlab.compare_distributions(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
+assert "scipy.stats" in sys.modules, "the KS comparison ran without scipy.stats"
+"""
+
+
+def test_scipy_stats_loads_only_for_the_ks_comparison(tmp_path):
+    # a fresh interpreter: this test session has long since imported scipy.stats
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    res = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "c" / "rate.csv").exists() and (tmp_path / "m" / "mlmc.csv").exists()
