@@ -43,7 +43,6 @@ from .paths import (
     AUX_DOMAIN,
     DW_DOMAIN,
     GridSpec,
-    PathBundle,
     StreamPool,
     coarsen,
     make_bundle_batch,
@@ -182,9 +181,9 @@ def _coupled_ladder(
 
     Each chunk draws one bundle at N_max * refine_factor fine steps and runs
     the reference on it once, at N_max steps. The scheme then runs at every
-    rung on the bundle's N_max increments (wrapped as a bundle of their own,
-    so each rung sums them, not the fine ones) and is compared with the
-    reference at the rung's grid times.
+    rung on the bundle coarsened to N_max steps, so each rung sums the N_max
+    increments, not the fine ones, and is compared with the reference at the
+    rung's grid times.
     """
     N_max = _check_ladder(Ns)
     n_fine = N_max * refine_factor
@@ -193,11 +192,8 @@ def _coupled_ladder(
     def worker(start, count):
         bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, T)
         ref = trajectory(problem, reference, bundle, GridSpec(N_max, T)).states
-        top = coarsen(bundle, N_max)
-        rungs = PathBundle(
-            T=T, n_fine=N_max, d=problem.d, dW=top.dW, eta=top.eta, path_start=start
-        )
-        del bundle, top  # the fine increments are no longer needed
+        rungs = coarsen(bundle, N_max)
+        del bundle  # the fine increments are no longer needed
         out = np.empty((count, len(Ns)))
         for i, N in enumerate(Ns):
             states = trajectory(problem, scheme, rungs, GridSpec(N, T)).states

@@ -27,6 +27,8 @@ Payoff = Callable[[np.ndarray], np.ndarray]
 
 _CALL_RE = re.compile(r"^call\((?P<strike>[-+0-9.eE]+)\)$")
 
+BETA_MIN_LEVEL = 2
+
 
 def parse_payoff(name: str, n: int) -> Payoff:
     """Payoff registry: coord1, coord2, norm2, call(K). Terminal-state maps."""
@@ -112,12 +114,11 @@ def mlmc_estimate(
     master_seed: int,
     n0: int = 1,
     threads: int = 1,
-    beta_min_level: int = 2,
 ) -> MlmcReport:
     """Telescoping estimator of E[f(X_T)] with fixed per-level sample counts.
 
     beta_fit is the OLS slope of -log2(var_diff) against the level, over
-    levels >= beta_min_level (all levels >= 1 if the ladder is too short).
+    levels >= BETA_MIN_LEVEL (all levels >= 1 if the ladder is too short).
     """
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
@@ -148,7 +149,7 @@ def mlmc_estimate(
         estimate += mean
         variance += var / paths_per_level
         total_cost += cost
-    fit_levels = [ls for ls in levels if ls.level >= beta_min_level and ls.var_diff > 0]
+    fit_levels = [ls for ls in levels if ls.level >= BETA_MIN_LEVEL and ls.var_diff > 0]
     if len(fit_levels) < 2:
         fit_levels = [ls for ls in levels if ls.level >= 1 and ls.var_diff > 0]
     if len(fit_levels) >= 2:

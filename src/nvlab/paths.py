@@ -17,6 +17,9 @@ all paths in one vectorised pass (:func:`philox_words`); other streams are
 read through numpy's generator. Both give the same words. Every stream read
 through numpy's generator is positioned by :meth:`StreamPool.seek`, which
 sets the generator's state from plain ints.
+
+The same paths at a coarser resolution are again a :class:`PathBundle`:
+:func:`coarsen` sums the given bundle's increments, once per step count.
 """
 
 from __future__ import annotations
@@ -48,15 +51,6 @@ def _philox_key(master_seed: int) -> tuple[int, int]:
     words = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
     applied = np.random.Philox(key=(int(words[0]), int(words[1]))).state["state"]["key"]
     return int(applied[0]), int(applied[1])
-
-
-def stream(master_seed: int, path_index: int, domain: int = DW_DOMAIN) -> np.random.Generator:
-    """The dedicated generator of one (path, domain) pair."""
-    if path_index < 0:
-        raise ValueError("path_index must be >= 0")
-    counter = (int(domain) << 192) | (int(path_index) << 128)
-    bitgen = np.random.Philox(counter=counter, key=_philox_key(int(master_seed)))
-    return np.random.Generator(bitgen)
 
 
 class StreamPool:
@@ -154,13 +148,13 @@ def philox_words(
     """The first ``words`` raw 64-bit words of the ``domain`` streams of paths
     ``path_start .. path_start + n_paths - 1``, evaluated in one vectorised pass.
 
-    Row i equals ``stream(master_seed, path_start + i, domain).bit_generator
-    .random_raw(words)``: word w is word w % 4 of block w // 4, and numpy
-    increments the counter before it generates a block, so block b is
-    Philox4x64-10 of counter (b + 1, 0, path, domain) under the seed's key.
-    Every (path, block) is one lane; lanes are evaluated PHILOX_TILE at a time,
-    with the 64-bit high products built from 32-bit halves. The result is a
-    little-endian (n_paths, words) view whose rows are contiguous.
+    Row i equals the (path_start + i, domain) stream's ``random_raw(words)``:
+    word w is word w % 4 of block w // 4, and numpy increments the counter
+    before it generates a block, so block b is Philox4x64-10 of counter
+    (b + 1, 0, path, domain) under the seed's key. Every (path, block) is one
+    lane; lanes are evaluated PHILOX_TILE at a time, with the 64-bit high
+    products built from 32-bit halves. The result is a little-endian
+    (n_paths, words) view whose rows are contiguous.
     """
     if path_start < 0:
         raise ValueError("path_index must be >= 0")
@@ -340,23 +334,30 @@ class PathBundle:
 
     dW has shape (paths, n_fine, d) with per-coordinate variance T/n_fine,
     eta has shape (paths, n_fine) with values in {-1, +1}. Arrays are
-    read-only; coarser discretizations are derived views, never mutations.
+    read-only; a coarser discretization is a bundle of its own, built by
+    :func:`coarsen`, never a mutation.
     Row i is path ``path_start + i`` of the master seed's stream numbering.
     """
 
     T: float
-    n_fine: int
-    d: int
     dW: np.ndarray
     eta: np.ndarray
     path_start: int = 0
-    # coarse (dW, eta) arrays by step count, filled by coarsen(); it holds
-    # arrays only, so a bundle is freed as soon as its last reference goes
+    # coarse bundles by step count, filled by coarsen(); they do not refer
+    # back, so a bundle is freed as soon as its last reference goes
     _coarse: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def paths(self) -> int:
         return self.dW.shape[0]
+
+    @property
+    def n_fine(self) -> int:
+        return self.dW.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.dW.shape[2]
 
     @property
     def h(self) -> float:
@@ -368,10 +369,10 @@ def make_bundle_batch(
 ) -> PathBundle:
     """Bundle for path indices path_start .. path_start + n_paths - 1.
 
-    Row i holds the normals of ``stream(master_seed, path_start + i)``,
-    scaled, and the signs of ``stream(master_seed, path_start + i,
-    ETA_DOMAIN)``, so it is bit-deterministic in (master_seed, path index):
-    batching is a packing detail, not part of the random stream.
+    Row i holds the normals of the (path_start + i, DW_DOMAIN) stream, scaled,
+    and the signs of the (path_start + i, ETA_DOMAIN) stream, so it is
+    bit-deterministic in (master_seed, path index): batching is a packing
+    detail, not part of the random stream.
     """
     if N_fine < 1 or d < 1:
         raise ValueError("N_fine and d must be >= 1")
@@ -390,48 +391,28 @@ def make_bundle_batch(
     eta = rademacher_from_raw(raw, N_fine)
     dW.setflags(write=False)
     eta.setflags(write=False)
-    return PathBundle(T=T, n_fine=N_fine, d=d, dW=dW, eta=eta, path_start=path_start)
+    return PathBundle(T=T, dW=dW, eta=eta, path_start=path_start)
 
 
-@dataclass(frozen=True)
-class CoarseIncrements:
-    """Increments of a bundle aggregated onto a coarser grid.
+def coarsen(bundle: PathBundle, N_coarse: int) -> PathBundle:
+    """The bundle on an N_coarse-step grid; N_coarse must divide its step count.
 
-    Coarse increment k is the sum of the fine increments inside
-    (t_k, t_{k+1}]; the coarse sign is the one of the first fine sub-step in
-    the block. Aggregation always starts from the finest data, so chained
-    coarsenings are bit-identical to direct ones. The arrays are computed once
-    per (bundle, N) and shared by every view; at N = n_fine they are the
-    bundle's own arrays.
+    Coarse increment k is the sum of the bundle's increments inside
+    (t_k, t_{k+1}]; the coarse sign is the one of the first sub-step in the
+    block. A coarse bundle is computed once per (bundle, N_coarse); at the
+    bundle's own step count it is the bundle itself.
     """
-
-    base: PathBundle
-    N: int
-    dW: np.ndarray
-    eta: np.ndarray
-
-    @property
-    def h(self) -> float:
-        return self.base.T / self.N
-
-
-def coarsen(source: PathBundle | CoarseIncrements, N_coarse: int) -> CoarseIncrements:
-    """Aggregate increments onto an N_coarse-step grid; N_coarse must divide."""
-    if isinstance(source, CoarseIncrements):
-        if N_coarse > source.N or source.N % N_coarse != 0:
-            raise ValueError(f"N_coarse={N_coarse} does not divide N={source.N}")
-        return coarsen(source.base, N_coarse)
-    if N_coarse < 1 or source.n_fine % N_coarse != 0:
-        raise ValueError(f"N_coarse={N_coarse} does not divide N_fine={source.n_fine}")
-    block = source.n_fine // N_coarse
-    if block == 1:
-        return CoarseIncrements(base=source, N=N_coarse, dW=source.dW, eta=source.eta)
-    arrays = source._coarse.get(N_coarse)
-    if arrays is None:
-        paths = source.dW.shape[0]
-        dW = source.dW.reshape(paths, N_coarse, block, source.d).sum(axis=2)
-        eta = source.eta[:, ::block].copy()
+    n = bundle.n_fine
+    if N_coarse < 1 or n % N_coarse != 0:
+        raise ValueError(f"N_coarse={N_coarse} does not divide N_fine={n}")
+    if N_coarse == n:
+        return bundle
+    coarse = bundle._coarse.get(N_coarse)
+    if coarse is None:
+        block = n // N_coarse
+        dW = bundle.dW.reshape(bundle.paths, N_coarse, block, bundle.d).sum(axis=2)
+        eta = bundle.eta[:, ::block].copy()
         dW.setflags(write=False)
         eta.setflags(write=False)
-        arrays = source._coarse[N_coarse] = (dW, eta)
-    return CoarseIncrements(base=source, N=N_coarse, dW=arrays[0], eta=arrays[1])
+        coarse = bundle._coarse[N_coarse] = PathBundle(bundle.T, dW, eta, bundle.path_start)
+    return coarse

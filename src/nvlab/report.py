@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import subprocess
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +35,24 @@ def fmt(value) -> str:
     return str(value)
 
 
+@lru_cache(maxsize=1)
 def git_describe() -> str:
-    """Revision of the checkout holding this package, whatever the working directory."""
+    """Revision of the checkout holding this package, whatever the working directory.
+
+    It is "unknown" unless this file is tracked in the repository git finds
+    from the package directory: git walks up to any enclosing repository, and
+    an untracked copy of the package inside one is not that repository's code.
+    """
+    here = Path(__file__).resolve()
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=here.parent, capture_output=True, timeout=10)
+
     try:
-        res = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if res.returncode == 0:
-            return res.stdout.strip()
+        if git("ls-files", "--error-unmatch", here.name).returncode == 0:
+            res = git("describe", "--always", "--dirty")
+            if res.returncode == 0:
+                return res.stdout.decode().strip()
     except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"

@@ -23,15 +23,17 @@ Schemes (selector strings in parentheses):
 
 States are rows: the scheme layer holds a batch of states as one (n, paths)
 array, so coordinate i of every path is the contiguous row ``x[i]``. Every
-scheme is one kernel run by one march, ``_march``, which reads the increments
-and signs in time-major blocks (:func:`~nvlab.paths.time_major_blocks`) and
-hands the kernel, at each step, the state rows (n, paths), the step's
-increments as rows (d, paths) and one boolean sweep row (paths,), True where
-the sign is +1. The ``nv`` kernel runs both sweep orders over every path and
-keeps one per path with ``np.where`` over whole rows; every flow acts path by
-path, so this is bit-identical to sweeping each path alone. A kept state is
-written as one contiguous (n, paths) row of a time-major record
-(records, n, paths); :class:`Trajectory` exposes it as (paths, records, n).
+scheme is one kernel run by one march, ``_march``, over the bundle that
+:func:`~nvlab.paths.coarsen` gives at the scheme's grid. The march reads the
+increments and signs in time-major blocks
+(:func:`~nvlab.paths.time_major_blocks`) and hands the kernel, at each step,
+the state rows (n, paths), the step's increments as rows (d, paths) and one
+boolean sweep row (paths,), True where the sign is +1. The ``nv`` kernel
+runs both sweep orders over every path and keeps one per path with
+``np.where`` over whole rows; every flow acts path by path, so this is
+bit-identical to sweeping each path alone. A kept state is written as one
+contiguous (n, paths) row of a time-major record (records, n, paths);
+:class:`Trajectory` exposes it as (paths, records, n).
 
 Worked ordering example (``heisenberg``, fields s1=(1,0), s2=(0,x1), zero
 drift): from x=(0,0) with sign +1 the s1 flow acts first, so the step lands on
@@ -47,7 +49,7 @@ import numpy as np
 
 from .flows import FlowExplosionError, flow_unchecked
 from .models import Problem
-from .paths import CoarseIncrements, GridSpec, PathBundle, coarsen, time_major_blocks
+from .paths import GridSpec, PathBundle, coarsen, time_major_blocks
 
 SCHEME_IDS = ("nv", "discrete-nv", "euler", "exact")
 
@@ -61,7 +63,6 @@ class Trajectory:
     transpose of one contiguous row; a closed form returns its own array.
     """
 
-    grid: GridSpec
     states: np.ndarray  # (paths, N+1, n)
     label: str
 
@@ -159,8 +160,8 @@ def _explosion(problem: Problem, label: str, records: np.ndarray, dt: float, pat
 # ---------------------------------------------------------------------------
 
 
-def _march(problem, kernel, label, increments: CoarseIncrements | PathBundle, record_stride=1):
-    """Apply ``kernel`` at every step of ``increments``, recording every
+def _march(problem, kernel, label, bundle: PathBundle, record_stride=1):
+    """Apply ``kernel`` at every step of ``bundle``, recording every
     ``record_stride`` steps; the records are time-major rows
     (steps // record_stride + 1, n, paths), record k the states at step
     k * record_stride.
@@ -168,7 +169,7 @@ def _march(problem, kernel, label, increments: CoarseIncrements | PathBundle, re
     The increments and signs are read in time-major blocks, so a step's
     kernel gets contiguous rows (d, paths) and a boolean sweep row (paths,).
     """
-    dW, eta, h = increments.dW, increments.eta, increments.h
+    dW, eta, h = bundle.dW, bundle.eta, bundle.h
     paths, steps = dW.shape[:2]
     records = np.empty((steps // record_stride + 1, problem.n, paths))
     x = records[0]
@@ -183,7 +184,6 @@ def _march(problem, kernel, label, increments: CoarseIncrements | PathBundle, re
     # one explosion check for the whole sweep: non-finite values propagate
     # through every kernel, so the last recorded states carry the evidence
     if not np.all(np.isfinite(x)):
-        bundle = getattr(increments, "base", increments)
         raise _explosion(problem, label, records, h * record_stride, bundle.path_start)
     return records
 
@@ -208,7 +208,7 @@ def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, grid: Grid
     """The shared driver: ``kernel`` marched on the bundle coarsened to the grid."""
     _check_grid(problem, bundle, grid)
     records = _march(problem, kernel, label, coarsen(bundle, grid.N))
-    return Trajectory(grid=grid, states=_states(records), label=label)
+    return Trajectory(states=_states(records), label=label)
 
 
 def nv_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
@@ -230,14 +230,14 @@ def exact_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Tr
     _check_grid(problem, bundle, grid)
     if problem.exact_solution is not None:
         states = problem.exact_solution(problem, bundle, grid)
-        return Trajectory(grid=grid, states=states, label="exact")
+        return Trajectory(states=states, label="exact")
     if bundle.n_fine == grid.N:
         raise ValueError(
             f"problem {problem.name!r} has no closed form and the bundle has no "
             "refinement to build a proxy reference from"
         )
     records = _march(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine // grid.N)
-    return Trajectory(grid=grid, states=_states(records), label="nv-proxy")
+    return Trajectory(states=_states(records), label="nv-proxy")
 
 
 def trajectory(problem: Problem, scheme: str, bundle: PathBundle, grid: GridSpec) -> Trajectory:

@@ -7,6 +7,8 @@ test directories are collected in one session.
 
 import numpy as np
 
+from nvlab.paths import DW_DOMAIN, _philox_key
+
 
 def sample_states(problem, count=100, seed=1234, spread=1.0):
     """Fixed random states around the starting point, for algebra oracles."""
@@ -32,3 +34,13 @@ def jacobian_bracket(fields, j, m, x):
     """Oracle for the Lie bracket from the coefficient callables:
     [sigma^j, sigma^m] = (d sigma^m) sigma^j - (d sigma^j) sigma^m."""
     return _dsigma_sigma(fields, m, j, x) - _dsigma_sigma(fields, j, m, x)
+
+
+def stream(master_seed, path_index, domain=DW_DOMAIN):
+    """A fresh generator of one (path, domain) stream, built from its counter
+    (domain << 192 | path_index << 128) and the seed's key."""
+    if path_index < 0:
+        raise ValueError("path_index must be >= 0")
+    counter = (int(domain) << 192) | (int(path_index) << 128)
+    bitgen = np.random.Philox(counter=counter, key=_philox_key(int(master_seed)))
+    return np.random.Generator(bitgen)

@@ -80,8 +80,6 @@ def test_strong_error_ladder_matches_per_rung_oracle(name, scheme):
         block = N_max // N
         rung = PathBundle(
             T=problem.T,
-            n_fine=N,
-            d=problem.d,
             dW=top.dW.reshape(paths, N, block, problem.d).sum(axis=2),
             eta=top.eta[:, ::block],
         )

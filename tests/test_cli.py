@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -340,6 +341,46 @@ def test_git_describe_reads_the_package_checkout(tmp_path, monkeypatch):
     expected = res.stdout.strip() if res.returncode == 0 else "unknown"
     monkeypatch.chdir(tmp_path)  # not a checkout: the cwd must not matter
     assert report.git_describe() == expected
+
+
+def test_git_describe_ignores_an_enclosing_repository_not_tracking_the_package(tmp_path):
+    # a copy of the package inside an unrelated repository is not that
+    # repository's code until the repository tracks it
+    identity = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *identity, *args], cwd=tmp_path, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    try:
+        git("init", "-q")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("git is not available")
+    (tmp_path / "README").write_text("unrelated\n")
+    git("add", "README")
+    git("commit", "-q", "-m", "unrelated")
+    shutil.copytree(
+        Path(report.__file__).resolve().parent,
+        tmp_path / "nvlab",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    probe = "import nvlab, nvlab.report as r; print(nvlab.__file__); print(r.git_describe())"
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+
+    def describe():
+        res = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        module, revision = res.stdout.split()
+        assert Path(module).parent == tmp_path / "nvlab"
+        return revision
+
+    assert describe() == "unknown"
+    git("add", "nvlab")
+    git("commit", "-q", "-m", "track the copy")
+    assert describe() == git("describe", "--always", "--dirty")
 
 
 def test_metadata_paths_is_the_command_path_count():

@@ -99,7 +99,7 @@ def test_flow_explosion_raises():
         assert np.isinf(flow_unchecked(growth, 1, 1e3, np.array([5.0]))).all()
     # a scheme step through that flow names the problem, scheme, step and path
     dW = np.array([[[0.1], [0.1]], [[0.1], [1e3]]])
-    bundle = PathBundle(T=1.0, n_fine=2, d=1, dW=dW, eta=np.ones((2, 2), np.int8), path_start=7)
+    bundle = PathBundle(T=1.0, dW=dW, eta=np.ones((2, 2), np.int8), path_start=7)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
         trajectory(growth, "nv", bundle, GridSpec(2, 1.0))
     err = info.value

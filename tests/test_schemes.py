@@ -33,7 +33,7 @@ def _one_step_bundle(dW, eta, h):
     """A hand-made one-step bundle: row i has increments dW[i] and sign eta[i]."""
     dW = np.atleast_2d(np.asarray(dW, dtype=float))
     eta = np.broadcast_to(np.asarray(eta, dtype=np.int8), (len(dW),))
-    return PathBundle(T=h, n_fine=1, d=dW.shape[1], dW=dW[:, None, :], eta=eta[:, None].copy())
+    return PathBundle(T=h, dW=dW[:, None, :], eta=eta[:, None].copy())
 
 
 def _one_step(problem, scheme, x, dW, eta=1, h=0.1):
@@ -206,7 +206,7 @@ def test_gbm_scheme_exact_at_all_grid_points(gbm, N):
 def test_zero_increments_constant_trajectory(heisenberg):
     dW = np.zeros((2, 8, 2))
     eta = np.ones((2, 8), dtype=np.int8)
-    bundle = PathBundle(T=1.0, n_fine=8, d=2, dW=dW, eta=eta)
+    bundle = PathBundle(T=1.0, dW=dW, eta=eta)
     traj = nv_trajectory(heisenberg, bundle, GridSpec(8, 1.0))
     assert np.array_equal(traj.states, np.zeros((2, 9, 2)))
 
@@ -219,7 +219,7 @@ def test_explosion_names_scheme_step_and_path(gbm, scheme, big, step):
     dW = np.full((2, 4, 1), 0.1)
     dW[1, 1:3, 0] = big
     eta = np.ones((2, 4), dtype=np.int8)
-    bundle = PathBundle(T=1.0, n_fine=4, d=1, dW=dW, eta=eta, path_start=100)
+    bundle = PathBundle(T=1.0, dW=dW, eta=eta, path_start=100)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
         trajectory(gbm, scheme, bundle, GridSpec(4, 1.0))
     err = info.value
@@ -237,7 +237,7 @@ def test_explosion_in_second_block_names_scheme_step_and_path(gbm, scheme, big, 
     dW = np.full((6, 130, 1), 0.01)
     dW[3, 10:12, 0] = big
     eta = np.where(np.arange(130) % 3 == 0, 1, -1).astype(np.int8) * np.ones((6, 1), np.int8)
-    bundle = PathBundle(T=1.0, n_fine=130, d=1, dW=dW, eta=eta, path_start=500)
+    bundle = PathBundle(T=1.0, dW=dW, eta=eta, path_start=500)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
         trajectory(gbm, scheme, bundle, GridSpec(130, 1.0))
     err = info.value
@@ -251,7 +251,7 @@ def test_proxy_explosion_in_second_block_names_recorded_step_and_path(diag_comm)
     dW = 0.05 * rng.standard_normal((5, 130, 2))
     dW[2, 11, 1] = 2e3
     eta = np.where(rng.random((5, 130)) < 0.5, 1, -1).astype(np.int8)
-    bundle = PathBundle(T=1.0, n_fine=130, d=2, dW=dW, eta=eta, path_start=40)
+    bundle = PathBundle(T=1.0, dW=dW, eta=eta, path_start=40)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
         exact_trajectory(diag_comm, bundle, GridSpec(2, 1.0))
     err = info.value
@@ -420,9 +420,7 @@ def test_time_major_march_matches_path_major_reference(name, scheme, paths, monk
             dW = rng.standard_normal((paths, steps, problem.d)) / np.sqrt(steps)
             mixed = np.where(rng.random((paths, steps)) < 0.5, 1, -1)
             for eta in (np.ones_like(mixed), -np.ones_like(mixed), mixed):
-                bundle = PathBundle(
-                    T=1.0, n_fine=steps, d=problem.d, dW=dW, eta=eta.astype(np.int8)
-                )
+                bundle = PathBundle(T=1.0, dW=dW, eta=eta.astype(np.int8))
                 want = _path_major_march(problem, reference, bundle)
                 for stride in (1, 64):
                     got = _march(problem, kernel, scheme, bundle, stride)
