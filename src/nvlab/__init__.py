@@ -28,7 +28,7 @@ from .catalog import PROBLEM_IDS, catalog, get_problem
 from .flows import FlowExplosionError
 from .mlmc import LevelStats, MlmcReport, level_difference_samples, mlmc_estimate, parse_payoff
 from .models import BracketTable, Problem, VectorFieldSet, build_bracket_table
-from .paths import GridSpec, PathBundle, coarsen, make_bundle_batch
+from .paths import PathBundle, coarsen, make_bundle_batch
 from .schemes import (
     SCHEME_IDS,
     Trajectory,
@@ -42,7 +42,6 @@ __all__ = [
     "BracketTable",
     "ErrorPoint",
     "FlowExplosionError",
-    "GridSpec",
     "LevelStats",
     "LimitLawReport",
     "MlmcReport",

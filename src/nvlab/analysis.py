@@ -42,7 +42,6 @@ from .models import Problem
 from .paths import (
     AUX_DOMAIN,
     DW_DOMAIN,
-    GridSpec,
     StreamPool,
     coarsen,
     make_bundle_batch,
@@ -56,9 +55,9 @@ from .util import STAT_BATCHES, run_paths, split_paths
 LIMIT_SEED_STRIDE = 2**32
 
 
-def _batch_mean_se(values: np.ndarray, batches: int = STAT_BATCHES) -> tuple[float, float]:
+def _batch_mean_se(values: np.ndarray) -> tuple[float, float]:
     """Grand mean and its standard error from contiguous batch means."""
-    slices = split_paths(len(values), batches)
+    slices = split_paths(len(values), STAT_BATCHES)
     means = np.array([values[s : s + c].mean() for s, c in slices])
     grand = float(values.mean())
     if len(means) < 2:
@@ -66,10 +65,10 @@ def _batch_mean_se(values: np.ndarray, batches: int = STAT_BATCHES) -> tuple[flo
     return grand, float(np.std(means, ddof=1) / math.sqrt(len(means)))
 
 
-def _batch_var_se(values: np.ndarray, batches: int = STAT_BATCHES) -> tuple[float, float]:
+def _batch_var_se(values: np.ndarray) -> tuple[float, float]:
     """Sample variance and its standard error from contiguous batch variances."""
     var = float(np.var(values, ddof=1))
-    slices = [(s, c) for s, c in split_paths(len(values), batches) if c >= 2]
+    slices = [(s, c) for s, c in split_paths(len(values), STAT_BATCHES) if c >= 2]
     if len(slices) < 2:
         return var, 0.0
     bvars = np.array([np.var(values[s : s + c], ddof=1) for s, c in slices])
@@ -187,16 +186,15 @@ def _coupled_ladder(
     """
     N_max = _check_ladder(Ns)
     n_fine = N_max * refine_factor
-    T = problem.T
 
     def worker(start, count):
-        bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, T)
-        ref = trajectory(problem, reference, bundle, GridSpec(N_max, T)).states
+        bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
+        ref = trajectory(problem, reference, bundle, N_max).states
         rungs = coarsen(bundle, N_max)
         del bundle  # the fine increments are no longer needed
         out = np.empty((count, len(Ns)))
         for i, N in enumerate(Ns):
-            states = trajectory(problem, scheme, rungs, GridSpec(N, T)).states
+            states = trajectory(problem, scheme, rungs, N).states
             sup = np.linalg.norm(ref[:, :: N_max // N] - states, axis=2).max(axis=1)
             out[:, i] = sup ** (2 * p)
         return out
@@ -307,13 +305,12 @@ def normalized_error_samples(
     """Per-path rescaled terminal error sqrt(N)(X_T - X^nv_T), shape (paths, n)."""
     _check_reference(problem, refine_factor)
     n_fine = N * refine_factor
-    grid = GridSpec(N, problem.T)
     scale = math.sqrt(N)
 
     def worker(start, count):
         bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
-        ref = trajectory(problem, "exact", bundle, grid).terminal()
-        nv = trajectory(problem, "nv", bundle, grid).terminal()
+        ref = trajectory(problem, "exact", bundle, N).terminal()
+        nv = trajectory(problem, "nv", bundle, N).terminal()
         return scale * (ref - nv)
 
     return run_paths(paths, n_fine * (problem.d + 3), threads, worker, width=problem.n)

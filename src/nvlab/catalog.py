@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import Problem, VectorFieldSet
-from .paths import GridSpec, PathBundle, coarsen
+from .paths import PathBundle, coarsen
 
 
 def _times(t):
@@ -36,15 +36,15 @@ GBM_MU = 0.1
 GBM_SIGMA = 0.5
 
 
-def _gbm_exact(problem: Problem, bundle: PathBundle, grid: GridSpec) -> np.ndarray:
-    """x0 * exp((mu - s^2/2) t_k + s W_{t_k}) on the grid."""
-    view = coarsen(bundle, grid.N)
-    paths = bundle.paths
+def _gbm_exact(problem: Problem, bundle: PathBundle, N: int) -> np.ndarray:
+    """x0 * exp((mu - s^2/2) t_k + s W_{t_k}) on the N-step grid."""
+    view = coarsen(bundle, N)
     W = np.concatenate(
-        [np.zeros((paths, 1)), np.cumsum(view.dW[:, :, 0], axis=1)], axis=1
+        [np.zeros((bundle.paths, 1)), np.cumsum(view.dW[:, :, 0], axis=1)], axis=1
     )
     rate = GBM_MU - 0.5 * GBM_SIGMA**2
-    states = problem.x0[0] * np.exp(rate * grid.times()[None, :] + GBM_SIGMA * W)
+    times = np.arange(N + 1) * (bundle.T / N)  # the grid times, t_k = k T / N
+    states = problem.x0[0] * np.exp(rate * times[None, :] + GBM_SIGMA * W)
     return states[:, :, None]
 
 
@@ -64,7 +64,6 @@ def _make_gbm1d() -> Problem:
         fields=fields,
         x0=np.array([1.0]),
         T=1.0,
-        commutative=True,
         exact_solution=_gbm_exact,
         description="scalar geometric Brownian motion, mu=0.1, sigma=0.5",
     )
@@ -75,20 +74,19 @@ def _make_gbm1d() -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def _heisenberg_exact(problem: Problem, bundle: PathBundle, grid: GridSpec) -> np.ndarray:
+def _heisenberg_exact(problem: Problem, bundle: PathBundle, N: int) -> np.ndarray:
     """X1 = W^1; X2 = int W^1 dW^2 as a left-point Ito sum on the fine grid.
 
     X1 is accumulated from the coarse increments in step order, which matches
     the scheme's additions bit for bit. X2 needs the fine resolution: the
     within-step iterated integral is exactly what the scheme cannot see.
     """
-    view = coarsen(bundle, grid.N)
-    paths, N = bundle.paths, grid.N
+    view = coarsen(bundle, N)
     block = bundle.n_fine // N
-    states = np.zeros((paths, N + 1, 2))
+    states = np.zeros((bundle.paths, N + 1, 2))
     np.cumsum(view.dW[:, :, 0], axis=1, out=states[:, 1:, 0])
     # one fine-resolution buffer: left-point W^1, then W^1 dW^2, then its running sum
-    acc = np.empty((paths, bundle.n_fine))
+    acc = np.empty((bundle.paths, bundle.n_fine))
     acc[:, 0] = 0.0
     np.cumsum(bundle.dW[:, :-1, 0], axis=1, out=acc[:, 1:])
     acc *= bundle.dW[:, :, 1]
@@ -126,7 +124,6 @@ def _make_heisenberg() -> Problem:
         fields=fields,
         x0=zero2,
         T=1.0,
-        commutative=False,
         exact_solution=_heisenberg_exact,
         description="nilpotent non-commutative pair, bracket [s2,s1] = (0,-1)",
     )
@@ -187,7 +184,6 @@ def _make_diag_comm() -> Problem:
         fields=fields,
         x0=np.array([1.0, 1.0]),
         T=1.0,
-        commutative=True,
         exact_solution=None,
         description="commuting diagonal-linear noise with a coupling drift",
     )
@@ -232,7 +228,6 @@ def _make_linear_nc() -> Problem:
         fields=fields,
         x0=np.array([1.0, 0.5]),
         T=1.0,
-        commutative=False,
         exact_solution=None,
         description="non-commuting linear fields, matrix-exponential flows",
     )

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .models import Problem
-from .paths import GridSpec, make_bundle_batch
+from .paths import make_bundle_batch
 from .schemes import nv_trajectory
 from .util import run_paths
 
@@ -76,7 +76,7 @@ class MlmcReport:
 
 def level_difference_samples(
     problem: Problem,
-    payoff: str | Payoff,
+    payoff: str,
     level: int,
     paths: int,
     master_seed: int,
@@ -86,21 +86,27 @@ def level_difference_samples(
     """Coupled samples f(fine_T) - f(coarse_T) at one level (plain f at level 0).
 
     Both discretizations share one bundle; levels are kept independent by
-    giving level l the path indices [l*paths, (l+1)*paths).
+    giving level l the path indices [l*paths, (l+1)*paths). A non-finite
+    sample raises :class:`FloatingPointError` naming the problem, the payoff,
+    the level and the first such path.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    f = parse_payoff(payoff, problem.n) if isinstance(payoff, str) else payoff
+    f = parse_payoff(payoff, problem.n)
     n_l = n0 * 2**level
-    grid_f = GridSpec(n_l, problem.T)
-    grid_c = GridSpec(n0 * 2 ** (level - 1), problem.T) if level > 0 else None
     offset = level * paths
 
     def worker(start, count):
         bundle = make_bundle_batch(master_seed, offset + start, count, n_l, problem.d, problem.T)
-        vals = f(nv_trajectory(problem, bundle, grid_f).terminal())
-        if grid_c is not None:
-            vals = vals - f(nv_trajectory(problem, bundle, grid_c).terminal())
+        vals = f(nv_trajectory(problem, bundle, n_l).terminal())
+        if level > 0:
+            vals = vals - f(nv_trajectory(problem, bundle, n_l // 2).terminal())
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise FloatingPointError(
+                f"non-finite {payoff} payoff on problem {problem.name!r} at level {level}: "
+                f"first at path {offset + start + int(np.argmax(bad))}"
+            )
         return vals
 
     return run_paths(paths, n_l * (problem.d + 2), threads, worker)
@@ -165,5 +171,5 @@ def mlmc_estimate(
         total_cost=total_cost,
         beta_fit=beta,
         problem=problem.name,
-        payoff=payoff if isinstance(payoff, str) else getattr(payoff, "__name__", "custom"),
+        payoff=payoff,
     )

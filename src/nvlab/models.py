@@ -136,9 +136,9 @@ def build_bracket_table(fields: VectorFieldSet) -> BracketTable:
     return BracketTable(entries=entries)
 
 
-# exact_solution signature: (problem, bundle, grid) -> states (paths, N+1, n),
-# evaluated at the grid times from the bundle's fine increments.
-ExactSolution = Callable[["Problem", "object", "object"], np.ndarray]
+# exact_solution signature: (problem, bundle, N) -> states (paths, N+1, n) at
+# the N-step grid's times on the bundle's horizon, from its fine increments.
+ExactSolution = Callable[["Problem", "object", int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,6 @@ class Problem:
     fields: VectorFieldSet
     x0: np.ndarray
     T: float
-    commutative: bool
     exact_solution: Optional[ExactSolution] = None
     description: str = ""
 
@@ -168,6 +167,12 @@ class Problem:
     @property
     def d(self) -> int:
         return self.fields.d
+
+    @property
+    def commutative(self) -> bool:
+        """True when every Brownian pair's bracket matrices (C, e) are exactly zero."""
+        pairs = ((j, m) for j in range(2, self.d + 1) for m in range(1, j))
+        return not any(M.any() for p in pairs for M in self.fields.bracket_matrices(*p))
 
     def brackets(self) -> BracketTable:
         return build_bracket_table(self.fields)

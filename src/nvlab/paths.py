@@ -308,34 +308,14 @@ def time_major_blocks(*arrays: np.ndarray):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid with N steps on [0, T]."""
-
-    N: int
-    T: float
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if not self.T > 0:
-            raise ValueError("T must be > 0")
-
-    @property
-    def h(self) -> float:
-        return self.T / self.N
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.N + 1) * self.h
-
-
-@dataclass(frozen=True)
 class PathBundle:
     """Brownian increments and Rademacher signs for a batch of paths.
 
     dW has shape (paths, n_fine, d) with per-coordinate variance T/n_fine,
     eta has shape (paths, n_fine) with values in {-1, +1}. Arrays are
     read-only; a coarser discretization is a bundle of its own, built by
-    :func:`coarsen`, never a mutation.
+    :func:`coarsen`, never a mutation. A grid on the bundle is a step count N
+    dividing n_fine, with step T/N on the bundle's horizon T > 0.
     Row i is path ``path_start + i`` of the master seed's stream numbering.
     """
 
@@ -346,6 +326,10 @@ class PathBundle:
     # coarse bundles by step count, filled by coarsen(); they do not refer
     # back, so a bundle is freed as soon as its last reference goes
     _coarse: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.T > 0:
+            raise ValueError("T must be > 0")
 
     @property
     def paths(self) -> int:

@@ -24,13 +24,13 @@ Schemes (selector strings in parentheses):
 States are rows: the scheme layer holds a batch of states as one (n, paths)
 array, so coordinate i of every path is the contiguous row ``x[i]``. Every
 scheme is one kernel run by one march, ``_march``, over the bundle that
-:func:`~nvlab.paths.coarsen` gives at the scheme's grid. The march reads the
-increments and signs in time-major blocks
-(:func:`~nvlab.paths.time_major_blocks`) and hands the kernel, at each step,
-the state rows (n, paths), the step's increments as rows (d, paths) and one
-boolean sweep row (paths,), True where the sign is +1. The ``nv`` kernel
-runs both sweep orders over every path and keeps one per path with
-``np.where`` over whole rows; every flow acts path by path, so this is
+:func:`~nvlab.paths.coarsen` gives at the scheme's grid, a step count N on the
+bundle's horizon T (step T/N). The march reads the increments and signs in
+time-major blocks (:func:`~nvlab.paths.time_major_blocks`) and hands the
+kernel, at each step, the state rows (n, paths), the step's increments as rows
+(d, paths) and one boolean sweep row (paths,), True where the sign is +1. The
+``nv`` kernel runs both sweep orders over every path and keeps one per path
+with ``np.where`` over whole rows; every flow acts path by path, so this is
 bit-identical to sweeping each path alone. A kept state is written as one
 contiguous (n, paths) row of a time-major record (records, n, paths);
 :class:`Trajectory` exposes it as (paths, records, n).
@@ -49,14 +49,14 @@ import numpy as np
 
 from .flows import FlowExplosionError, flow_unchecked
 from .models import Problem
-from .paths import GridSpec, PathBundle, coarsen, time_major_blocks
+from .paths import PathBundle, coarsen, time_major_blocks
 
 SCHEME_IDS = ("nv", "discrete-nv", "euler", "exact")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Scheme states at the grid times, states[:, k] at time k*h.
+    """Scheme states on an N-step grid, states[:, k] at time k * bundle.T / N.
 
     ``states`` is (paths, N+1, n). For a marched scheme it is a view of the
     march's time-major rows (N+1, n, paths), so ``states[:, k]`` is the
@@ -193,63 +193,61 @@ def _states(records: np.ndarray) -> np.ndarray:
     return np.moveaxis(records, -1, 0)
 
 
-def _check_grid(problem: Problem, bundle: PathBundle, grid: GridSpec):
+def _check_grid(problem: Problem, bundle: PathBundle, N: int):
     if bundle.d != problem.d:
         raise ValueError(
             f"bundle has d={bundle.d} Brownian coordinates, problem has d={problem.d}"
         )
-    if bundle.T != grid.T:
-        raise ValueError(f"bundle horizon {bundle.T} != grid horizon {grid.T}")
-    if bundle.n_fine % grid.N != 0:
-        raise ValueError(f"grid N={grid.N} does not divide bundle N_fine={bundle.n_fine}")
+    if N < 1 or bundle.n_fine % N != 0:
+        raise ValueError(f"grid N={N} is not a step count dividing N_fine={bundle.n_fine}")
 
 
-def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, grid: GridSpec) -> Trajectory:
-    """The shared driver: ``kernel`` marched on the bundle coarsened to the grid."""
-    _check_grid(problem, bundle, grid)
-    records = _march(problem, kernel, label, coarsen(bundle, grid.N))
+def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, N: int) -> Trajectory:
+    """The shared driver: ``kernel`` marched on the bundle coarsened to N steps."""
+    _check_grid(problem, bundle, N)
+    records = _march(problem, kernel, label, coarsen(bundle, N))
     return Trajectory(states=_states(records), label=label)
 
 
-def nv_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
-    return _scheme(problem, _nv_kernel, "nv", bundle, grid)
+def nv_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory:
+    return _scheme(problem, _nv_kernel, "nv", bundle, N)
 
 
-def discrete_nv_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
-    return _scheme(problem, _discrete_nv_kernel, "discrete-nv", bundle, grid)
+def discrete_nv_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory:
+    return _scheme(problem, _discrete_nv_kernel, "discrete-nv", bundle, N)
 
 
-def exact_trajectory(problem: Problem, bundle: PathBundle, grid: GridSpec) -> Trajectory:
-    """Reference states at the grid times.
+def exact_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory:
+    """Reference states at the times of the N-step grid.
 
     Uses the problem's closed form when available (evaluated from the bundle's
     fine increments, so iterated integrals are resolved at fine resolution);
     otherwise falls back to the splitting scheme at the bundle's full fine
     resolution, which requires the bundle to actually be finer than the grid.
     """
-    _check_grid(problem, bundle, grid)
+    _check_grid(problem, bundle, N)
     if problem.exact_solution is not None:
-        states = problem.exact_solution(problem, bundle, grid)
+        states = problem.exact_solution(problem, bundle, N)
         return Trajectory(states=states, label="exact")
-    if bundle.n_fine == grid.N:
+    if bundle.n_fine == N:
         raise ValueError(
             f"problem {problem.name!r} has no closed form and the bundle has no "
             "refinement to build a proxy reference from"
         )
-    records = _march(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine // grid.N)
+    records = _march(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine // N)
     return Trajectory(states=_states(records), label="nv-proxy")
 
 
-def trajectory(problem: Problem, scheme: str, bundle: PathBundle, grid: GridSpec) -> Trajectory:
-    """Run one scheme by selector string ("nv", "discrete-nv", "euler", "exact")."""
+def trajectory(problem: Problem, scheme: str, bundle: PathBundle, N: int) -> Trajectory:
+    """Run one scheme by selector string ("nv", "discrete-nv", "euler", "exact") at N steps."""
     # the named drivers are looked up as module globals on every call, so a
     # rebinding of them (tracing, say) also covers calls made through here
     if scheme == "nv":
-        return nv_trajectory(problem, bundle, grid)
+        return nv_trajectory(problem, bundle, N)
     if scheme == "discrete-nv":
-        return discrete_nv_trajectory(problem, bundle, grid)
+        return discrete_nv_trajectory(problem, bundle, N)
     if scheme == "euler":
-        return _scheme(problem, _euler_kernel, "euler", bundle, grid)
+        return _scheme(problem, _euler_kernel, "euler", bundle, N)
     if scheme == "exact":
-        return exact_trajectory(problem, bundle, grid)
+        return exact_trajectory(problem, bundle, N)
     raise KeyError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEME_IDS)}")

@@ -16,22 +16,28 @@ def sample_states(problem, count=100, seed=1234, spread=1.0):
     return problem.x0[None, :] + spread * rng.standard_normal((count, problem.n))
 
 
+def _field(fields, k, x):
+    """sigma^k(x) = A[k] x + c[k] from the matrices, 0 the drift b."""
+    return np.einsum("ik,...k->...i", fields.A[k], x) + fields.c[k]
+
+
 def _dsigma_sigma(fields, j, m, x):
-    """(d sigma^j) sigma^m at x from the coefficient callables, 1-based."""
-    return np.einsum("...ik,...k->...i", fields.jac_sigma[j - 1](x), fields.sigma[m - 1](x))
+    """(d sigma^j) sigma^m at x, with d sigma^j = A[j], 1-based."""
+    return np.einsum("ik,...k->...i", fields.A[j], _field(fields, m, x))
 
 
 def jacobian_drift(fields, x):
-    """Oracle for the Stratonovich drift from the coefficient callables:
+    """Oracle for the Stratonovich drift by the Jacobian formula, evaluated on
+    the matrices without the coefficient callables:
     b - 1/2 sum_j (d sigma^j) sigma^j."""
-    out = fields.b(x)
+    out = _field(fields, 0, x)
     for j in range(1, fields.d + 1):
         out = out - 0.5 * _dsigma_sigma(fields, j, j, x)
     return out
 
 
 def jacobian_bracket(fields, j, m, x):
-    """Oracle for the Lie bracket from the coefficient callables:
+    """Oracle for the Lie bracket by the Jacobian formula:
     [sigma^j, sigma^m] = (d sigma^m) sigma^j - (d sigma^j) sigma^m."""
     return _dsigma_sigma(fields, m, j, x) - _dsigma_sigma(fields, j, m, x)
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from nvlab import (
-    GridSpec,
     exact_trajectory,
     fit_rate,
     get_problem,
@@ -74,9 +73,8 @@ def test_criterion_3_scheme_exactness_gbm():
     worst = 0.0
     for N in (1, 3, 8, 77, 512):
         bundle = make_bundle_batch(7, 0, 8, N, 1, gbm.T)
-        grid = GridSpec(N, gbm.T)
         gap = np.abs(
-            nv_trajectory(gbm, bundle, grid).states - exact_trajectory(gbm, bundle, grid).states
+            nv_trajectory(gbm, bundle, N).states - exact_trajectory(gbm, bundle, N).states
         )
         worst = max(worst, float(gap.max()))
     elapsed = time.perf_counter() - t0

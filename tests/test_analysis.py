@@ -5,7 +5,6 @@ import pytest
 
 from nvlab import (
     ErrorPoint,
-    GridSpec,
     PathBundle,
     Problem,
     VectorFieldSet,
@@ -74,7 +73,7 @@ def test_strong_error_ladder_matches_per_rung_oracle(name, scheme):
     Ns, N_max, refine, paths, seed = (4, 16, 8), 16, 4, 100, 3
     points = strong_error(problem, scheme, Ns, paths, seed, refine_factor=refine)
     bundle = make_bundle_batch(seed, 0, paths, N_max * refine, problem.d, problem.T)
-    ref = trajectory(problem, "exact", bundle, GridSpec(N_max, problem.T)).states
+    ref = trajectory(problem, "exact", bundle, N_max).states
     top = coarsen(bundle, N_max)
     for pt, N in zip(points, Ns):
         block = N_max // N
@@ -83,7 +82,7 @@ def test_strong_error_ladder_matches_per_rung_oracle(name, scheme):
             dW=top.dW.reshape(paths, N, block, problem.d).sum(axis=2),
             eta=top.eta[:, ::block],
         )
-        states = trajectory(problem, scheme, rung, GridSpec(N, problem.T)).states
+        states = trajectory(problem, scheme, rung, N).states
         sup_sq = np.sum((ref[:, ::block] - states) ** 2, axis=2).max(axis=1)
         assert pt.N == N
         assert pt.err == pytest.approx(math.sqrt(sup_sq.mean()), rel=1e-12)
@@ -232,7 +231,7 @@ def _affine_test_problem():
         c=0.5 * rng.standard_normal((4, 2)),
         exact_flows={k: (lambda t, x: x) for k in range(4)},
     )
-    return Problem("affine-nc", fields, x0=np.array([0.2, -0.4]), T=0.8, commutative=False)
+    return Problem("affine-nc", fields, x0=np.array([0.2, -0.4]), T=0.8)
 
 
 def test_limit_sde_overflow_raises(tmp_path, monkeypatch, capsys):
@@ -248,7 +247,6 @@ def test_limit_sde_overflow_raises(tmp_path, monkeypatch, capsys):
         ),
         x0=np.array([0.0]),
         T=1.0,
-        commutative=False,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="limit SDE on problem 'blowup'.*path 0$"):

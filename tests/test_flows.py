@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nvlab import (
     PROBLEM_IDS,
     FlowExplosionError,
-    GridSpec,
     PathBundle,
     Problem,
     VectorFieldSet,
@@ -93,7 +92,6 @@ def test_flow_explosion_raises():
         ),
         x0=np.array([1.0]),
         T=1.0,
-        commutative=True,
     )
     with np.errstate(over="ignore"):
         assert np.isinf(flow_unchecked(growth, 1, 1e3, np.array([5.0]))).all()
@@ -101,7 +99,7 @@ def test_flow_explosion_raises():
     dW = np.array([[[0.1], [0.1]], [[0.1], [1e3]]])
     bundle = PathBundle(T=1.0, dW=dW, eta=np.ones((2, 2), np.int8), path_start=7)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
-        trajectory(growth, "nv", bundle, GridSpec(2, 1.0))
+        trajectory(growth, "nv", bundle, 2)
     err = info.value
     assert (err.problem, err.scheme, err.step, err.path, err.t) == ("blowup", "nv", 2, 8, 1.0)
     assert "problem 'blowup'" in str(err)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from nvlab import level_difference_samples, mlmc_estimate, parse_payoff
+from nvlab import (
+    Problem,
+    VectorFieldSet,
+    cli,
+    level_difference_samples,
+    mlmc_estimate,
+    parse_payoff,
+    util,
+)
 from nvlab.catalog import GBM_MU
 
 
@@ -78,3 +86,46 @@ def test_mlmc_validation(heisenberg):
         mlmc_estimate(heisenberg, "coord2", L_max=0, paths_per_level=100, master_seed=0)
     with pytest.raises(KeyError):
         mlmc_estimate(heisenberg, "nope", L_max=2, paths_per_level=100, master_seed=0)
+
+
+def _saturating_problem():
+    """One state and one Brownian field whose flow sends every state to 1e160:
+    the states stay finite, but norm2 squares them to inf."""
+    return Problem(
+        "saturating",
+        VectorFieldSet.affine(
+            A=[[[0.0]], [[1.0]]],
+            c=[[0.0], [0.0]],
+            exact_flows={
+                0: lambda t, x: x,
+                1: lambda t, x: np.full_like(np.asarray(x, dtype=float), 1e160),
+            },
+        ),
+        x0=np.array([1.0]),
+        T=1.0,
+    )
+
+
+def test_payoff_overflow_raises(tmp_path, monkeypatch, capsys):
+    problem = _saturating_problem()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(
+            FloatingPointError,
+            match="norm2 payoff on problem 'saturating' at level 0: first at path 0$",
+        ):
+            level_difference_samples(problem, "norm2", 0, 6, 1)
+        # level 1 holds global paths 6..11 (inf - inf there); a chunk of its
+        # paths 3..5 run first names its global path 9, not its row 0
+        monkeypatch.setattr(util, "compute_chunks", lambda *args: [(3, 3), (0, 3)])
+        with pytest.raises(FloatingPointError, match="at level 1: first at path 9$"):
+            level_difference_samples(problem, "norm2", 1, 6, 1)
+        monkeypatch.undo()
+        # finite payoffs of the same states pass
+        assert np.all(level_difference_samples(problem, "coord1", 0, 6, 1) == 1e160)
+        monkeypatch.setattr(cli, "get_problem", lambda name: problem)
+        args = ["mlmc", "--problem", "saturating", "--payoff", "norm2", "--levels", "1"]
+        assert cli.main(args + ["--paths-per-level", "6", "--out", str(tmp_path)]) == (
+            cli.EXIT_NUMERICAL
+        )
+    assert "numerical failure: non-finite norm2 payoff" in capsys.readouterr().err
+    assert not (tmp_path / "mlmc.csv").exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nvlab import GridSpec, PathBundle, coarsen, make_bundle_batch, paths
+from nvlab import PathBundle, coarsen, make_bundle_batch, paths
 from nvlab.paths import (
     AUX_DOMAIN,
     DW_DOMAIN,
@@ -311,14 +311,13 @@ def test_coarse_view_rejects_refinement():
     np.testing.assert_allclose(finer.dW, coarsen(bundle, 2).dW, rtol=1e-14)
 
 
-def test_grid_spec():
-    grid = GridSpec(4, 2.0)
-    assert grid.h == 0.5
-    np.testing.assert_allclose(grid.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
-    with pytest.raises(ValueError):
-        GridSpec(0, 1.0)
-    with pytest.raises(ValueError):
-        GridSpec(4, 0.0)
+def test_bundle_rejects_nonpositive_horizon():
+    # the bundle's horizon is every grid's: its step T / N must be > 0
+    dW, eta = np.zeros((1, 4, 1)), np.ones((1, 4), np.int8)
+    assert PathBundle(T=2.0, dW=dW, eta=eta).h == 0.5
+    for T in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="T must be > 0"):
+            PathBundle(T=T, dW=dW, eta=eta)
 
 
 def test_bundle_arrays_read_only():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from nvlab import (
     FlowExplosionError,
-    GridSpec,
     PathBundle,
+    SCHEME_IDS,
     coarsen,
     discrete_nv_trajectory,
     exact_trajectory,
@@ -39,7 +39,7 @@ def _one_step_bundle(dW, eta, h):
 def _one_step(problem, scheme, x, dW, eta=1, h=0.1):
     """The step of ``scheme`` from state x: a one-step trajectory started at x."""
     start = replace(problem, x0=np.asarray(x, dtype=float))
-    traj = trajectory(start, scheme, _one_step_bundle(dW, eta, h), GridSpec(1, h))
+    traj = trajectory(start, scheme, _one_step_bundle(dW, eta, h), 1)
     return traj.states[0, 1]
 
 
@@ -98,15 +98,15 @@ def test_nv_step_batched_matches_single(heisenberg):
     start = replace(heisenberg, x0=rng.standard_normal(2))
     dW = rng.standard_normal((10, 2))
     eta = np.where(rng.random(10) < 0.5, 1, -1)
-    batch = trajectory(start, "nv", _one_step_bundle(dW, eta, 0.2), GridSpec(1, 0.2)).states
+    batch = trajectory(start, "nv", _one_step_bundle(dW, eta, 0.2), 1).states
     for i in range(10):
         single = _one_step(start, "nv", start.x0, dW[i], eta[i], 0.2)
         np.testing.assert_array_equal(batch[i, 1], single)
 
 
 def test_step_inputs_validation(heisenberg):
-    with pytest.raises(ValueError):
-        GridSpec(1, 0.0)  # step size h = T / N must be > 0
+    with pytest.raises(ValueError, match="T must be > 0"):
+        _one_step_bundle([0.0, 0.0], 1, 0.0)  # step size h = T / N must be > 0
     with pytest.raises(ValueError, match="bundle has d=3"):
         _one_step(heisenberg, "nv", np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ def test_single_step_trajectory_equals_step(heisenberg):
     dw1, dw2 = bundle.dW[:, 0, 0], bundle.dW[:, 0, 1]
     plus = bundle.eta[:, 0] > 0
     assert 0 < plus.sum() < 8
-    states = nv_trajectory(heisenberg, bundle, GridSpec(1, 1.0)).states
+    states = nv_trajectory(heisenberg, bundle, 1).states
     np.testing.assert_array_equal(states[:, 0], np.zeros((8, 2)))
     np.testing.assert_array_equal(states[:, 1, 0], dw1)
     np.testing.assert_array_equal(states[:, 1, 1], np.where(plus, dw1 * dw2, 0.0))
@@ -196,9 +196,8 @@ def test_single_step_trajectory_equals_step(heisenberg):
 @pytest.mark.parametrize("N", [1, 3, 16, 128])
 def test_gbm_scheme_exact_at_all_grid_points(gbm, N):
     bundle = make_bundle_batch(9, 0, 50, N, 1, 1.0)
-    grid = GridSpec(N, 1.0)
-    nv = nv_trajectory(gbm, bundle, grid)
-    ref = exact_trajectory(gbm, bundle, grid)
+    nv = nv_trajectory(gbm, bundle, N)
+    ref = exact_trajectory(gbm, bundle, N)
     assert ref.label == "exact"
     assert np.max(np.abs(nv.states - ref.states)) <= 1e-12
 
@@ -207,7 +206,7 @@ def test_zero_increments_constant_trajectory(heisenberg):
     dW = np.zeros((2, 8, 2))
     eta = np.ones((2, 8), dtype=np.int8)
     bundle = PathBundle(T=1.0, dW=dW, eta=eta)
-    traj = nv_trajectory(heisenberg, bundle, GridSpec(8, 1.0))
+    traj = nv_trajectory(heisenberg, bundle, 8)
     assert np.array_equal(traj.states, np.zeros((2, 9, 2)))
 
 
@@ -221,7 +220,7 @@ def test_explosion_names_scheme_step_and_path(gbm, scheme, big, step):
     eta = np.ones((2, 4), dtype=np.int8)
     bundle = PathBundle(T=1.0, dW=dW, eta=eta, path_start=100)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
-        trajectory(gbm, scheme, bundle, GridSpec(4, 1.0))
+        trajectory(gbm, scheme, bundle, 4)
     err = info.value
     assert (err.scheme, err.step, err.path, err.t) == (scheme, step, 101, step * 0.25)
     assert f"scheme {scheme!r}" in str(err) and f"step {step}" in str(err)
@@ -239,7 +238,7 @@ def test_explosion_in_second_block_names_scheme_step_and_path(gbm, scheme, big, 
     eta = np.where(np.arange(130) % 3 == 0, 1, -1).astype(np.int8) * np.ones((6, 1), np.int8)
     bundle = PathBundle(T=1.0, dW=dW, eta=eta, path_start=500)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
-        trajectory(gbm, scheme, bundle, GridSpec(130, 1.0))
+        trajectory(gbm, scheme, bundle, 130)
     err = info.value
     assert (err.scheme, err.step, err.path, err.t) == (scheme, step, 503, step * (1.0 / 130))
 
@@ -253,7 +252,7 @@ def test_proxy_explosion_in_second_block_names_recorded_step_and_path(diag_comm)
     eta = np.where(rng.random((5, 130)) < 0.5, 1, -1).astype(np.int8)
     bundle = PathBundle(T=1.0, dW=dW, eta=eta, path_start=40)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
-        exact_trajectory(diag_comm, bundle, GridSpec(2, 1.0))
+        exact_trajectory(diag_comm, bundle, 2)
     err = info.value
     assert (err.scheme, err.step, err.path, err.t) == ("nv-proxy", 1, 42, 0.5)
 
@@ -262,13 +261,13 @@ def test_step_explosion_names_scheme_and_path(gbm):
     # one step on three paths; only path 2 overflows
     bundle = _one_step_bundle([[0.1], [0.1], [2e3]], 1, 0.5)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
-        trajectory(gbm, "nv", bundle, GridSpec(1, 0.5))
+        trajectory(gbm, "nv", bundle, 1)
     assert (info.value.scheme, info.value.step, info.value.path) == ("nv", 1, 2)
 
 
 def test_exact_trajectory_gbm_closed_form(gbm):
     bundle = make_bundle_batch(5, 0, 20, 32, 1, 1.0)
-    ref = exact_trajectory(gbm, bundle, GridSpec(32, 1.0))
+    ref = exact_trajectory(gbm, bundle, 32)
     W_T = bundle.dW[:, :, 0].sum(axis=1)
     rate = GBM_MU - 0.5 * GBM_SIGMA**2
     np.testing.assert_allclose(
@@ -278,19 +277,17 @@ def test_exact_trajectory_gbm_closed_form(gbm):
 
 def test_exact_trajectory_heisenberg_first_coordinate_is_brownian(heisenberg):
     bundle = make_bundle_batch(6, 0, 20, 64, 2, 1.0)
-    grid = GridSpec(16, 1.0)
-    ref = exact_trajectory(heisenberg, bundle, grid)
-    from nvlab import coarsen
+    ref = exact_trajectory(heisenberg, bundle, 16)
 
     view = coarsen(bundle, 16)
     W1 = np.cumsum(view.dW[:, :, 0], axis=1)
     np.testing.assert_array_equal(ref.states[:, 1:, 0], W1)
 
 
-def _heisenberg_exact_by_concatenation(bundle, grid):
+def _heisenberg_exact_by_concatenation(bundle, N):
     """The closed form as first written, with three full-resolution temporaries."""
-    view = coarsen(bundle, grid.N)
-    paths, N = bundle.paths, grid.N
+    view = coarsen(bundle, N)
+    paths = bundle.paths
     block = bundle.n_fine // N
     zeros = np.zeros((paths, 1))
     X1 = np.concatenate([zeros, np.cumsum(view.dW[:, :, 0], axis=1)], axis=1)
@@ -303,44 +300,42 @@ def _heisenberg_exact_by_concatenation(bundle, grid):
 @pytest.mark.parametrize("N, refine", [(8, 16), (3, 5), (4, 1)])
 def test_heisenberg_closed_form_in_place_is_bit_identical(heisenberg, N, refine):
     bundle = make_bundle_batch(8, 0, 24, N * refine, 2, 1.0)
-    grid = GridSpec(N, 1.0)
-    ref = exact_trajectory(heisenberg, bundle, grid).states
-    np.testing.assert_array_equal(ref, _heisenberg_exact_by_concatenation(bundle, grid))
+    ref = exact_trajectory(heisenberg, bundle, N).states
+    np.testing.assert_array_equal(ref, _heisenberg_exact_by_concatenation(bundle, N))
 
 
 def test_exact_trajectory_proxy_mode(diag_comm):
     bundle = make_bundle_batch(7, 0, 10, 64, 2, 1.0)
-    grid = GridSpec(16, 1.0)
-    ref = exact_trajectory(diag_comm, bundle, grid)
+    ref = exact_trajectory(diag_comm, bundle, 16)
     assert ref.label == "nv-proxy"
     # proxy at the bundle's own resolution is the scheme itself
-    fine_grid = GridSpec(64, 1.0)
-    nv_fine = nv_trajectory(diag_comm, bundle, fine_grid)
+    nv_fine = nv_trajectory(diag_comm, bundle, 64)
     np.testing.assert_array_equal(ref.states, nv_fine.states[:, ::4, :])
 
 
 def test_exact_trajectory_rejects_unrefined_proxy(diag_comm):
     bundle = make_bundle_batch(7, 0, 10, 16, 2, 1.0)
     with pytest.raises(ValueError, match="refinement"):
-        exact_trajectory(diag_comm, bundle, GridSpec(16, 1.0))
+        exact_trajectory(diag_comm, bundle, 16)
 
 
 def test_trajectory_selector(heisenberg):
     bundle = make_bundle_batch(1, 0, 5, 8, 2, 1.0)
-    grid = GridSpec(8, 1.0)
     for scheme in ("nv", "discrete-nv", "euler", "exact"):
-        traj = trajectory(heisenberg, scheme, bundle, grid)
+        traj = trajectory(heisenberg, scheme, bundle, 8)
         assert traj.states.shape == (5, 9, 2)
     with pytest.raises(KeyError):
-        trajectory(heisenberg, "midpoint", bundle, grid)
+        trajectory(heisenberg, "midpoint", bundle, 8)
 
 
 def test_grid_must_divide_bundle(heisenberg):
     bundle = make_bundle_batch(1, 0, 2, 8, 2, 1.0)
     with pytest.raises(ValueError):
-        nv_trajectory(heisenberg, bundle, GridSpec(3, 1.0))
-    with pytest.raises(ValueError):
-        nv_trajectory(heisenberg, bundle, GridSpec(8, 2.0))
+        nv_trajectory(heisenberg, bundle, 3)
+    # a grid has at least one step: N = 0 is a usage error, not a division by zero
+    for scheme in SCHEME_IDS:
+        with pytest.raises(ValueError, match="N=0"):
+            trajectory(heisenberg, scheme, bundle, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +456,7 @@ def test_surrogate_moments_stable_in_resolution(name):
     stats = {}
     for N in (8, 512):
         bundle = make_bundle_batch(13, 0, 3000, N, prob.d, prob.T)
-        states = discrete_nv_trajectory(prob, bundle, GridSpec(N, prob.T)).states
+        states = discrete_nv_trajectory(prob, bundle, N).states
         sq = np.sum(states**2, axis=2)
         per_grid_mean = sq.mean(axis=0)
         k_star = int(np.argmax(per_grid_mean))
