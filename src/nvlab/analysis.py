@@ -14,8 +14,9 @@ The statistical core of the lab:
   driven by a fresh d(d-1)/2-dimensional Brownian motion B independent of W
   (Kurtz-Protter 1991); the fields are affine, so this is a constant-
   coefficient march on the matrices A_k and precomputed bracket matrices;
-* distribution comparison (moments + per-coordinate two-sample KS); scipy is
-  imported only when a comparison runs, so no other estimator pays for it;
+* distribution comparison of two (samples, n) sample sets (moments +
+  per-coordinate two-sample KS); scipy is imported only when a comparison
+  runs, so no other estimator pays for it;
 * the variance of the sign-ordered within-step integral
     Y^{j,m,N}_t = sqrt(N) ( int Psi1 (W^m - W^m-lagged) dW^j
                           + int Psi2 (W^j - W^j-lagged) dW^m ),
@@ -93,7 +94,6 @@ class RateFit:
     describes the fit but does not test independent residuals.
     """
 
-    points: tuple[ErrorPoint, ...]
     slope: float
     intercept: float
     r_squared: float
@@ -109,17 +109,12 @@ class SourceTermEstimate:
     var_est: float
     stderr: float
     theory: float
-    substeps: int
-    paths: int
 
 
 @dataclass(frozen=True)
 class LimitLawReport:
     """Moment and KS comparison of rescaled scheme error vs simulated limit law."""
 
-    N: int | None
-    samples_scheme: int
-    samples_limit: int
     mean_scheme: np.ndarray
     mean_limit: np.ndarray
     cov_scheme: np.ndarray
@@ -286,7 +281,6 @@ def fit_rate(points: Sequence[ErrorPoint], T: float = 1.0) -> RateFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return RateFit(
-        points=tuple(points),
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r2,
@@ -341,6 +335,8 @@ def simulate_limit_sde(
     raises :class:`FloatingPointError` naming the problem and the first such
     path.
     """
+    if n_fine < 1:
+        raise ValueError("n_fine must be >= 1")
     A = problem.fields.A
     c = problem.fields.c[:, :, None]
     pairs = problem.brackets().pairs
@@ -387,21 +383,18 @@ def simulate_limit_sde(
     return run_paths(paths, per_path, threads, worker, width=problem.n)
 
 
-def _as_samples(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[:, None]  # a flat vector is m scalar samples
-    if x.ndim != 2:
-        raise ValueError("sample sets must be 1- or 2-dimensional arrays")
-    return x
+def compare_distributions(a: np.ndarray, b: np.ndarray) -> LimitLawReport:
+    """Moments plus per-coordinate two-sample Kolmogorov-Smirnov comparison.
 
-
-def compare_distributions(a: np.ndarray, b: np.ndarray, N: int | None = None) -> LimitLawReport:
-    """Moments plus per-coordinate two-sample Kolmogorov-Smirnov comparison."""
-    a = _as_samples(a)
-    b = _as_samples(b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("sample sets must be non-empty")
+    Each sample set is a 2-D array (samples, n) with at least 2 samples, so
+    that its covariance is defined; both sets share n.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("sample sets must be 2-dimensional arrays (samples, n)")
+    if a.shape[0] < 2 or b.shape[0] < 2:
+        raise ValueError("sample sets need at least 2 samples each")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     # imported here, not at module level: scipy.stats costs most of the
@@ -418,9 +411,6 @@ def compare_distributions(a: np.ndarray, b: np.ndarray, N: int | None = None) ->
     cov_a = np.atleast_2d(np.cov(a, rowvar=False))
     cov_b = np.atleast_2d(np.cov(b, rowvar=False))
     return LimitLawReport(
-        N=N,
-        samples_scheme=a.shape[0],
-        samples_limit=b.shape[0],
         mean_scheme=a.mean(axis=0),
         mean_limit=b.mean(axis=0),
         cov_scheme=cov_a,
@@ -446,7 +436,7 @@ def limit_law_study(
     limit_samples = simulate_limit_sde(
         problem, paths, n_fine_limit, master_seed + LIMIT_SEED_STRIDE, threads
     )
-    return compare_distributions(scheme_samples, limit_samples, N=N)
+    return compare_distributions(scheme_samples, limit_samples)
 
 
 def source_term_variance(
@@ -477,11 +467,13 @@ def source_term_variance(
         raise ValueError(f"need 1 <= m < j, got j={j}, m={m}")
     if N < 1 or substeps < 2:
         raise ValueError("need N >= 1 and substeps >= 2")
+    if paths < 2:
+        raise ValueError("source_term_variance needs paths >= 2")
     if t < 0 or t > T:
         raise ValueError(f"t must lie in [0, {T}]")
     theory = 0.5 * T * t
     if t == 0.0:
-        return SourceTermEstimate(N, j, m, t, 0.0, 0.0, theory, substeps, 0)
+        return SourceTermEstimate(N, j, m, t, 0.0, 0.0, theory)
 
     n_fine = N * substeps
     delta = T / n_fine
@@ -505,4 +497,4 @@ def source_term_variance(
 
     values = run_paths(paths, n_fine * 6, threads, worker)
     var_est, stderr = _batch_var_se(values)
-    return SourceTermEstimate(N, j, m, t, var_est, stderr, theory, substeps, paths)
+    return SourceTermEstimate(N, j, m, t, var_est, stderr, theory)

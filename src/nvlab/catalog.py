@@ -65,7 +65,6 @@ def _make_gbm1d() -> Problem:
         x0=np.array([1.0]),
         T=1.0,
         exact_solution=_gbm_exact,
-        description="scalar geometric Brownian motion, mu=0.1, sigma=0.5",
     )
 
 
@@ -125,7 +124,6 @@ def _make_heisenberg() -> Problem:
         x0=zero2,
         T=1.0,
         exact_solution=_heisenberg_exact,
-        description="nilpotent non-commutative pair, bracket [s2,s1] = (0,-1)",
     )
 
 
@@ -185,7 +183,6 @@ def _make_diag_comm() -> Problem:
         x0=np.array([1.0, 1.0]),
         T=1.0,
         exact_solution=None,
-        description="commuting diagonal-linear noise with a coupling drift",
     )
 
 
@@ -229,7 +226,6 @@ def _make_linear_nc() -> Problem:
         x0=np.array([1.0, 0.5]),
         T=1.0,
         exact_solution=None,
-        description="non-commuting linear fields, matrix-exponential flows",
     )
 
 

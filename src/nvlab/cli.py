@@ -18,21 +18,15 @@ from .analysis import fit_rate, limit_law_study, source_term_variance, strong_er
 from .catalog import catalog, get_problem
 from .config import (
     FILE_KEYS,
-    ConfigFileError,
+    FORMATS,
     RunConfig,
     apply_file_values,
     load_config_file,
     parse_ladder,
 )
 from .flows import FlowExplosionError
-from .mlmc import mlmc_estimate, parse_payoff
-from .report import (
-    OutputRefusedError,
-    guard_output_dir,
-    run_metadata,
-    write_csv,
-    write_json,
-)
+from .mlmc import mlmc_estimate
+from .report import guard_output_dir, run_metadata, write_csv, write_json
 from .schemes import SCHEME_IDS
 
 EXIT_OK = 0
@@ -41,7 +35,7 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -55,7 +49,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None, help="master seed (default 42)")
     common.add_argument("--threads", type=int, default=None, help="worker threads, 0 = auto")
     common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--format", choices=("csv", "json", "both"), default=None)
+    common.add_argument("--format", choices=FORMATS, default=None)
     common.add_argument("--force", action="store_true", help="overwrite mismatched outputs")
     common.add_argument("--config", type=str, default=None, help="key=value config file")
 
@@ -112,13 +106,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _problem(cfg: RunConfig):
-    try:
-        return get_problem(cfg.problem)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _emit(cfg: RunConfig, stem: str, columns, rows, extra: dict | None = None):
     if cfg.out is None:
         return
@@ -148,7 +135,7 @@ def cmd_problems(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
-    problem = _problem(cfg)
+    problem = get_problem(cfg.problem)
     if cfg.scheme not in SCHEME_IDS:
         raise UsageError(f"unknown scheme {cfg.scheme!r}; known: {', '.join(SCHEME_IDS)}")
     points = strong_error(
@@ -188,7 +175,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 
 def cmd_limit_law(cfg: RunConfig) -> int:
-    problem = _problem(cfg)
+    problem = get_problem(cfg.problem)
     rep = limit_law_study(
         problem,
         N=cfg.N,
@@ -258,11 +245,7 @@ def cmd_source_term(cfg: RunConfig) -> int:
 
 
 def cmd_mlmc(cfg: RunConfig) -> int:
-    problem = _problem(cfg)
-    try:
-        parse_payoff(cfg.payoff, problem.n)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+    problem = get_problem(cfg.problem)
     rep = mlmc_estimate(
         problem,
         cfg.payoff,
@@ -308,18 +291,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigFileError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FlowExplosionError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OutputRefusedError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

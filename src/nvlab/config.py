@@ -12,6 +12,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+FORMATS = ("csv", "json", "both")
+
 
 @dataclass
 class RunConfig:
@@ -21,7 +23,7 @@ class RunConfig:
     seed: int = 42
     threads: int = 0  # 0 = auto
     out: str | None = None
-    format: str = "both"  # csv | json | both
+    format: str = "both"  # one of FORMATS
     force: bool = False
     paths: int = 10000
     n_ladder: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512)
@@ -37,11 +39,6 @@ class RunConfig:
     levels: int = 6
     paths_per_level: int = 10000
     n0: int = 1
-
-    def resolved(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["n_ladder"] = list(self.n_ladder)
-        return out
 
 
 # config-file key (and command-line flag dest) -> attribute: every field but
@@ -88,6 +85,8 @@ def apply_file_values(cfg: RunConfig, values: dict[str, str]) -> None:
     for key, text in values.items():
         attr = FILE_KEYS[key]
         current = getattr(cfg, attr)
+        if attr == "format" and text not in FORMATS:
+            raise ConfigFileError(f"bad format {text!r}; known: {', '.join(FORMATS)}")
         if attr == "n_ladder":
             setattr(cfg, attr, parse_ladder(text))
         elif isinstance(current, int):
@@ -104,6 +103,6 @@ _NON_SEMANTIC = ("threads", "out", "force")
 
 
 def config_hash(cfg: RunConfig) -> str:
-    resolved = {k: v for k, v in cfg.resolved().items() if k not in _NON_SEMANTIC}
+    resolved = {k: v for k, v in dataclasses.asdict(cfg).items() if k not in _NON_SEMANTIC}
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -59,8 +59,6 @@ class LevelStats:
     mean_diff: float
     var_diff: float
     cost: int
-    paths: int
-    stderr: float
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,6 @@ class MlmcReport:
     stderr: float
     total_cost: int
     beta_fit: float
-    problem: str
-    payoff: str
 
 
 def level_difference_samples(
@@ -128,6 +124,8 @@ def mlmc_estimate(
     """
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
+    if paths_per_level < 2:
+        raise ValueError("paths_per_level must be >= 2")
     levels = []
     estimate = 0.0
     variance = 0.0
@@ -140,18 +138,7 @@ def mlmc_estimate(
         mean = float(samples.mean())
         var = float(samples.var(ddof=1))
         cost = paths_per_level * (n_l + (n_l // 2 if level > 0 else 0))
-        stderr = math.sqrt(var / paths_per_level)
-        levels.append(
-            LevelStats(
-                level=level,
-                N=n_l,
-                mean_diff=mean,
-                var_diff=var,
-                cost=cost,
-                paths=paths_per_level,
-                stderr=stderr,
-            )
-        )
+        levels.append(LevelStats(level=level, N=n_l, mean_diff=mean, var_diff=var, cost=cost))
         estimate += mean
         variance += var / paths_per_level
         total_cost += cost
@@ -170,6 +157,4 @@ def mlmc_estimate(
         stderr=math.sqrt(variance),
         total_cost=total_cost,
         beta_fit=beta,
-        problem=problem.name,
-        payoff=payoff,
     )

@@ -150,7 +150,6 @@ class Problem:
     x0: np.ndarray
     T: float
     exact_solution: Optional[ExactSolution] = None
-    description: str = ""
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)

@@ -12,11 +12,11 @@ Domains: 0 = Gaussian increments, 1 = Rademacher signs, 2 = auxiliary noise
 Rademacher signs are defined from the raw 64-bit Philox words of the sign
 stream (see :func:`rademacher_from_raw`), not from numpy's integer sampler.
 The short sign streams (at most VECTOR_SIGN_BLOCKS Philox blocks per path) of
-a batch of at least VECTOR_SIGN_PATHS paths have their words evaluated for
-all paths in one vectorised pass (:func:`philox_words`); other streams are
-read through numpy's generator. Both give the same words. Every stream read
-through numpy's generator is positioned by :meth:`StreamPool.seek`, which
-sets the generator's state from plain ints.
+a batch have their words evaluated for all paths in one vectorised pass
+(:func:`philox_words`); longer streams are read through numpy's generator.
+Both give the same words. Every stream read through numpy's generator is
+positioned by :meth:`StreamPool.seek`, which sets the generator's state from
+plain ints.
 
 The same paths at a coarser resolution are again a :class:`PathBundle`:
 :func:`coarsen` sums the given bundle's increments, once per step count.
@@ -118,18 +118,14 @@ PHILOX_ROUNDS = 10
 # Lanes of philox_words evaluated together: the ten (lanes,) uint64 temporaries
 # of one tile (640 KiB) stay in cache and bounded whatever the batch size.
 PHILOX_TILE = 8192
-# make_bundle_batch evaluates the sign streams of at least VECTOR_SIGN_PATHS
-# paths of at most VECTOR_SIGN_BLOCKS Philox blocks each (four 64-bit words,
-# one sign per byte: 32 signs each, so 12 blocks cover N <= 384 steps) with
-# philox_words, and others through numpy's generator. The block count is the
-# measured break-even at 5000 paths (2-vCPU VM, numpy 2.4): the vectorised
-# pass costs 130-180 ns per block, a seek plus a random_raw call about 1.6 us
-# per path plus 25 ns per block. The path count is the break-even of the
-# vectorised pass's fixed cost, about 0.2 ms per call whatever its size: at
-# 1-8 words per path the two ways cost the same at 128 paths (220 us), and at
-# 16 paths the seeks take 41 us against 210 us.
+# make_bundle_batch evaluates sign streams of at most VECTOR_SIGN_BLOCKS
+# Philox blocks per path (four 64-bit words, one sign per byte: 32 signs
+# each, so 12 blocks cover N <= 384 steps) with philox_words, whatever the
+# batch's path count, and longer ones through numpy's generator. The block
+# count is the measured break-even at 5000 paths (2-vCPU VM, numpy 2.4): the
+# vectorised pass costs 130-180 ns per block, a seek plus a random_raw call
+# about 1.6 us per path plus 25 ns per block.
 VECTOR_SIGN_BLOCKS = 12
-VECTOR_SIGN_PATHS = 128
 
 
 @lru_cache(maxsize=64)
@@ -368,7 +364,7 @@ def make_bundle_batch(
     dW = pool.fill_normals(DW_DOMAIN, path_start, np.empty((n_paths, N_fine, d)))
     dW *= np.sqrt(T / N_fine)
     words = -(-N_fine // 8)  # one sign per byte
-    if words <= 4 * VECTOR_SIGN_BLOCKS and n_paths >= VECTOR_SIGN_PATHS:
+    if words <= 4 * VECTOR_SIGN_BLOCKS:
         raw = philox_words(master_seed, ETA_DOMAIN, path_start, n_paths, words)
     else:
         raw = pool.fill_raw(ETA_DOMAIN, path_start, np.empty((n_paths, words), dtype="<u8"))

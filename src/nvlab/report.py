@@ -8,6 +8,7 @@ written with shortest round-trip repr so files are stable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 from functools import lru_cache
@@ -67,7 +68,7 @@ def run_metadata(cfg: RunConfig) -> dict:
         "git": git_describe(),
         "numpy": np.__version__,
         "rng": BIT_GENERATOR,
-        "config": cfg.resolved(),
+        "config": dataclasses.asdict(cfg),
     }
 
 

@@ -19,7 +19,7 @@ Schemes (selector strings in parentheses):
 * ``euler``       - Euler-Maruyama baseline.
 * ``exact``       - closed-form solution where the catalog has one, otherwise
                     an ``nv`` run at the bundle's full fine resolution, used as
-                    a reference proxy and labelled as such.
+                    a reference proxy.
 
 States are rows: the scheme layer holds a batch of states as one (n, paths)
 array, so coordinate i of every path is the contiguous row ``x[i]``. Every
@@ -64,7 +64,6 @@ class Trajectory:
     """
 
     states: np.ndarray  # (paths, N+1, n)
-    label: str
 
     def terminal(self) -> np.ndarray:
         return self.states[:, -1, :]
@@ -206,7 +205,7 @@ def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, N: int) ->
     """The shared driver: ``kernel`` marched on the bundle coarsened to N steps."""
     _check_grid(problem, bundle, N)
     records = _march(problem, kernel, label, coarsen(bundle, N))
-    return Trajectory(states=_states(records), label=label)
+    return Trajectory(states=_states(records))
 
 
 def nv_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory:
@@ -227,15 +226,14 @@ def exact_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory
     """
     _check_grid(problem, bundle, N)
     if problem.exact_solution is not None:
-        states = problem.exact_solution(problem, bundle, N)
-        return Trajectory(states=states, label="exact")
+        return Trajectory(states=problem.exact_solution(problem, bundle, N))
     if bundle.n_fine == N:
         raise ValueError(
             f"problem {problem.name!r} has no closed form and the bundle has no "
             "refinement to build a proxy reference from"
         )
     records = _march(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine // N)
-    return Trajectory(states=_states(records), label="nv-proxy")
+    return Trajectory(states=_states(records))
 
 
 def trajectory(problem: Problem, scheme: str, bundle: PathBundle, N: int) -> Trajectory:

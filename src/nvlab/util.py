@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,17 +39,6 @@ def split_paths(total: int, batches: int = STAT_BATCHES) -> list[tuple[int, int]
     return out
 
 
-def chunk_ranges(start: int, count: int, max_chunk: int) -> Iterable[tuple[int, int]]:
-    """Yield (start, count) sub-ranges no larger than ``max_chunk``."""
-    if max_chunk < 1:
-        raise ValueError("max_chunk must be >= 1")
-    done = 0
-    while done < count:
-        c = min(max_chunk, count - done)
-        yield start + done, c
-        done += c
-
-
 # Transient allocation cap, in float64 counts (~540 MB across the handful of
 # live fine-grid arrays), shared by all workers; path chunks are sized so the
 # chunks in flight together stay under it.
@@ -68,7 +57,7 @@ def compute_chunks(total: int, per_path_floats: int, threads: int) -> list[tuple
     max_chunk = max(16, CHUNK_FLOAT_BUDGET // workers // max(1, per_path_floats))
     if workers > 1:
         max_chunk = min(max_chunk, max(16, -(-total // workers)))
-    return list(chunk_ranges(0, total, max_chunk))
+    return [(start, min(max_chunk, total - start)) for start in range(0, total, max_chunk)]
 
 
 def run_paths(

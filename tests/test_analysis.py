@@ -324,15 +324,14 @@ def test_compare_independent_normal_samples_accept(seed):
     assert rep.ks_pvalue[0] > 0.01
 
 
-def test_compare_accepts_flat_sample_vectors():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(5000)
-    b = rng.standard_normal(5000)
-    rep = compare_distributions(a, b)
-    # a flat vector is 5000 scalar samples, not one 5000-dimensional sample
-    assert rep.samples_scheme == rep.samples_limit == 5000
-    assert rep.ks_stat.shape == (1,)
-    assert rep.ks_pvalue[0] > 0.01
+def test_compare_rejects_sample_sets_not_two_dimensional():
+    # a flat vector could be m scalar samples or one m-dimensional sample
+    two_d = np.zeros((10, 1))
+    for bad in (np.zeros(10), np.zeros((10, 1, 1)), 0.0):
+        with pytest.raises(ValueError):
+            compare_distributions(bad, two_d)
+        with pytest.raises(ValueError):
+            compare_distributions(two_d, bad)
 
 
 def test_compare_dimension_mismatch():
@@ -340,6 +339,9 @@ def test_compare_dimension_mismatch():
         compare_distributions(np.zeros((10, 2)), np.zeros((10, 3)))
     with pytest.raises(ValueError):
         compare_distributions(np.zeros((0, 2)), np.zeros((10, 2)))
+    # one sample has no covariance
+    with pytest.raises(ValueError):
+        compare_distributions(np.zeros((10, 2)), np.zeros((1, 2)))
 
 
 def test_compare_covariances_symmetric_psd(heisenberg):
@@ -353,8 +355,6 @@ def test_compare_covariances_symmetric_psd(heisenberg):
 
 def test_limit_law_study_pipeline(heisenberg):
     rep = limit_law_study(heisenberg, N=32, paths=4000, master_seed=20, n_fine_limit=512)
-    assert rep.N == 32
-    assert rep.samples_scheme == rep.samples_limit == 4000
     assert rep.ks_pvalue.shape == (2,)
     # coordinate 2 carries the bracket-driven error; a modest run already agrees
     assert rep.ks_pvalue[1] > 0.001
@@ -380,9 +380,9 @@ def test_ks_pvalues_uniform_under_null():
 # ---------------------------------------------------------------------------
 
 
-def _check_source(est, target):
+def _check_source(est, target, substeps=64):
     # statistical window plus the quantified sub-discretization bias
-    bias = target / est.substeps
+    bias = target / substeps
     assert abs(est.var_est - target) <= 3 * max(est.stderr, 1e-12) + bias + 0.002
 
 
@@ -394,7 +394,7 @@ def test_source_term_full_horizon_small_N():
 
 def test_source_term_full_horizon_larger_N():
     est = source_term_variance(N=16, j=2, m=1, t=1.0, paths=20000, master_seed=16, substeps=32)
-    _check_source(est, 0.5)
+    _check_source(est, 0.5, substeps=32)
 
 
 def test_source_term_half_horizon():
@@ -424,3 +424,5 @@ def test_source_term_validation():
         source_term_variance(N=4, j=2, m=1, t=1.5, paths=100, master_seed=0)
     with pytest.raises(ValueError):
         source_term_variance(N=0, j=2, m=1, t=1.0, paths=100, master_seed=0)
+    with pytest.raises(ValueError):
+        source_term_variance(N=4, j=2, m=1, t=1.0, paths=1, master_seed=0)

@@ -153,6 +153,23 @@ def test_usage_errors_exit_one(capsys):
     assert main(["convergence", "--no-such-flag"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, stem",
+    [
+        (["mlmc", "--payoff", "coord2", "--levels", "2", "--paths-per-level", "0"], "mlmc"),
+        (["mlmc", "--payoff", "coord2", "--levels", "2", "--paths-per-level", "1"], "mlmc"),
+        (["source-term", "--N", "4", "--paths", "1"], "sourceterm"),
+        (["limit-law", "--paths", "1"], "limitlaw"),
+        (["limit-law", "--N", "4", "--paths", "10", "--nfine", "0"], "limitlaw"),
+    ],
+)
+def test_too_few_paths_or_steps_exit_one(argv, stem, tmp_path, capsys):
+    # a variance needs two samples and a march needs a step: no nan and no traceback
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (tmp_path / f"{stem}.csv").exists()
+
+
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text(
@@ -180,6 +197,10 @@ def test_bad_config_file_rejected(tmp_path):
     assert main(["problems", "--config", str(cfg)]) == 1
     cfg.write_text("unknown_key = 3\n")
     assert main(["problems", "--config", str(cfg)]) == 1
+    # a file value is held to the flag's choices
+    cfg.write_text("format = xml\n")
+    assert main(["problems", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_flags_and_config_keys_share_one_name_table():

@@ -84,6 +84,8 @@ def test_variance_decay_exponents_quick(heisenberg, diag_comm):
 def test_mlmc_validation(heisenberg):
     with pytest.raises(ValueError):
         mlmc_estimate(heisenberg, "coord2", L_max=0, paths_per_level=100, master_seed=0)
+    with pytest.raises(ValueError):
+        mlmc_estimate(heisenberg, "coord2", L_max=2, paths_per_level=1, master_seed=0)
     with pytest.raises(KeyError):
         mlmc_estimate(heisenberg, "nope", L_max=2, paths_per_level=100, master_seed=0)
 

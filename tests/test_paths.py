@@ -16,7 +16,6 @@ from nvlab.paths import (
     TIME_MAJOR_FRACTION,
     TIME_MAJOR_READ_BYTES,
     VECTOR_SIGN_BLOCKS,
-    VECTOR_SIGN_PATHS,
     StreamPool,
     _philox_key,
     philox_words,
@@ -143,11 +142,11 @@ def test_bundle_signs_on_both_sides_of_the_switch(monkeypatch, N):
 
     monkeypatch.setattr(paths, "philox_words", spy)
     words = -(-N // 8)
-    # a batch one path short of the switch's path count, and one at it
-    for n_paths in (5, VECTOR_SIGN_PATHS - 1, VECTOR_SIGN_PATHS):
+    # the block count alone picks the route, whatever the batch's path count
+    for n_paths in (1, 5, 128):
         calls.clear()
         bundle = make_bundle_batch(99, 2**40, n_paths, N, 1, 1.0)
-        assert len(calls) == (words <= SWITCH_WORDS and n_paths >= VECTOR_SIGN_PATHS)
+        assert len(calls) == (words <= SWITCH_WORDS)
         for i in range(n_paths):
             raw = stream(99, 2**40 + i, ETA_DOMAIN).bit_generator.random_raw(words)
             assert np.array_equal(bundle.eta[i], rademacher_from_raw(raw.astype("<u8"), N))
