@@ -55,6 +55,9 @@ from .util import STAT_BATCHES, run_paths, split_paths
 # so the two sides of the KS comparison are independent.
 LIMIT_SEED_STRIDE = 2**32
 
+# The fewest ladder points a rate fit takes.
+MIN_RATE_POINTS = 3
+
 
 def _batch_mean_se(values: np.ndarray) -> tuple[float, float]:
     """Grand mean and its standard error from contiguous batch means."""
@@ -266,8 +269,8 @@ def scheme_gap(
 
 def fit_rate(points: Sequence[ErrorPoint], T: float = 1.0) -> RateFit:
     """OLS on (log h, log err). Zero-error points are excluded and flagged."""
-    if len(points) < 3:
-        raise ValueError("need at least 3 ladder points")
+    if len(points) < MIN_RATE_POINTS:
+        raise ValueError(f"need at least {MIN_RATE_POINTS} ladder points")
     if len({pt.N for pt in points}) != len(points):
         raise ValueError("ladder points must have distinct N")
     usable = [pt for pt in points if pt.err > 0.0]
@@ -337,11 +340,11 @@ def simulate_limit_sde(
     """
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
-    A = problem.fields.A
-    c = problem.fields.c[:, :, None]
-    pairs = problem.brackets().pairs
-    n_pairs = len(pairs)
-    brackets = [problem.fields.bracket_matrices(j, m) for j, m in pairs]
+    f = problem.fields
+    A = f.A
+    c = f.c[:, :, None]
+    brackets = [f.bracket_matrices(*p) for p in f.pairs]
+    n_pairs = len(brackets)
     march_x = any(C.any() for C, _ in brackets)
     delta = problem.T / n_fine
     coef = math.sqrt(problem.T / 2.0)
@@ -429,7 +432,14 @@ def limit_law_study(
     refine_factor: int = 64,
     threads: int = 1,
 ) -> LimitLawReport:
-    """Full pipeline: rescaled scheme error vs simulated limit, on separate seeds."""
+    """Full pipeline: rescaled scheme error vs simulated limit, on separate seeds.
+
+    The step and path counts are checked before either side is simulated.
+    """
+    if n_fine_limit < 1:
+        raise ValueError("limit_law_study needs n_fine_limit >= 1")
+    if paths < 2:
+        raise ValueError("limit_law_study needs paths >= 2")
     scheme_samples = normalized_error_samples(
         problem, N, paths, master_seed, refine_factor, threads
     )

@@ -14,7 +14,13 @@ import json
 import sys
 
 from . import __version__
-from .analysis import fit_rate, limit_law_study, source_term_variance, strong_error
+from .analysis import (
+    MIN_RATE_POINTS,
+    fit_rate,
+    limit_law_study,
+    source_term_variance,
+    strong_error,
+)
 from .catalog import catalog, get_problem
 from .config import (
     FILE_KEYS,
@@ -26,7 +32,7 @@ from .config import (
 )
 from .flows import FlowExplosionError
 from .mlmc import mlmc_estimate
-from .report import guard_output_dir, run_metadata, write_csv, write_json
+from .report import check_output_dir, guard_output_dir, run_metadata, write_csv, write_json
 from .schemes import SCHEME_IDS
 
 EXIT_OK = 0
@@ -138,6 +144,8 @@ def cmd_convergence(cfg: RunConfig) -> int:
     problem = get_problem(cfg.problem)
     if cfg.scheme not in SCHEME_IDS:
         raise UsageError(f"unknown scheme {cfg.scheme!r}; known: {', '.join(SCHEME_IDS)}")
+    if len(cfg.n_ladder) < MIN_RATE_POINTS:  # fit_rate's minimum, checked before the study
+        raise UsageError(f"need at least {MIN_RATE_POINTS} ladder points")
     points = strong_error(
         problem,
         cfg.scheme,
@@ -290,6 +298,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
+        if cfg.out is not None:
+            check_output_dir(cfg.out, cfg)  # a refused rerun is refused before the study
         return _COMMANDS[args.command](cfg)
     except (KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -4,9 +4,10 @@ An Ito SDE  dX = b(X) dt + sum_j sigma^j(X) dW^j  is described by a
 :class:`VectorFieldSet`. Every field is affine: sigma^k(x) = A_k x + c_k, with
 index 0 the Ito drift b, so a problem is the matrices A of shape (d+1, n, n)
 and the offsets c of shape (d+1, n). The coefficient callables are built from
-them; they accept states of shape (n,) or (paths, n) and return the matching
-shape, and Jacobian callables return (..., n, n) with entry (i, k) =
-d sigma^{i j} / d x_k, the constant A_j.
+them. Like the rest of the scheme layer they take states as rows (n, paths), a
+single state as an (n, 1) column, and return values of the same shape; the
+Jacobian callable of field k returns the constant (n, n) matrix A_k, entry
+(i, l) = d sigma^{i k} / d x_l.
 
 Derived quantities follow the Stratonovich calculus conventions used by
 splitting schemes, and for affine fields they are affine too:
@@ -39,11 +40,11 @@ MAX_DIMENSION = 16
 
 
 def _affine_field(M: np.ndarray, v: np.ndarray) -> Field:
-    return lambda x: np.einsum("ik,...k->...i", M, x) + v
+    return lambda x: M @ x + v[:, None]
 
 
 def _constant_jacobian(M: np.ndarray) -> MatrixField:
-    return lambda x: np.broadcast_to(M, np.shape(x)[:-1] + M.shape)
+    return lambda x: M
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,11 @@ class VectorFieldSet:
     """Affine drift and Brownian fields, their callables and closed-form flows.
 
     A[k] and c[k] define field k (0 = Ito drift b, 1..d = Brownian fields);
-    build instances with :meth:`affine`, which derives the callables from
-    them. exact_flows maps each field index (0 = Stratonovich drift, 1..d =
-    Brownian fields) to the flow map (t, x0) -> exp(t V) x0 of that field,
-    vectorized over both a batch of states, as rows (n, paths), and a
-    per-path vector of times (see :mod:`nvlab.flows`).
+    build instances with :meth:`affine`, which derives the callables on state
+    rows (n, paths) from them. exact_flows maps each field index (0 =
+    Stratonovich drift, 1..d = Brownian fields) to the flow map (t, x0) ->
+    exp(t V) x0 of that field, vectorized over both a batch of states, as rows
+    (n, paths), and a per-path vector of times (see :mod:`nvlab.flows`).
     Every index 0..d must be present: the schemes evaluate flows only in
     closed form.
     """
@@ -108,6 +109,11 @@ class VectorFieldSet:
     def d(self) -> int:
         return self.A.shape[0] - 1
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The Brownian pairs (j, m), 1-based with m < j, ascending in j, then m."""
+        return tuple((j, m) for j in range(2, self.d + 1) for m in range(1, j))
+
     def bracket_matrices(self, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(C, e) with [sigma^j, sigma^m](x) = C x + e, 1-based, m < j."""
         if not 1 <= m < j <= self.d:
@@ -122,18 +128,13 @@ class BracketTable:
 
     entries: Mapping[tuple[int, int], Field]
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.entries.keys()))
-
 
 def build_bracket_table(fields: VectorFieldSet) -> BracketTable:
     def make(j, m):
         C, e = fields.bracket_matrices(j, m)
-        return lambda x: x @ C.T + e
+        return lambda x: C @ x + e[:, None]
 
-    entries = {(j, m): make(j, m) for j in range(2, fields.d + 1) for m in range(1, j)}
-    return BracketTable(entries=entries)
+    return BracketTable(entries={p: make(*p) for p in fields.pairs})
 
 
 # exact_solution signature: (problem, bundle, N) -> states (paths, N+1, n) at
@@ -170,11 +171,8 @@ class Problem:
     @property
     def commutative(self) -> bool:
         """True when every Brownian pair's bracket matrices (C, e) are exactly zero."""
-        pairs = ((j, m) for j in range(2, self.d + 1) for m in range(1, j))
-        return not any(M.any() for p in pairs for M in self.fields.bracket_matrices(*p))
-
-    def brackets(self) -> BracketTable:
-        return build_bracket_table(self.fields)
+        f = self.fields
+        return not any(M.any() for p in f.pairs for M in f.bracket_matrices(*p))
 
     def descriptor(self) -> dict:
         """JSON-ready summary used by the CLI problem listing."""

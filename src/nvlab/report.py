@@ -72,27 +72,32 @@ def run_metadata(cfg: RunConfig) -> dict:
     }
 
 
-def guard_output_dir(out: str, cfg: RunConfig) -> Path:
-    """Create the output dir; refuse a rerun with a different config unless forced.
+def check_output_dir(out: str, cfg: RunConfig) -> dict:
+    """The lock's entries in ``out`` (empty if it has none), read only; refuse a
+    rerun with a different config unless forced.
 
     The lock maps command name -> config hash, so different commands can share
     a directory while mismatched reruns of the same command are caught.
     """
+    lock = Path(out) / LOCK_NAME
+    recorded = json.loads(lock.read_text()) if lock.exists() else {}
+    old, new = recorded.get(cfg.command), config_hash(cfg)
+    if old is not None and old != new and not cfg.force:
+        raise OutputRefusedError(
+            f"{out}: existing {cfg.command!r} results were produced with config "
+            f"{old}, current config is {new}; rerun with --force to overwrite"
+        )
+    return recorded
+
+
+def guard_output_dir(out: str, cfg: RunConfig) -> Path:
+    """Create the output dir and record this run in its lock, after
+    :func:`check_output_dir` has passed."""
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
-    lock = path / LOCK_NAME
-    entry = {cfg.command: config_hash(cfg)}
-    if lock.exists():
-        recorded = json.loads(lock.read_text())
-        old = recorded.get(cfg.command)
-        if old is not None and old != entry[cfg.command] and not cfg.force:
-            raise OutputRefusedError(
-                f"{out}: existing {cfg.command!r} results were produced with config "
-                f"{old}, current config is {entry[cfg.command]}; rerun with --force to overwrite"
-            )
-        recorded.update(entry)
-        entry = recorded
-    lock.write_text(json.dumps(entry, sort_keys=True, indent=2) + "\n")
+    recorded = check_output_dir(out, cfg)
+    recorded[cfg.command] = config_hash(cfg)
+    (path / LOCK_NAME).write_text(json.dumps(recorded, sort_keys=True, indent=2) + "\n")
     return path
 
 

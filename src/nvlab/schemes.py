@@ -96,50 +96,36 @@ def _nv_kernel(problem: Problem, x, dW, plus, h):
     return flow_unchecked(problem, 0, half, x)
 
 
-def _transposed(a):
-    """A contiguous transpose: state rows (n, paths) become the (paths, n)
-    states the coefficient callables take (the layout they always saw, so
-    their sums round as before), and their (paths, n) values become rows."""
-    return np.ascontiguousarray(a.T)
-
-
 def _discrete_nv_kernel(problem: Problem, x, dW, plus, h):
     f = problem.fields
-    d = problem.d
-    xp = _transposed(x)
-    sig = [f.sigma[j](xp) for j in range(d)]
-    jac = [f.jac_sigma[j](xp) for j in range(d)]
+    sig = [s(x) for s in f.sigma]
+    jac = [J(x) for J in f.jac_sigma]
 
-    def corr(j, m):  # (d sigma^j) sigma^m as rows, 1-based indices
-        return _transposed(np.einsum("...ik,...k->...i", jac[j - 1], sig[m - 1]))
+    def corr(j, m):  # (d sigma^j) sigma^m = A_j (A_m x + c_m), 1-based indices
+        return jac[j - 1] @ sig[m - 1]
 
-    out = x + _transposed(f.b(xp)) * h
-    for j in range(1, d + 1):
+    out = x + f.b(x) * h
+    for j in range(1, problem.d + 1):
         w = dW[j - 1]
-        out = out + _transposed(sig[j - 1]) * w
+        out = out + sig[j - 1] * w
         out = out + 0.5 * corr(j, j) * (w * w - h)
-    if d > 1:
+    if problem.d > 1:
+        # sign +1 sums the cross terms over m < j, sign -1 over m > j
         cross_plus = np.zeros_like(x)
         cross_minus = np.zeros_like(x)
-        for j in range(1, d + 1):
-            for m in range(1, d + 1):
-                if m == j:
-                    continue
-                term = corr(j, m) * (dW[m - 1] * dW[j - 1])
-                if m < j:
-                    cross_plus = cross_plus + term
-                else:
-                    cross_minus = cross_minus + term
+        for j, m in f.pairs:
+            w = dW[m - 1] * dW[j - 1]
+            cross_plus = cross_plus + corr(j, m) * w
+            cross_minus = cross_minus + corr(m, j) * w
         out = out + np.where(plus, cross_plus, cross_minus)
     return out
 
 
 def _euler_kernel(problem: Problem, x, dW, plus, h):
     f = problem.fields
-    xp = _transposed(x)
-    out = x + _transposed(f.b(xp)) * h
+    out = x + f.b(x) * h
     for j in range(problem.d):
-        out = out + _transposed(f.sigma[j](xp)) * dW[j]
+        out = out + f.sigma[j](x) * dW[j]
     return out
 
 

@@ -192,28 +192,28 @@ def test_limit_sde_heisenberg_law(heisenberg):
 
 def _limit_sde_by_callables(problem, paths, n_fine, master_seed):
     """The limit-SDE Euler loop as first written: path-major states, the
-    coefficient callables and their Jacobian-formula brackets evaluated at
-    every step."""
+    coefficient callables (which take state rows, hence ``x.T``) and their
+    Jacobian-formula brackets evaluated at every step."""
     f = problem.fields
-    table = problem.brackets()
+    pairs = f.pairs
     delta = problem.T / n_fine
     coef = math.sqrt(problem.T / 2.0)
     bundle = make_bundle_batch(master_seed, 0, paths, n_fine, problem.d, problem.T)
-    dB = np.empty((paths, n_fine, len(table.pairs)))
+    dB = np.empty((paths, n_fine, len(pairs)))
     pool = StreamPool(master_seed)
-    for i in range(paths if table.pairs else 0):
+    for i in range(paths if pairs else 0):
         pool.seek(i, AUX_DOMAIN).standard_normal(dB.shape[1:], out=dB[i])
     dB *= math.sqrt(delta)
     x = np.broadcast_to(problem.x0, (paths, problem.n)).copy()
     v = np.zeros((paths, problem.n))
     for k in range(n_fine):
-        dx = f.b(x) * delta
-        dv = np.einsum("...ik,...k->...i", f.jac_b(x), v) * delta
+        dx = f.b(x.T).T * delta
+        dv = np.einsum("...ik,...k->...i", f.jac_b(x.T), v) * delta
         for j in range(problem.d):
             w = bundle.dW[:, k, j][:, None]
-            dx = dx + f.sigma[j](x) * w
-            dv = dv + np.einsum("...ik,...k->...i", f.jac_sigma[j](x), v) * w
-        for idx, (j, m) in enumerate(table.pairs):
+            dx = dx + f.sigma[j](x.T).T * w
+            dv = dv + np.einsum("...ik,...k->...i", f.jac_sigma[j](x.T), v) * w
+        for idx, (j, m) in enumerate(pairs):
             dv = dv + coef * jacobian_bracket(f, j, m, x) * dB[:, k, idx][:, None]
         x = x + dx
         v = v + dv

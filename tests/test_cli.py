@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nvlab import cli, get_problem, report, strong_error, util
+from nvlab import analysis, cli, get_problem, report, strong_error, util
 from nvlab.cli import main
 from nvlab.config import FILE_KEYS, RunConfig
 from nvlab.report import csv_body
@@ -130,6 +130,30 @@ def test_rerun_with_changed_config_refused(tmp_path):
     changed = [arg if arg != "200" else "400" for arg in args]
     assert main(changed) == 3
     assert main(changed + ["--force"]) == 0
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the study ran before the refusal")
+
+
+def test_refusals_come_before_the_study(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path)
+    args = ["convergence", "--problem", "gbm1d", "--nladder", "4,8,16", "--refine", "1"]
+    assert main(args + ["--paths", "100", "--out", out]) == 0
+    lock = (tmp_path / report.LOCK_NAME).read_text()
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "strong_error", _never_called)
+    monkeypatch.setattr(analysis, "normalized_error_samples", _never_called)
+    cases = [
+        (args + ["--paths", "200", "--out", out], 3, "i/o error: "),
+        (["convergence", "--nladder", "64,128"], 1, "usage error: need at least 3"),
+        (["limit-law", "--nfine", "0", "--N", "64"], 1, "usage error: "),
+        (["limit-law", "--paths", "1", "--N", "64"], 1, "usage error: "),
+    ]
+    for argv, code, prefix in cases:
+        assert main(argv) == code, argv
+        assert capsys.readouterr().err.startswith(prefix), argv
+    assert (tmp_path / report.LOCK_NAME).read_text() == lock
 
 
 def test_same_config_rerun_allowed(tmp_path):

@@ -112,16 +112,16 @@ FD_EPS = 1e-5
 def test_closed_forms_solve_their_odes(name):
     # central difference of t -> exp(t V) x against V(exp(t V) x), with field 0
     # the Stratonovich drift: the closed forms are the only flows, so this is
-    # the check that each one integrates its own field; the flows take state
-    # rows (n, paths), the coefficient callables path-major states (paths, n)
+    # the check that each one integrates its own field; the oracle drift
+    # takes path-major states (paths, n), the flows and callables state rows
     prob = get_problem(name)
     xs = sample_states(prob, count=16, seed=41, spread=0.5).T
     per_path = np.random.default_rng(43).uniform(-1.0, 1.0, size=16)
-    fields = [lambda x: jacobian_drift(prob.fields, x), *prob.fields.sigma]
+    fields = [lambda x: jacobian_drift(prob.fields, x.T).T, *prob.fields.sigma]
     for idx, V in enumerate(fields):
         for t in (-1.0, -0.35, 0.0, 0.6, 1.0, per_path):
             phi = flow_unchecked(prob, idx, t, xs)
             forward = flow_unchecked(prob, idx, t + FD_EPS, xs)
             fd = (forward - flow_unchecked(prob, idx, t - FD_EPS, xs)) / (2 * FD_EPS)
-            v = V(phi.T).T
+            v = V(phi)
             assert np.max(np.abs(fd - v)) <= 1e-8 * max(1.0, np.max(np.abs(v))), (idx, t)

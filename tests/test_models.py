@@ -131,30 +131,34 @@ def test_bracket_antisymmetry_all_problems(problems):
 def test_bracket_table_matches_op(problems, heisenberg):
     for prob in problems.values():
         table = build_bracket_table(prob.fields)
-        assert table.pairs == tuple((j, m) for j in range(2, prob.d + 1) for m in range(1, j))
+        pairs = tuple((j, m) for j in range(2, prob.d + 1) for m in range(1, j))
+        assert prob.fields.pairs == pairs and tuple(table.entries) == pairs
         xs = sample_states(prob, count=20, seed=24, spread=2.0)
+        rows = xs.T
         for (j, m), entry in table.entries.items():
             exact = jacobian_bracket(prob.fields, j, m, xs)
-            np.testing.assert_allclose(entry(xs), exact, rtol=1e-13, atol=1e-13)
-            np.testing.assert_array_equal(entry(xs[0]), entry(xs)[0])
+            np.testing.assert_allclose(entry(rows).T, exact, rtol=1e-13, atol=1e-13)
+            np.testing.assert_array_equal(entry(rows[:, :1]), entry(rows)[:, :1])
     x = np.array([0.4, -1.2])
     heis = build_bracket_table(heisenberg.fields).entries[(2, 1)]
-    np.testing.assert_array_equal(heis(x), jacobian_bracket(heisenberg.fields, 2, 1, x))
+    expected = jacobian_bracket(heisenberg.fields, 2, 1, x)
+    np.testing.assert_array_equal(heis(x[:, None])[:, 0], expected)
 
 
 def _fd_jacobian(f, x, step=1e-6):
-    n = x.shape[-1]
+    """Central differences of ``f`` at the state rows ``x`` (n, paths), as (paths, n, n)."""
+    n = x.shape[0]
     cols = []
     for k in range(n):
-        e = np.zeros(n)
+        e = np.zeros((n, 1))
         e[k] = step
-        cols.append((f(x + e) - f(x - e)) / (2 * step))
+        cols.append(((f(x + e) - f(x - e)) / (2 * step)).T)
     return np.stack(cols, axis=-1)
 
 
 def test_jacobians_match_finite_differences(problems):
     for prob in problems.values():
-        xs = sample_states(prob, count=100, seed=77)
+        xs = sample_states(prob, count=100, seed=77).T
         pairs = [(prob.fields.b, prob.fields.jac_b)]
         pairs += [(prob.fields.sigma[j], prob.fields.jac_sigma[j]) for j in range(prob.d)]
         for func, jac in pairs:
@@ -239,17 +243,19 @@ def test_callables_equal_their_matrix_forms(problems):
         f = prob.fields
         assert f.A.shape == (prob.d + 1, prob.n, prob.n) and f.c.shape == (prob.d + 1, prob.n)
         xs = sample_states(prob, count=50, seed=21, spread=2.0)
+        rows = xs.T
         callables = [(f.b, f.jac_b)] + list(zip(f.sigma, f.jac_sigma))
         for k, (field, jac) in enumerate(callables):
-            np.testing.assert_array_equal(field(xs), xs @ f.A[k].T + f.c[k], err_msg=prob.name)
-            np.testing.assert_array_equal(jac(xs), np.broadcast_to(f.A[k], (50, prob.n, prob.n)))
-            np.testing.assert_array_equal(field(xs[0]), field(xs)[0])
+            expected = (xs @ f.A[k].T + f.c[k]).T
+            np.testing.assert_array_equal(field(rows), expected, err_msg=prob.name)
+            np.testing.assert_array_equal(jac(rows), f.A[k])
+            np.testing.assert_array_equal(field(rows[:, :1]), field(rows)[:, :1])
 
 
 def test_bracket_matrices_equal_lie_bracket(problems):
     for prob in problems.values():
         xs = sample_states(prob, count=50, seed=22, spread=2.0)
-        for j, m in prob.brackets().pairs:
+        for j, m in prob.fields.pairs:
             C, e = prob.fields.bracket_matrices(j, m)
             precomputed = xs @ C.T + e
             exact = jacobian_bracket(prob.fields, j, m, xs)
