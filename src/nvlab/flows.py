@@ -1,21 +1,36 @@
 """ODE flow maps exp(t V) x0 for the coefficient fields of a problem.
 
-Every problem registers a closed-form flow for each of its fields 0..d (see
-:class:`~nvlab.models.VectorFieldSet`), so a flow evaluation is exact up to
-rounding. Times may be negative (Brownian increments have either sign) and
-may vary per path.
+Every field is affine, V(x) = M x + v, and :func:`affine_flow` derives its flow
+from (M, v) in closed form, picked by structure in this order:
 
-Flows take states as rows: a batch of states has shape (n, paths), so a flow
-reads coordinate i of every path as the contiguous row ``x[i]``, and a time
-per path is a vector (paths,) that broadcasts along the rows. A single state
-of shape (n,) is a batch of one and works the same way.
+1. M = 0 and v = 0: the identity, which returns ``x``;
+2. M = 0: x + t v;
+3. M diagonal and v = 0: x * exp(M_ii t);
+4. M^2 = 0 and v = 0: x + t M x;
+5. M^2 = lam I, lam > 0, v = 0: cosh(k t) x + sinh(k t) (M / k) x, k = sqrt(lam);
+6. M symmetric and v = 0: Q diag(exp(lam t)) Q^T x from M's eigh.
+
+A field that fits no case is refused. Products are row-sparse: a row whose
+entry in M (or v) is 0 is copied, and a product sums only its row's non-zero
+entries, which keeps the signs of zero states. Times may be negative and may
+vary per path. States are rows: a batch (n, paths) holds coordinate i of
+every path in the contiguous row ``x[i]``, a per-path time (paths,)
+broadcasts along the rows, and a single state (n,) works the same way.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
+from typing import TYPE_CHECKING, Callable
+
 import numpy as np
 
-from .models import Problem
+if TYPE_CHECKING:
+    from .models import Problem
+
+FlowMap = Callable[[np.ndarray | float, np.ndarray], np.ndarray]
 
 
 class FlowExplosionError(RuntimeError):
@@ -44,3 +59,88 @@ def flow_unchecked(problem: Problem, field_index: int, t, x):
     if (not isinstance(t, np.ndarray) or t.ndim == 0) and t == 0.0:
         return np.asarray(x, dtype=float)  # flow at time zero is the identity, bit-exact
     return problem.fields.exact_flows[field_index](t, x)
+
+
+def _sparse_rows(M: np.ndarray) -> list:
+    """For each row i of M, the list of its non-zero entries (j, M_ij)."""
+    return [[(j, float(row[j])) for j in np.flatnonzero(row)] for row in M]
+
+
+def _dot(terms, x):
+    """(M x)_i from row i's non-zero entries (j, M_ij), summed in column order."""
+    return functools.reduce(operator.add, (m * x[j] for j, m in terms))
+
+
+def _linear_in_time(M: np.ndarray, v: np.ndarray) -> FlowMap:
+    """x + t (M x + v), the flow when M (M x + v) = 0: a translation (M = 0) or
+    a nilpotent M (M^2 = 0) with v = 0, so each row has terms or v_i, not both."""
+    rows = [(i, terms, float(v[i])) for i, terms in enumerate(_sparse_rows(M)) if terms or v[i]]
+
+    def flow(t, x):
+        x = np.asarray(x, dtype=float)
+        out = x.copy()
+        for i, terms, vi in rows:
+            out[i] += t * (_dot(terms, x) if terms else vi)
+        return out
+
+    return flow
+
+
+def _diagonal(M: np.ndarray) -> FlowMap:
+    rates = [(i, float(M[i, i])) for i in np.flatnonzero(np.diag(M))]
+
+    def flow(t, x):
+        t, out = np.asarray(t, dtype=float), np.array(x, dtype=float, copy=True)
+        for i, m in rates:
+            out[i] *= np.exp(m * t)
+        return out
+
+    return flow
+
+
+def _involution(M: np.ndarray, k: float) -> FlowMap:
+    rows = _sparse_rows(M / k)  # (M / k)^2 = I, so no row is zero
+
+    def flow(t, x):
+        x, kt = np.asarray(x, dtype=float), k * np.asarray(t, dtype=float)
+        c, s = np.cosh(kt), np.sinh(kt)
+        return np.array([c * x[i] + s * _dot(terms, x) for i, terms in enumerate(rows)])
+
+    return flow
+
+
+def _symmetric(M: np.ndarray) -> FlowMap:
+    lam, Q = np.linalg.eigh(M)
+
+    @functools.lru_cache(maxsize=64)
+    def propagator(t: float) -> np.ndarray:
+        # symmetric only up to rounding: the transpose applies it to rows as
+        # x @ P applies it to path-major states
+        return ((Q * np.exp(t * lam)) @ Q.T).T
+
+    def flow(t, x):
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        if t.ndim == 0:
+            return propagator(float(t)) @ x  # drift flows run at a fixed half-step
+        return Q @ ((Q.T @ x) * np.exp(np.multiply.outer(lam, t)))
+
+    return flow
+
+
+def affine_flow(M: np.ndarray, v: np.ndarray, field: str) -> FlowMap:
+    """The flow (t, x) -> exp(t V) x of V(x) = M x + v in the first structural
+    case it fits; ``field`` names V in the error when it fits none."""
+    if not M.any():
+        return (lambda t, x: x) if not v.any() else _linear_in_time(M, v)
+    if v.any():
+        raise ValueError(f"{field}: no closed-form flow for M != 0 with an offset v != 0")
+    if not (M - np.diag(np.diag(M))).any():
+        return _diagonal(M)
+    M2 = M @ M
+    if not M2.any():
+        return _linear_in_time(M, v)
+    if M2[0, 0] > 0 and not (M2 - M2[0, 0] * np.eye(len(M))).any():
+        return _involution(M, math.sqrt(M2[0, 0]))
+    if (M == M.T).all():
+        return _symmetric(M)
+    raise ValueError(f"{field}: no closed-form flow for M = {M.tolist()}, which fits no case")

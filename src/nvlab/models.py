@@ -3,8 +3,10 @@
 An Ito SDE  dX = b(X) dt + sum_j sigma^j(X) dW^j  is described by a
 :class:`VectorFieldSet`. Every field is affine: sigma^k(x) = A_k x + c_k, with
 index 0 the Ito drift b, so a problem is the matrices A of shape (d+1, n, n)
-and the offsets c of shape (d+1, n). The coefficient callables are built from
-them. Like the rest of the scheme layer they take states as rows (n, paths), a
+and the offsets c of shape (d+1, n). The coefficient callables and each
+field's flow exp(t sigma^k) (identity, translation, diagonal, nilpotent,
+involution or symmetric; see :mod:`nvlab.flows`) are built from them. Like
+the rest of the scheme layer the callables take states as rows (n, paths), a
 single state as an (n, 1) column, and return values of the same shape; the
 Jacobian callable of field k returns the constant (n, n) matrix A_k, entry
 (i, l) = d sigma^{i k} / d x_l.
@@ -12,7 +14,7 @@ Jacobian callable of field k returns the constant (n, n) matrix A_k, entry
 Derived quantities follow the Stratonovich calculus conventions used by
 splitting schemes, and for affine fields they are affine too:
 
-* drift after Ito -> Stratonovich conversion (the catalog's field-0 flows):
+* drift after Ito -> Stratonovich conversion (field 0 of the flows):
   sigma^0 = b - 1/2 sum_j (d sigma^j) sigma^j
           = (A_0 - 1/2 sum_j A_j^2) x + c_0 - 1/2 sum_j A_j c_j
 * Lie bracket of two Brownian fields, the matrices (C, e) that
@@ -26,14 +28,15 @@ reserved for the drift), matching the usual notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from .flows import FlowMap, affine_flow
+
 Field = Callable[[np.ndarray], np.ndarray]
 MatrixField = Callable[[np.ndarray], np.ndarray]
-FlowMap = Callable[[np.ndarray | float, np.ndarray], np.ndarray]
 
 # Desk scale: keeps catalog problems cheap and rules out accidental misuse.
 MAX_DIMENSION = 16
@@ -53,12 +56,11 @@ class VectorFieldSet:
 
     A[k] and c[k] define field k (0 = Ito drift b, 1..d = Brownian fields);
     build instances with :meth:`affine`, which derives the callables on state
-    rows (n, paths) from them. exact_flows maps each field index (0 =
-    Stratonovich drift, 1..d = Brownian fields) to the flow map (t, x0) ->
-    exp(t V) x0 of that field, vectorized over both a batch of states, as rows
-    (n, paths), and a per-path vector of times (see :mod:`nvlab.flows`).
-    Every index 0..d must be present: the schemes evaluate flows only in
-    closed form.
+    rows (n, paths) from them. exact_flows, derived from (A, c) at
+    construction, maps each field index (0 = Stratonovich drift, 1..d =
+    Brownian fields) to the flow map (t, x0) -> exp(t V) x0 of that field,
+    vectorized over both a batch of states, as rows (n, paths), and a per-path
+    vector of times (see :mod:`nvlab.flows`).
     """
 
     A: np.ndarray
@@ -67,10 +69,10 @@ class VectorFieldSet:
     sigma: tuple[Field, ...]
     jac_b: MatrixField
     jac_sigma: tuple[MatrixField, ...]
-    exact_flows: Mapping[int, FlowMap]
+    exact_flows: Mapping[int, FlowMap] = field(init=False, repr=False, compare=False)
 
     @classmethod
-    def affine(cls, A, c, exact_flows: Mapping[int, FlowMap]) -> "VectorFieldSet":
+    def affine(cls, A, c) -> "VectorFieldSet":
         """Fields sigma^k(x) = A[k] x + c[k] with their constant Jacobians."""
         A = np.array(A, dtype=float)
         c = np.array(c, dtype=float)
@@ -85,7 +87,6 @@ class VectorFieldSet:
             sigma=tuple(fields[1:]),
             jac_b=jacobians[0],
             jac_sigma=tuple(jacobians[1:]),
-            exact_flows=exact_flows,
         )
 
     def __post_init__(self):
@@ -97,9 +98,12 @@ class VectorFieldSet:
             raise ValueError(f"dimensions must be in [1, {MAX_DIMENSION}]")
         if len(self.sigma) != self.d or len(self.jac_sigma) != self.d:
             raise ValueError("need exactly d Brownian fields and d Jacobians")
-        missing = set(range(self.d + 1)) - set(self.exact_flows)
-        if missing:
-            raise ValueError(f"no closed-form flow for field(s) {sorted(missing)}")
+        A, c, brownian = self.A, self.c, range(1, self.d + 1)
+        M0 = A[0] - 0.5 * sum(A[j] @ A[j] for j in brownian)  # the Stratonovich drift
+        v0 = c[0] - 0.5 * sum(A[j] @ c[j] for j in brownian)
+        flows = {0: affine_flow(M0, v0, "field 0 (the Stratonovich drift)")}
+        flows.update((k, affine_flow(A[k], c[k], f"field {k}")) for k in brownian)
+        object.__setattr__(self, "exact_flows", flows)
 
     @property
     def n(self) -> int:

@@ -73,12 +73,14 @@ def run_metadata(cfg: RunConfig) -> dict:
 
 
 def check_output_dir(out: str, cfg: RunConfig) -> dict:
-    """The lock's entries in ``out`` (empty if it has none), read only; refuse a
-    rerun with a different config unless forced.
+    """The lock's entries in ``out`` (empty if none), read only; refuse an ``out``
+    that is not a directory, and a rerun with a different config unless forced.
 
     The lock maps command name -> config hash, so different commands can share
     a directory while mismatched reruns of the same command are caught.
     """
+    if Path(out).exists() and not Path(out).is_dir():
+        raise NotADirectoryError(f"{out}: exists and is not a directory")
     lock = Path(out) / LOCK_NAME
     recorded = json.loads(lock.read_text()) if lock.exists() else {}
     old, new = recorded.get(cfg.command), config_hash(cfg)

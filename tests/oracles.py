@@ -7,6 +7,7 @@ test directories are collected in one session.
 
 import numpy as np
 
+from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA, LINNC_K1, LINNC_K2
 from nvlab.paths import DW_DOMAIN, _philox_key
 
 
@@ -50,3 +51,92 @@ def stream(master_seed, path_index, domain=DW_DOMAIN):
     counter = (int(domain) << 192) | (int(path_index) << 128)
     bitgen = np.random.Philox(counter=counter, key=_philox_key(int(master_seed)))
     return np.random.Generator(bitgen)
+
+
+# ---------------------------------------------------------------------------
+# hand-written closed-form flows of the catalog's fields, on state rows
+# (n, paths) with a scalar or per-path time; the derived flows must equal them
+# bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _times(t):
+    return np.asarray(t, dtype=float)
+
+
+def _gbm_flows():
+    mu, s = GBM_MU, GBM_SIGMA
+    rate = mu - 0.5 * s**2
+    return {
+        0: lambda t, x: np.asarray(x, dtype=float) * np.exp(rate * _times(t)),
+        1: lambda t, x: np.asarray(x, dtype=float) * np.exp(s * _times(t)),
+    }
+
+
+def _heisenberg_flow1(t, x):
+    out = np.array(x, dtype=float, copy=True)
+    out[0] += _times(t)
+    return out
+
+
+def _heisenberg_flow2(t, x):
+    out = np.array(x, dtype=float, copy=True)
+    out[1] += _times(t) * out[0]
+    return out
+
+
+def _diag_comm_flows():
+    a1, a2 = DIAG_A
+    theta = DIAG_THETA
+    S0 = np.array([[-0.5 * a1**2, theta], [theta, -0.5 * a2**2]])
+    lam, Q = np.linalg.eigh(S0)
+
+    def flow0(t, x):
+        t = _times(t)
+        x = np.asarray(x, dtype=float)
+        if t.ndim == 0:
+            return ((Q * np.exp(float(t) * lam)) @ Q.T).T @ x
+        z = Q.T @ x
+        z = z * np.exp(np.multiply.outer(lam, t))
+        return Q @ z
+
+    def flow1(t, x):
+        out = np.array(x, dtype=float, copy=True)
+        out[0] *= np.exp(a1 * _times(t))
+        return out
+
+    def flow2(t, x):
+        out = np.array(x, dtype=float, copy=True)
+        out[1] *= np.exp(a2 * _times(t))
+        return out
+
+    return {0: flow0, 1: flow1, 2: flow2}
+
+
+def _linear_nc_flows():
+    k1, k2 = LINNC_K1, LINNC_K2
+    decay = -0.5 * (k1**2 + k2**2)
+
+    def flow0(t, x):
+        return np.asarray(x, dtype=float) * np.exp(decay * _times(t))
+
+    def flow1(t, x):
+        t = _times(t)
+        x = np.asarray(x, dtype=float)
+        return np.array([x[0] * np.exp(k1 * t), x[1] * np.exp(-k1 * t)])
+
+    def flow2(t, x):
+        kt = k2 * _times(t)
+        x = np.asarray(x, dtype=float)
+        c, s = np.cosh(kt), np.sinh(kt)
+        return np.array([x[0] * c + x[1] * s, x[0] * s + x[1] * c])
+
+    return {0: flow0, 1: flow1, 2: flow2}
+
+
+ORACLE_FLOWS = {
+    "gbm1d": _gbm_flows(),
+    "heisenberg": {0: lambda t, x: x, 1: _heisenberg_flow1, 2: _heisenberg_flow2},
+    "diag-comm": _diag_comm_flows(),
+    "linear-nc": _linear_nc_flows(),
+}

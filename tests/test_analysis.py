@@ -221,31 +221,29 @@ def _limit_sde_by_callables(problem, paths, n_fine, master_seed):
 
 
 def _affine_test_problem():
-    """Three non-commuting fields with offsets and a drift, so X reaches V.
-
-    The limit SDE never evaluates a flow; the identity maps only satisfy the
-    constructor."""
+    """Three non-commuting fields, one with an offset, and a drift, so X reaches
+    V: a symmetric A_1, a nilpotent A_2 and a translation c_3, with all three
+    brackets non-zero. A_0 = S + 1/2 sum_j A_j^2 makes the Stratonovich drift
+    the symmetric field S x, so every field has a closed-form flow."""
     rng = np.random.default_rng(5)
-    fields = VectorFieldSet.affine(
-        A=0.3 * rng.standard_normal((4, 2, 2)),
-        c=0.5 * rng.standard_normal((4, 2)),
-        exact_flows={k: (lambda t, x: x) for k in range(4)},
-    )
+    S, A1 = (0.15 * (G + G.T) for G in rng.standard_normal((2, 2, 2)))
+    A2 = np.array([[0.0, 0.3 * rng.standard_normal()], [0.0, 0.0]])
+    A = [S + 0.5 * (A1 @ A1), A1, A2, np.zeros((2, 2))]
+    c = [np.zeros(2), np.zeros(2), np.zeros(2), 0.5 * rng.standard_normal(2)]
+    fields = VectorFieldSet.affine(A=A, c=c)
     return Problem("affine-nc", fields, x0=np.array([0.2, -0.4]), T=0.8)
 
 
 def test_limit_sde_overflow_raises(tmp_path, monkeypatch, capsys):
-    # V's first step takes the bracket source -A[1] c[2] = -1e200 into V, and
-    # A[1] = 1e200 overflows it on the next; the identity flows keep the
-    # scheme side of the limit-law study finite, so only the limit SDE fails
+    # heisenberg's Brownian fields with the stiff drift A_0 = diag(0, -1e300):
+    # the exact drift flow decays the second coordinate to 0, so the scheme
+    # side of the limit-law study stays finite, but the limit SDE's Euler step
+    # multiplies V by -1e300 h and overflows it
+    heis = get_problem("heisenberg").fields
     blowup = Problem(
         "blowup",
-        VectorFieldSet.affine(
-            A=[[[0.0]], [[1e200]], [[0.0]]],
-            c=[[0.0], [0.0], [1.0]],
-            exact_flows={k: (lambda t, x: x) for k in range(3)},
-        ),
-        x0=np.array([0.0]),
+        VectorFieldSet.affine(A=[np.diag([0.0, -1e300]), *heis.A[1:]], c=heis.c),
+        x0=np.zeros(2),
         T=1.0,
     )
     with np.errstate(over="ignore", invalid="ignore"):

@@ -144,8 +144,11 @@ def test_refusals_come_before_the_study(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setattr(cli, "strong_error", _never_called)
     monkeypatch.setattr(analysis, "normalized_error_samples", _never_called)
+    not_a_dir = tmp_path / "results.csv"
+    not_a_dir.write_text("")
     cases = [
         (args + ["--paths", "200", "--out", out], 3, "i/o error: "),
+        (args + ["--paths", "100", "--out", str(not_a_dir)], 3, "i/o error: "),
         (["convergence", "--nladder", "64,128"], 1, "usage error: need at least 3"),
         (["limit-law", "--nfine", "0", "--N", "64"], 1, "usage error: "),
         (["limit-law", "--paths", "1", "--N", "64"], 1, "usage error: "),

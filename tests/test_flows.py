@@ -15,7 +15,7 @@ from nvlab import (
 from nvlab.catalog import GBM_MU, GBM_SIGMA
 from nvlab.flows import flow_unchecked
 
-from oracles import jacobian_drift, sample_states
+from oracles import ORACLE_FLOWS, jacobian_drift, sample_states
 
 times = st.floats(-1.0, 1.0)
 
@@ -77,19 +77,42 @@ def test_diag_comm_drift_flow_scalar_and_array_paths_agree(diag_comm):
     assert np.max(np.abs(scalar - arr)) <= 1e-14
 
 
+def _with_signed_zeros(values, rng):
+    """``values`` with about a fifth of its entries set to 0.0 and a fifth to -0.0."""
+    out = np.array(values, dtype=float)
+    u = rng.random(out.shape)
+    out[u < 0.2] = 0.0
+    out[u > 0.8] = -0.0
+    return out
+
+
+@pytest.mark.parametrize("name", PROBLEM_IDS)
+def test_derived_flows_equal_hand_written_oracles(name):
+    # every flow derived from (A, c) equals its hand-written closed form in
+    # oracles.py bit for bit, signs of zero included, on 1000 state rows with
+    # +-0 entries and on single states, at scalar and per-path times
+    prob = get_problem(name)
+    rng = np.random.default_rng(61)
+    xs = _with_signed_zeros(rng.standard_normal((prob.n, 1000)), rng)
+    per_path = _with_signed_zeros(rng.uniform(-1.0, 1.0, 1000), rng)
+    cases = [(t, xs) for t in (-0.9, -0.0, 0.0, 0.013, 0.5, 1.7, per_path)]
+    cases += [(t, x) for t in (-0.3, 0.05) for x in xs[:, :8].T]
+    oracles = ORACLE_FLOWS[name]
+    assert set(prob.fields.exact_flows) == set(oracles) == set(range(prob.d + 1))
+    for idx, derived in prob.fields.exact_flows.items():
+        for t, x in cases:
+            got, want = derived(t, x), oracles[idx](t, x)
+            assert got.shape == want.shape, (idx, t)
+            np.testing.assert_array_equal(got, want, err_msg=f"field {idx}, t={t}")
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_flow_explosion_raises():
     # sigma(x) = x with b = x/2 has zero Stratonovich drift; its flow x e^t
     # overflows at t = 1000
     growth = Problem(
         name="blowup",
-        fields=VectorFieldSet.affine(
-            A=[[[0.5]], [[1.0]]],
-            c=np.zeros((2, 1)),
-            exact_flows={
-                0: lambda t, x: np.asarray(x, dtype=float),
-                1: lambda t, x: np.asarray(x, dtype=float) * np.exp(np.asarray(t)),
-            },
-        ),
+        fields=VectorFieldSet.affine(A=[[[0.5]], [[1.0]]], c=np.zeros((2, 1))),
         x0=np.array([1.0]),
         T=1.0,
     )

@@ -96,7 +96,8 @@ def test_golden_csv_body(name, tmp_path, capsys):
     assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN[name]
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_STRONG))
+# ids name the key (problem-scheme-N-refine), so a new pinned case renames no other
+@pytest.mark.parametrize("case", sorted(GOLDEN_STRONG), ids=lambda case: "-".join(map(str, case)))
 def test_golden_strong_error(case):
     name, scheme, N, refine = case
     pt = strong_error(get_problem(name), scheme, N, 300, 11, refine_factor=refine)

@@ -91,19 +91,12 @@ def test_mlmc_validation(heisenberg):
 
 
 def _saturating_problem():
-    """One state and one Brownian field whose flow sends every state to 1e160:
+    """One state from x0 = 1e160 under a zero drift and a zero Brownian field:
     the states stay finite, but norm2 squares them to inf."""
     return Problem(
         "saturating",
-        VectorFieldSet.affine(
-            A=[[[0.0]], [[1.0]]],
-            c=[[0.0], [0.0]],
-            exact_flows={
-                0: lambda t, x: x,
-                1: lambda t, x: np.full_like(np.asarray(x, dtype=float), 1e160),
-            },
-        ),
-        x0=np.array([1.0]),
+        VectorFieldSet.affine(A=np.zeros((2, 1, 1)), c=np.zeros((2, 1))),
+        x0=np.array([1e160]),
         T=1.0,
     )
 

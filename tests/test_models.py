@@ -7,20 +7,10 @@ from hypothesis import strategies as st
 
 from nvlab import PROBLEM_IDS, VectorFieldSet, build_bracket_table, catalog, get_problem
 from nvlab.catalog import GBM_MU, GBM_SIGMA, LINNC_K1, LINNC_K2
-from nvlab.flows import flow_unchecked
 
 from oracles import jacobian_bracket, jacobian_drift, sample_states
 
 state2 = st.lists(st.floats(-3, 3), min_size=2, max_size=2).map(np.array)
-
-
-def _translation(v):
-    """Flow of the constant field v on state rows: x + t v, per-path t allowed."""
-    return lambda t, x: np.asarray(x, dtype=float) + np.multiply.outer(v, t)
-
-
-def _identity_flows(d):
-    return {idx: (lambda t, x: x) for idx in range(d + 1)}
 
 
 def matrix_drift(fields, x):
@@ -73,11 +63,6 @@ def test_stratonovich_drift_constant_fields_is_drift():
     fields = VectorFieldSet.affine(
         A=np.zeros((3, 2, 2)),
         c=[drift, [1.0, 2.0], [-1.0, 0.5]],
-        exact_flows={
-            0: _translation(drift),
-            1: _translation(np.array([1.0, 2.0])),
-            2: _translation(np.array([-1.0, 0.5])),
-        },
     )
     x = np.array([1.0, 4.0])
     np.testing.assert_array_equal(matrix_drift(fields, x), drift)
@@ -188,25 +173,35 @@ def test_heisenberg_bracket_norm_is_one(heisenberg):
 
 def test_dimension_cap_enforced():
     with pytest.raises(ValueError, match="dimensions"):
-        VectorFieldSet.affine(np.zeros((2, 17, 17)), np.zeros((2, 17)), _identity_flows(1))
+        VectorFieldSet.affine(np.zeros((2, 17, 17)), np.zeros((2, 17)))
 
 
 def test_field_count_must_match_d():
     # offsets for two fields against matrices for three (d = 2)
     with pytest.raises(ValueError, match="c must have shape"):
-        VectorFieldSet.affine(np.zeros((3, 1, 1)), np.zeros((2, 1)), _identity_flows(2))
-    fields = VectorFieldSet.affine(np.zeros((3, 1, 1)), np.zeros((3, 1)), _identity_flows(2))
+        VectorFieldSet.affine(np.zeros((3, 1, 1)), np.zeros((2, 1)))
+    fields = VectorFieldSet.affine(np.zeros((3, 1, 1)), np.zeros((3, 1)))
     with pytest.raises(ValueError, match="exactly d Brownian fields"):
         replace(fields, sigma=fields.sigma[:1])
 
 
-def test_flows_must_cover_every_field():
-    A, c = np.ones((2, 1, 1)), np.zeros((2, 1))
-    VectorFieldSet.affine(A, c, _identity_flows(1))
-    with pytest.raises(ValueError, match=r"field\(s\) \[0\]"):
-        VectorFieldSet.affine(A, c, {1: lambda t, x: x})
-    with pytest.raises(ValueError, match=r"\[1\]"):
-        VectorFieldSet.affine(A, c, {0: lambda t, x: x})
+@pytest.mark.parametrize(
+    "A, c, field",
+    [
+        # each drift A_0 = A_1^2 / 2 and c_0 = A_1 c_1 / 2 makes the
+        # Stratonovich drift zero, so the Brownian field is the one refused:
+        # one that is not symmetric, nilpotent or a multiple of an involution
+        ([[[0.5, 2.0], [0.0, 0.5]], [[1.0, 2.0], [0.0, 1.0]]], np.zeros((2, 2)), "field 1"),
+        # one with a linear part and an offset together
+        ([[[0.5]], [[1.0]]], [[0.5], [1.0]], "field 1"),
+        # a zero Brownian field, so the Stratonovich drift M = A_0 is refused
+        ([[[1.0, 2.0], [0.0, 1.0]], np.zeros((2, 2))], np.zeros((2, 2)), r"field 0 \("),
+    ],
+    ids=["no-structure", "matrix-and-offset", "drift"],
+)
+def test_field_without_closed_form_flow_raises(A, c, field):
+    with pytest.raises(ValueError, match=f"^{field}.*no closed-form flow"):
+        VectorFieldSet.affine(A, c)
 
 
 def test_problem_descriptor_keys(heisenberg):
@@ -224,13 +219,6 @@ def test_problem_descriptor_keys(heisenberg):
 def test_unknown_problem_rejected():
     with pytest.raises(KeyError):
         get_problem("does-not-exist")
-
-
-def test_exact_flows_identity_at_zero(problems):
-    for prob in problems.values():
-        xs = sample_states(prob, count=10, seed=3).T
-        for idx in prob.fields.exact_flows:
-            np.testing.assert_array_equal(flow_unchecked(prob, idx, 0.0, xs), xs)
 
 
 # ---------------------------------------------------------------------------
