@@ -43,9 +43,11 @@ from .models import Problem
 from .paths import (
     AUX_DOMAIN,
     DW_DOMAIN,
+    PathBundle,
     StreamPool,
     coarsen,
     make_bundle_batch,
+    path_tiles,
     time_major_blocks,
 )
 from .schemes import trajectory
@@ -494,17 +496,37 @@ def source_term_variance(
 
     def worker(start, count):
         bundle = make_bundle_batch(master_seed, start, count, n_fine, 2, T)
-        eta = bundle.eta[:, ::substeps]  # the sign of each step's first substep
-        dWm = bundle.dW[:, :, 0].reshape(count, N, substeps)
-        dWj = bundle.dW[:, :, 1].reshape(count, N, substeps)
-        lag_m = np.zeros_like(dWm)
-        lag_m[:, :, 1:] = np.cumsum(dWm[:, :, :-1], axis=2)
-        lag_j = np.zeros_like(dWj)
-        lag_j[:, :, 1:] = np.cumsum(dWj[:, :, :-1], axis=2)
-        per_step_minus = np.einsum("pks,ks->pk", lag_m * dWj, mask)
-        per_step_plus = np.einsum("pks,ks->pk", lag_j * dWm, mask)
-        return scale * np.sum(np.where(eta < 0, -per_step_minus, per_step_plus), axis=1)
+        return _source_term_values(bundle, mask, scale)
 
     values = run_paths(paths, n_fine * 6, threads, worker)
     var_est, stderr = _batch_var_se(values)
     return SourceTermEstimate(N, j, m, t, var_est, stderr, theory)
+
+
+def _source_term_values(bundle: PathBundle, mask: np.ndarray, scale: float) -> np.ndarray:
+    """``scale`` times Y^{j,m,N}_t of every path of a 2-dimensional bundle.
+
+    ``mask`` (N, substeps) keeps the substeps that enter. Coordinate 1 plays
+    W^m and coordinate 2 W^j; in step k the lagged sum is the increment's
+    running sum within the step before each substep, and the step's first
+    sign picks its left-point sum of lag_m dW^j (-1) or of lag_j dW^m (+1).
+    The paths run one tile at a time through buffers of one tile.
+    """
+    N, substeps = mask.shape
+    eta = bundle.eta[:, ::substeps]  # the sign of each step's first substep
+    dW = bundle.dW.reshape(bundle.paths, N, substeps, 2)
+    # a path reads its increments (2 floats a substep) and three buffers
+    tiles = path_tiles(bundle.paths, 5 * 8 * bundle.n_fine, bundle.n_fine)
+    lags = np.zeros((2, tiles[0].stop, N, substeps))  # substep 0 keeps its 0
+    prod = np.empty((tiles[0].stop, N, substeps))
+    out = np.empty(bundle.paths)
+    for tile in tiles:
+        count = tile.stop - tile.start
+        dWm, dWj = dW[tile, :, :, 0], dW[tile, :, :, 1]
+        lag_m, lag_j, p = lags[0, :count], lags[1, :count], prod[:count]
+        np.cumsum(dWm[:, :, :-1], axis=2, out=lag_m[:, :, 1:])
+        np.cumsum(dWj[:, :, :-1], axis=2, out=lag_j[:, :, 1:])
+        minus = np.einsum("pks,ks->pk", np.multiply(lag_m, dWj, out=p), mask)
+        plus = np.einsum("pks,ks->pk", np.multiply(lag_j, dWm, out=p), mask)
+        out[tile] = scale * np.sum(np.where(eta[tile] < 0, -minus, plus), axis=1)
+    return out

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import Problem, VectorFieldSet
-from .paths import PathBundle, coarsen
+from .paths import PathBundle, coarsen, path_tiles
 
 # ---------------------------------------------------------------------------
 # gbm1d
@@ -64,16 +64,22 @@ def _heisenberg_exact(problem: Problem, bundle: PathBundle, N: int) -> np.ndarra
     within-step iterated integral is exactly what the scheme cannot see.
     """
     view = coarsen(bundle, N)
-    block = bundle.n_fine // N
+    n_fine = bundle.n_fine
+    block = n_fine // N
     states = np.zeros((bundle.paths, N + 1, 2))
     np.cumsum(view.dW[:, :, 0], axis=1, out=states[:, 1:, 0])
-    # one fine-resolution buffer: left-point W^1, then W^1 dW^2, then its running sum
-    acc = np.empty((bundle.paths, bundle.n_fine))
-    acc[:, 0] = 0.0
-    np.cumsum(bundle.dW[:, :-1, 0], axis=1, out=acc[:, 1:])
-    acc *= bundle.dW[:, :, 1]
-    np.cumsum(acc, axis=1, out=acc)
-    states[:, 1:, 1] = acc[:, block - 1 :: block]
+    dW1, dW2 = bundle.dW[:, :, 0], bundle.dW[:, :, 1]
+    # a path reads its increments (2 floats a step) and the buffer (1 float a step)
+    tiles = path_tiles(bundle.paths, 3 * 8 * n_fine, n_fine)
+    # one fine-resolution buffer per tile: left-point W^1, then W^1 dW^2, then its running sum
+    buffer = np.empty((tiles[0].stop, n_fine))
+    for tile in tiles:
+        acc = buffer[: tile.stop - tile.start]
+        acc[:, 0] = 0.0
+        np.cumsum(dW1[tile, :-1], axis=1, out=acc[:, 1:])
+        acc *= dW2[tile]
+        np.cumsum(acc, axis=1, out=acc)
+        states[tile, 1:, 1] = acc[:, block - 1 :: block]
     return states
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -67,8 +66,13 @@ def _sparse_rows(M: np.ndarray) -> list:
 
 
 def _dot(terms, x):
-    """(M x)_i from row i's non-zero entries (j, M_ij), summed in column order."""
-    return functools.reduce(operator.add, (m * x[j] for j, m in terms))
+    """(M x)_i from row i's non-zero entries (j, M_ij), summed in column order.
+    An entry of 1.0 adds x_j itself: a product by 1.0 changes no bit."""
+    out = None
+    for j, m in terms:
+        term = x[j] if m == 1.0 else m * x[j]
+        out = term if out is None else out + term
+    return out
 
 
 def _linear_in_time(M: np.ndarray, v: np.ndarray) -> FlowMap:
@@ -80,19 +84,28 @@ def _linear_in_time(M: np.ndarray, v: np.ndarray) -> FlowMap:
         x = np.asarray(x, dtype=float)
         out = x.copy()
         for i, terms, vi in rows:
-            out[i] += t * (_dot(terms, x) if terms else vi)
+            if terms:
+                out[i] += t * _dot(terms, x)
+            else:
+                out[i] += t if vi == 1.0 else t * vi  # a product by 1.0 changes no bit
         return out
 
     return flow
 
 
 def _diagonal(M: np.ndarray) -> FlowMap:
-    rates = [(i, float(M[i, i])) for i in np.flatnonzero(np.diag(M))]
+    """x_i exp(M_ii t), with one exp per distinct non-zero rate M_ii."""
+    rows_of = {}
+    for i in np.flatnonzero(np.diag(M)):
+        rows_of.setdefault(float(M[i, i]), []).append(i)
+    rates = list(rows_of.items())
 
     def flow(t, x):
         t, out = np.asarray(t, dtype=float), np.array(x, dtype=float, copy=True)
-        for i, m in rates:
-            out[i] *= np.exp(m * t)
+        for m, rows in rates:
+            growth = np.exp(m * t)
+            for i in rows:
+                out[i] *= growth
         return out
 
     return flow

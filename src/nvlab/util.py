@@ -95,10 +95,13 @@ def _available_cores() -> int:
 def resolve_threads(threads: int) -> int:
     """0 means auto; negative is rejected.
 
-    Auto resolves to 1: the marching kernels are dominated by many small numpy
-    calls that hold the GIL, so oversubscribing threads slows them down. An
-    explicit positive count is capped at the available cores, so no request
-    starts more threads than can run; results are identical either way.
+    Auto resolves to 1: the scheme march is many small numpy calls, each of
+    which holds the GIL, so threads marching side by side slow each other
+    down, and the workers split the memory budget, so each marches smaller
+    chunks. Normal fills and ufuncs over large arrays do release the GIL, so
+    the normal-bound estimators gain from more threads. An explicit
+    positive count is capped at the available cores, so no request starts
+    more threads than can run; results are identical either way.
     """
     if threads < 0:
         raise ValueError("threads must be >= 0")
@@ -110,9 +113,11 @@ def resolve_threads(threads: int) -> int:
 def run_batches(worker: Callable[[S], R], specs: Sequence[S], threads: int = 1) -> list[R]:
     """Apply ``worker`` to each spec, preserving order.
 
-    With ``threads`` > 1 the work runs on a thread pool; numpy releases the
-    GIL in the heavy kernels. Output order equals input order regardless of
-    scheduling, which is what the determinism guarantees rely on.
+    With ``threads`` > 1 the work runs on a thread pool. numpy releases the
+    GIL in normal fills and in ufuncs over large arrays, which then overlap;
+    the march's small calls do not. Output order equals input order
+    regardless of scheduling, which is what the determinism guarantees rely
+    on.
     """
     threads = resolve_threads(threads)
     if threads == 1 or len(specs) <= 1:

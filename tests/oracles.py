@@ -8,7 +8,7 @@ test directories are collected in one session.
 import numpy as np
 
 from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA, LINNC_K1, LINNC_K2
-from nvlab.paths import DW_DOMAIN, _philox_key
+from nvlab.paths import DW_DOMAIN, _philox_key, coarsen
 
 
 def sample_states(problem, count=100, seed=1234, spread=1.0):
@@ -41,6 +41,20 @@ def jacobian_bracket(fields, j, m, x):
     """Oracle for the Lie bracket by the Jacobian formula:
     [sigma^j, sigma^m] = (d sigma^m) sigma^j - (d sigma^j) sigma^m."""
     return _dsigma_sigma(fields, m, j, x) - _dsigma_sigma(fields, j, m, x)
+
+
+def with_signed_zeros(values, rng):
+    """``values`` with about a fifth of its entries set to 0.0 and a fifth to -0.0."""
+    out = np.array(values, dtype=float)
+    u = rng.random(out.shape)
+    out[u < 0.2] = 0.0
+    out[u > 0.8] = -0.0
+    return out
+
+
+def fixed_tiles(tile):
+    """A stand-in for ``paths.path_tiles`` that cuts ``tile`` paths per tile."""
+    return lambda paths, *_: [slice(p0, min(p0 + tile, paths)) for p0 in range(0, paths, tile)]
 
 
 def stream(master_seed, path_index, domain=DW_DOMAIN):
@@ -140,3 +154,40 @@ ORACLE_FLOWS = {
     "diag-comm": _diag_comm_flows(),
     "linear-nc": _linear_nc_flows(),
 }
+
+
+# ---------------------------------------------------------------------------
+# whole-chunk forms of the fine-grid passes that run over path tiles; the
+# tiled passes must equal them bit for bit
+# ---------------------------------------------------------------------------
+
+
+def heisenberg_exact_whole_chunk(bundle, N):
+    """heisenberg's closed form with one (paths, n_fine) buffer for the chunk."""
+    view = coarsen(bundle, N)
+    block = bundle.n_fine // N
+    states = np.zeros((bundle.paths, N + 1, 2))
+    np.cumsum(view.dW[:, :, 0], axis=1, out=states[:, 1:, 0])
+    acc = np.empty((bundle.paths, bundle.n_fine))
+    acc[:, 0] = 0.0
+    np.cumsum(bundle.dW[:, :-1, 0], axis=1, out=acc[:, 1:])
+    acc *= bundle.dW[:, :, 1]
+    np.cumsum(acc, axis=1, out=acc)
+    states[:, 1:, 1] = acc[:, block - 1 :: block]
+    return states
+
+
+def source_term_values_whole_chunk(bundle, mask, scale):
+    """The source term's per-path values, with whole-chunk temporaries."""
+    N, substeps = mask.shape
+    count = bundle.paths
+    eta = bundle.eta[:, ::substeps]
+    dWm = bundle.dW[:, :, 0].reshape(count, N, substeps)
+    dWj = bundle.dW[:, :, 1].reshape(count, N, substeps)
+    lag_m = np.zeros_like(dWm)
+    lag_m[:, :, 1:] = np.cumsum(dWm[:, :, :-1], axis=2)
+    lag_j = np.zeros_like(dWj)
+    lag_j[:, :, 1:] = np.cumsum(dWj[:, :, :-1], axis=2)
+    per_step_minus = np.einsum("pks,ks->pk", lag_m * dWj, mask)
+    per_step_plus = np.einsum("pks,ks->pk", lag_j * dWm, mask)
+    return scale * np.sum(np.where(eta < 0, -per_step_minus, per_step_plus), axis=1)

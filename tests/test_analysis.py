@@ -8,6 +8,7 @@ from nvlab import (
     PathBundle,
     Problem,
     VectorFieldSet,
+    analysis,
     cli,
     compare_distributions,
     fit_rate,
@@ -23,7 +24,7 @@ from nvlab import (
 )
 from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, coarsen, make_bundle_batch
 
-from oracles import jacobian_bracket
+from oracles import fixed_tiles, jacobian_bracket, source_term_values_whole_chunk
 
 # ---------------------------------------------------------------------------
 # strong error
@@ -411,6 +412,20 @@ def test_source_term_pairs_identical_in_law():
     b = source_term_variance(N=4, j=5, m=3, t=1.0, paths=500, master_seed=21)
     assert (a.var_est, a.stderr) == (b.var_est, b.stderr)
     assert (b.j, b.m) == (5, 3)
+
+
+@pytest.mark.parametrize("tile", [None, 1, 3, 16])
+@pytest.mark.parametrize("N, substeps, kept", [(4, 64, 256), (8, 8, 37), (1, 2, 1)])
+def test_source_term_tiles_equal_whole_chunk(monkeypatch, N, substeps, kept, tile):
+    # 250 paths: no tile of 3 or 16 divides them, nor the default tile of
+    # 102 paths at 256 fine steps
+    if tile is not None:
+        monkeypatch.setattr(analysis, "path_tiles", fixed_tiles(tile))
+    n_fine = N * substeps
+    bundle = make_bundle_batch(19, 5, 250, n_fine, 2, 1.0)
+    mask = (np.arange(n_fine) < kept).reshape(N, substeps).astype(float)
+    got = analysis._source_term_values(bundle, mask, math.sqrt(N))
+    np.testing.assert_array_equal(got, source_term_values_whole_chunk(bundle, mask, math.sqrt(N)))
 
 
 def test_source_term_validation():

@@ -15,7 +15,7 @@ from nvlab import (
 from nvlab.catalog import GBM_MU, GBM_SIGMA
 from nvlab.flows import flow_unchecked
 
-from oracles import ORACLE_FLOWS, jacobian_drift, sample_states
+from oracles import ORACLE_FLOWS, jacobian_drift, sample_states, with_signed_zeros
 
 times = st.floats(-1.0, 1.0)
 
@@ -77,15 +77,6 @@ def test_diag_comm_drift_flow_scalar_and_array_paths_agree(diag_comm):
     assert np.max(np.abs(scalar - arr)) <= 1e-14
 
 
-def _with_signed_zeros(values, rng):
-    """``values`` with about a fifth of its entries set to 0.0 and a fifth to -0.0."""
-    out = np.array(values, dtype=float)
-    u = rng.random(out.shape)
-    out[u < 0.2] = 0.0
-    out[u > 0.8] = -0.0
-    return out
-
-
 @pytest.mark.parametrize("name", PROBLEM_IDS)
 def test_derived_flows_equal_hand_written_oracles(name):
     # every flow derived from (A, c) equals its hand-written closed form in
@@ -93,8 +84,8 @@ def test_derived_flows_equal_hand_written_oracles(name):
     # +-0 entries and on single states, at scalar and per-path times
     prob = get_problem(name)
     rng = np.random.default_rng(61)
-    xs = _with_signed_zeros(rng.standard_normal((prob.n, 1000)), rng)
-    per_path = _with_signed_zeros(rng.uniform(-1.0, 1.0, 1000), rng)
+    xs = with_signed_zeros(rng.standard_normal((prob.n, 1000)), rng)
+    per_path = with_signed_zeros(rng.uniform(-1.0, 1.0, 1000), rng)
     cases = [(t, xs) for t in (-0.9, -0.0, 0.0, 0.013, 0.5, 1.7, per_path)]
     cases += [(t, x) for t in (-0.3, 0.05) for x in xs[:, :8].T]
     oracles = ORACLE_FLOWS[name]

@@ -17,12 +17,14 @@ from nvlab.paths import (
     TIME_MAJOR_READ_BYTES,
     VECTOR_SIGN_BLOCKS,
     StreamPool,
+    _block_sums,
     _philox_key,
+    path_tiles,
     philox_words,
     rademacher_from_raw,
     time_major_blocks,
 )
-from oracles import stream
+from oracles import fixed_tiles, stream, with_signed_zeros
 
 
 def test_same_seed_and_index_bitwise_identical():
@@ -298,6 +300,54 @@ def test_coarsen_chain_bit_exact(chain, path_index):
     chained = coarsen(coarsen(bundle, n2), n1)
     assert np.array_equal(direct.eta, chained.eta)
     np.testing.assert_allclose(chained.dW, direct.dW, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("tile", [None, 1, 3])
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("block", [1, 2, 64, 1024])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_coarsen_equals_numpy_block_sum(monkeypatch, d, block, N, tile):
+    # the tiled slice adds give the bits of numpy's sum over the block axis,
+    # signs of zero included, for 7 paths (no tile of 3 divides them); path 0
+    # is all -0.0, whose block sums numpy starts from +0.0
+    if tile is not None:
+        monkeypatch.setattr(paths, "path_tiles", fixed_tiles(tile))
+    rng = np.random.default_rng(10 * block + d)
+    dW = with_signed_zeros(rng.standard_normal((7, N * block, d)), rng)
+    dW[0] = -0.0
+    want = dW.reshape(7, N, block, d).sum(axis=2)
+    if block == 1:
+        got = _block_sums(dW, 1)  # coarsen returns the bundle itself
+    else:
+        got = coarsen(_manual_bundle(dW, np.ones((7, N * block))), N).dW
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_coarsen_non_contiguous_increments(d):
+    # a hand-built bundle may hold a strided or Fortran-ordered dW: it sums as
+    # its contiguous copy does
+    base = np.random.default_rng(8).standard_normal((5, 32, 2 * d))
+    for dW in (base[:, :, ::2], base[:, ::2, :d], np.asfortranarray(base[:, :, :d])):
+        bundle = PathBundle(T=1.0, dW=dW, eta=np.ones(dW.shape[:2], np.int8))
+        want = np.ascontiguousarray(dW).reshape(5, 4, -1, d).sum(axis=2)
+        np.testing.assert_array_equal(coarsen(bundle, 4).dW, want)
+
+
+def test_path_tiles_fit_the_cache_with_an_element_floor():
+    def lengths(tiles):
+        assert tiles[0].start == 0 and all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        return [t.stop - t.start for t in tiles]
+
+    size, floor = paths.PATH_TILE_BYTES, paths.PATH_TILE_MIN_ELEMENTS
+    # 128 paths fit a tile, the last one is short
+    assert lengths(path_tiles(300, size // 128, floor)) == [128, 128, 44]
+    # paths larger than a tile: one to a tile
+    assert lengths(path_tiles(3, 2 * size, floor)) == [1, 1, 1]
+    # few elements per call and path: the element floor sets the tile
+    assert lengths(path_tiles(floor - 24, size, 1)) == [floor - 24]
+    assert lengths(path_tiles(2 * floor + 3, size, 2)) == [floor // 2] * 4 + [3]
 
 
 def test_coarse_view_rejects_refinement():

@@ -1,3 +1,5 @@
+import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,10 @@ import nvlab.paths as paths_module
 from nvlab.flows import flow_unchecked
 from nvlab.schemes import _discrete_nv_kernel, _euler_kernel, _march, _nv_kernel
 
-from oracles import sample_states
+from oracles import fixed_tiles, heisenberg_exact_whole_chunk, sample_states
+
+# the package exports the catalog() function under the submodule's name
+catalog_module = importlib.import_module("nvlab.catalog")
 
 incr = st.floats(-1.5, 1.5)
 
@@ -301,6 +306,32 @@ def test_heisenberg_closed_form_in_place_is_bit_identical(heisenberg, N, refine)
     bundle = make_bundle_batch(8, 0, 24, N * refine, 2, 1.0)
     ref = exact_trajectory(heisenberg, bundle, N).states
     np.testing.assert_array_equal(ref, _heisenberg_exact_by_concatenation(bundle, N))
+
+
+@pytest.mark.parametrize("tile", [None, 1, 3, 16])
+@pytest.mark.parametrize("N, refine", [(8, 16), (3, 5), (4, 1)])
+def test_heisenberg_closed_form_tiles_equal_whole_chunk(heisenberg, monkeypatch, N, refine, tile):
+    # 10 paths: no tile of 3 or 16 divides them
+    if tile is not None:
+        monkeypatch.setattr(catalog_module, "path_tiles", fixed_tiles(tile))
+    bundle = make_bundle_batch(8, 0, 10, N * refine, 2, 1.0)
+    ref = exact_trajectory(heisenberg, bundle, N).states
+    np.testing.assert_array_equal(ref, heisenberg_exact_whole_chunk(bundle, N))
+
+
+def test_heisenberg_closed_form_buffer_holds_one_tile(heisenberg):
+    # the closed form's peak allocation stays under a quarter of one
+    # (paths, n_fine) float array, which its fine buffer took when it held
+    # every path of the chunk
+    paths, n_fine = 200, 4096
+    bundle = make_bundle_batch(3, 0, paths, n_fine, 2, 1.0)
+    tracemalloc.start()
+    try:
+        heisenberg.exact_solution(heisenberg, bundle, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < paths * n_fine * 8 / 4
 
 
 def test_exact_trajectory_proxy_mode(diag_comm):
