@@ -13,7 +13,8 @@ The statistical core of the lab:
          + (db)(X) V dt + sum_j (ds^j)(X) V dW^j,    V_0 = 0,
   driven by a fresh d(d-1)/2-dimensional Brownian motion B independent of W
   (Kurtz-Protter 1991); the fields are affine, so this is a constant-
-  coefficient march on the matrices A_k and precomputed bracket matrices;
+  coefficient step on the matrices A_k and precomputed bracket matrices,
+  run by the schemes' one march (``schemes._march``);
 * distribution comparison of two (samples, n) sample sets (moments +
   per-coordinate two-sample KS); scipy is imported only when a comparison
   runs, so no other estimator pays for it;
@@ -39,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .flows import FlowExplosionError
 from .models import Problem
 from .paths import (
     AUX_DOMAIN,
@@ -48,9 +50,8 @@ from .paths import (
     coarsen,
     make_bundle_batch,
     path_tiles,
-    time_major_blocks,
 )
-from .schemes import trajectory
+from .schemes import _march, trajectory
 from .util import STAT_BATCHES, run_paths, split_paths
 
 # Seed stride separating the limit-SDE sample stream from the scheme stream,
@@ -324,21 +325,23 @@ def simulate_limit_sde(
 ) -> np.ndarray:
     """Terminal samples of the limiting affine error SDE, shape (paths, n).
 
-    A constant-coefficient Euler march: every field is affine, so the drift
+    A constant-coefficient Euler step: every field is affine, so the drift
     and diffusion of V are the matrices A_k, and each bracket source is
     C x + e with C = A_m A_j - A_j A_m and e = A_m c_j - A_j c_m, computed
-    once; no coefficient callable is evaluated. The states are rows of
-    shape (n, paths). The base SDE X (Ito form) is marched alongside V only
-    when some bracket matrix C is non-zero; otherwise the sources are
-    constant and X never reaches V. The increments dW are those of
-    :func:`~nvlab.paths.make_bundle_batch`, drawn without its signs. The
-    bracket sources are driven by fresh increments of an independent
-    d(d-1)/2-dimensional Brownian motion drawn from each path's auxiliary
-    stream. Both are read in blocks by
-    :func:`~nvlab.paths.time_major_blocks`. For commuting Brownian fields the
-    source vanishes and V stays exactly zero. A non-finite terminal state
-    raises :class:`FloatingPointError` naming the problem and the first such
-    path.
+    once; no coefficient callable is evaluated. The schemes' march
+    (``schemes._march``) runs the step on the base SDE X (Ito form) and V
+    stacked as state rows (2n, paths), recording only the terminal state.
+    X is stepped only when some bracket matrix C is non-zero; otherwise the
+    sources are constant, X never reaches V and its rows keep x0. The
+    increments dW are those of :func:`~nvlab.paths.make_bundle_batch`, drawn
+    without its signs. The bracket sources are driven by fresh increments of
+    an independent d(d-1)/2-dimensional Brownian motion drawn from each
+    path's auxiliary stream. For commuting Brownian fields the source
+    vanishes and V stays exactly zero. A non-finite terminal state, of X or
+    of V, raises :class:`FloatingPointError` naming the problem, the step
+    and the first such path; the step is the first recorded one with a
+    non-finite state, which is always n_fine (time T), since only the
+    terminal state is recorded.
     """
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
@@ -350,6 +353,25 @@ def simulate_limit_sde(
     march_x = any(C.any() for C, _ in brackets)
     delta = problem.T / n_fine
     coef = math.sqrt(problem.T / 2.0)
+    n = problem.n
+
+    def step(s, dW_k, dB_k):
+        x, v = s[:n], s[n:]  # s stacks X over V as rows (2n, paths)
+        dv = (A[0] @ v) * delta
+        for j in range(1, problem.d + 1):
+            dv = dv + (A[j] @ v) * dW_k[j - 1]
+        for idx, (C, e) in enumerate(brackets):
+            dv = dv + coef * (C @ x + e[:, None]) * dB_k[idx]
+        out = np.empty_like(s)
+        np.add(v, dv, out=out[n:])
+        if march_x:
+            dx = (A[0] @ x + c[0]) * delta
+            for j in range(1, problem.d + 1):
+                dx = dx + (A[j] @ x + c[j]) * dW_k[j - 1]
+            np.add(x, dx, out=out[:n])
+        else:
+            out[:n] = x
+        return out
 
     def worker(start, count):
         # the increments of make_bundle_batch, without its signs
@@ -360,29 +382,15 @@ def simulate_limit_sde(
         if n_pairs:
             pool.fill_normals(AUX_DOMAIN, start, dB)
             dB *= math.sqrt(delta)
-        x = np.repeat(problem.x0[:, None], count, axis=1)
-        v = np.zeros((problem.n, count))
-        for _, dW_rows, dB_rows in time_major_blocks(dW, dB):
-            for dW_k, dB_k in zip(dW_rows, dB_rows):
-                dv = (A[0] @ v) * delta
-                for j in range(1, problem.d + 1):
-                    dv = dv + (A[j] @ v) * dW_k[j - 1]
-                for idx, (C, e) in enumerate(brackets):
-                    dv = dv + coef * (C @ x + e[:, None]) * dB_k[idx]
-                if march_x:
-                    dx = (A[0] @ x + c[0]) * delta
-                    for j in range(1, problem.d + 1):
-                        dx = dx + (A[j] @ x + c[j]) * dW_k[j - 1]
-                    x = x + dx
-                v = v + dv
-        # one check per chunk: a non-finite value propagates to the terminal state
-        bad = ~np.isfinite(v).all(axis=0)
-        if bad.any():
+        x0 = np.concatenate([problem.x0, np.zeros(n)])
+        try:
+            records = _march(problem, "limit SDE", step, x0, (dW, dB), delta, n_fine, start)
+        except FlowExplosionError as exc:
             raise FloatingPointError(
                 f"non-finite state from the limit SDE on problem {problem.name!r}: "
-                f"first at path {start + int(np.argmax(bad))}"
-            )
-        return v.T
+                f"first at step {exc.step * n_fine} (t={exc.t:.3g}), path {exc.path}"
+            ) from None
+        return records[-1, n:].T
 
     per_path = n_fine * (problem.d + max(1, n_pairs))
     return run_paths(paths, per_path, threads, worker, width=problem.n)

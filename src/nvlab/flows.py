@@ -33,11 +33,12 @@ FlowMap = Callable[[np.ndarray | float, np.ndarray], np.ndarray]
 
 
 class FlowExplosionError(RuntimeError):
-    """A scheme step built from flows produced a non-finite state.
+    """A marched step produced a non-finite state.
 
-    It names the scheme, the first recorded grid step with a non-finite state
-    (``t`` is that step's time) and the first path index with a non-finite
-    state at that step.
+    It names the scheme (or the limit SDE, whose driver re-raises it as a
+    :class:`FloatingPointError`), the first recorded grid step with a
+    non-finite state (``t`` is that step's time) and the first path index
+    with a non-finite state at that step.
     """
 
     def __init__(self, problem: str, t: float, scheme: str, step: int, path: int):

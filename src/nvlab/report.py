@@ -74,7 +74,8 @@ def run_metadata(cfg: RunConfig) -> dict:
 
 def check_output_dir(out: str, cfg: RunConfig) -> dict:
     """The lock's entries in ``out`` (empty if none), read only; refuse an ``out``
-    that is not a directory, and a rerun with a different config unless forced.
+    that is not a directory, a lock that is not a JSON object, and a rerun with
+    a different config unless forced.
 
     The lock maps command name -> config hash, so different commands can share
     a directory while mismatched reruns of the same command are caught.
@@ -82,7 +83,12 @@ def check_output_dir(out: str, cfg: RunConfig) -> dict:
     if Path(out).exists() and not Path(out).is_dir():
         raise NotADirectoryError(f"{out}: exists and is not a directory")
     lock = Path(out) / LOCK_NAME
-    recorded = json.loads(lock.read_text()) if lock.exists() else {}
+    try:
+        recorded = json.loads(lock.read_text()) if lock.exists() else {}
+    except ValueError:  # not JSON, or not UTF-8
+        recorded = None
+    if not isinstance(recorded, dict):
+        raise OSError(f"{lock}: not a config lock (a JSON object of command -> config hash)")
     old, new = recorded.get(cfg.command), config_hash(cfg)
     if old is not None and old != new and not cfg.force:
         raise OutputRefusedError(

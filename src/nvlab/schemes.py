@@ -23,17 +23,20 @@ Schemes (selector strings in parentheses):
 
 States are rows: the scheme layer holds a batch of states as one (n, paths)
 array, so coordinate i of every path is the contiguous row ``x[i]``. Every
-scheme is one kernel run by one march, ``_march``, over the bundle that
-:func:`~nvlab.paths.coarsen` gives at the scheme's grid, a step count N on the
-bundle's horizon T (step T/N). The march reads the increments and signs in
-time-major blocks (:func:`~nvlab.paths.time_major_blocks`) and hands the
-kernel, at each step, the state rows (n, paths), the step's increments as rows
-(d, paths) and one boolean sweep row (paths,), True where the sign is +1. The
-``nv`` kernel runs both sweep orders over every path and keeps one per path
-with ``np.where`` over whole rows; every flow acts path by path, so this is
-bit-identical to sweeping each path alone. A kept state is written as one
-contiguous (n, paths) row of a time-major record (records, n, paths);
-:class:`Trajectory` exposes it as (paths, records, n).
+scheme is one kernel run over the bundle that :func:`~nvlab.paths.coarsen`
+gives at the scheme's grid, a step count N on the bundle's horizon T (step
+T/N). There is one march, ``_march``, which knows no kernel: it applies a
+step function to state rows, feeding it each step of some path-major
+increment arrays, read in time-major blocks
+(:func:`~nvlab.paths.time_major_blocks`); the limit SDE of
+:mod:`nvlab.analysis` is marched by it too. A scheme's step hands its kernel
+the state rows (n, paths), the step's increments as rows (d, paths) and one
+boolean sweep row (paths,), True where the sign is +1. The ``nv`` kernel runs
+both sweep orders over every path and keeps one per path with ``np.where``
+over whole rows; every flow acts path by path, so this is bit-identical to
+sweeping each path alone. A recorded state is written as one contiguous
+(n, paths) row of a time-major record (records, n, paths); :class:`Trajectory`
+exposes it as (paths, records, n).
 
 Worked ordering example (``heisenberg``, fields s1=(1,0), s2=(0,x1), zero
 drift): from x=(0,0) with sign +1 the s1 flow acts first, so the step lands on
@@ -129,53 +132,40 @@ def _euler_kernel(problem: Problem, x, dW, plus, h):
     return out
 
 
-def _explosion(problem: Problem, label: str, records: np.ndarray, dt: float, path_start: int):
-    """The error naming the first recorded step, and its first path, that is non-finite.
-
-    ``records`` is (records, n, paths) with record k at time k * dt.
-    """
-    bad = ~np.isfinite(records).all(axis=1)
-    step = int(np.argmax(bad.any(axis=1)))
-    path = path_start + int(np.argmax(bad[step]))
-    return FlowExplosionError(problem.name, step * dt, label, step, path)
-
-
 # ---------------------------------------------------------------------------
 # trajectory drivers
 # ---------------------------------------------------------------------------
 
 
-def _march(problem, kernel, label, bundle: PathBundle, record_stride=1):
-    """Apply ``kernel`` at every step of ``bundle``, recording every
-    ``record_stride`` steps; the records are time-major rows
-    (steps // record_stride + 1, n, paths), record k the states at step
-    k * record_stride.
+def _march(problem, label, step, x0, increments, h, record_stride=1, path_start=0):
+    """Apply ``step(x, *rows)``, which returns new state rows and leaves ``x``
+    alone, at every step of the path-major ``increments`` (paths, steps, ...),
+    from the state ``x0`` (rows,) on every path. The records are time-major
+    rows (steps // record_stride + 1, rows, paths): record k is the state at
+    step k * record_stride, time k * record_stride * h.
 
-    The increments and signs are read in time-major blocks, so a step's
-    kernel gets contiguous rows (d, paths) and a boolean sweep row (paths,).
+    The increments are read in time-major blocks, so ``rows`` holds one
+    contiguous (..., paths) row of each array. A non-finite state raises
+    :class:`FlowExplosionError` naming ``label``, the first non-finite record
+    and that record's first non-finite path.
     """
-    dW, eta, h = bundle.dW, bundle.eta, bundle.h
-    paths, steps = dW.shape[:2]
-    records = np.empty((steps // record_stride + 1, problem.n, paths))
+    paths, steps = increments[0].shape[:2]
+    records = np.empty((steps // record_stride + 1, len(x0), paths))
     x = records[0]
-    x[:] = problem.x0[:, None]
-    for k0, dW_rows, eta_rows in time_major_blocks(dW, eta):
-        # the block's signs become its boolean sweep rows, in their own buffer
-        plus = np.greater(eta_rows, 0, out=eta_rows.view(bool))
-        for k, (dW_k, plus_k) in enumerate(zip(dW_rows, plus), start=k0 + 1):
-            x = kernel(problem, x, dW_k, plus_k, h)
+    x[:] = x0[:, None]
+    for k0, *blocks in time_major_blocks(*increments):
+        for k, rows in enumerate(zip(*blocks), start=k0 + 1):
+            x = step(x, *rows)
             if k % record_stride == 0:
                 records[k // record_stride] = x
     # one explosion check for the whole sweep: non-finite values propagate
-    # through every kernel, so the last recorded states carry the evidence
+    # through every step, so the last recorded states carry the evidence
     if not np.all(np.isfinite(x)):
-        raise _explosion(problem, label, records, h * record_stride, bundle.path_start)
+        bad = ~np.isfinite(records).all(axis=1)
+        k = int(np.argmax(bad.any(axis=1)))
+        path = path_start + int(np.argmax(bad[k]))
+        raise FlowExplosionError(problem.name, k * (h * record_stride), label, k, path)
     return records
-
-
-def _states(records: np.ndarray) -> np.ndarray:
-    """Time-major records (records, n, paths) as states (paths, records, n), a view."""
-    return np.moveaxis(records, -1, 0)
 
 
 def _check_grid(problem: Problem, bundle: PathBundle, N: int):
@@ -187,11 +177,20 @@ def _check_grid(problem: Problem, bundle: PathBundle, N: int):
         raise ValueError(f"grid N={N} is not a step count dividing N_fine={bundle.n_fine}")
 
 
-def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, N: int) -> Trajectory:
-    """The shared driver: ``kernel`` marched on the bundle coarsened to N steps."""
+def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, N: int, record_stride=1):
+    """The shared driver: ``kernel`` marched on the bundle coarsened to N steps,
+    recording every ``record_stride`` steps."""
     _check_grid(problem, bundle, N)
-    records = _march(problem, kernel, label, coarsen(bundle, N))
-    return Trajectory(states=_states(records))
+    grid = coarsen(bundle, N)
+    h = grid.h
+
+    def step(x, dW_k, eta_k):
+        return kernel(problem, x, dW_k, eta_k > 0, h)
+
+    records = _march(
+        problem, label, step, problem.x0, (grid.dW, grid.eta), h, record_stride, grid.path_start
+    )
+    return Trajectory(states=np.moveaxis(records, -1, 0))
 
 
 def nv_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory:
@@ -218,8 +217,7 @@ def exact_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory
             f"problem {problem.name!r} has no closed form and the bundle has no "
             "refinement to build a proxy reference from"
         )
-    records = _march(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine // N)
-    return Trajectory(states=_states(records))
+    return _scheme(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine, bundle.n_fine // N)
 
 
 def trajectory(problem: Problem, scheme: str, bundle: PathBundle, N: int) -> Trajectory:

@@ -22,6 +22,7 @@ from nvlab import (
     trajectory,
     util,
 )
+import nvlab.paths as paths_module
 from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, coarsen, make_bundle_batch
 
 from oracles import fixed_tiles, jacobian_bracket, source_term_values_whole_chunk
@@ -248,7 +249,9 @@ def test_limit_sde_overflow_raises(tmp_path, monkeypatch, capsys):
         T=1.0,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="limit SDE on problem 'blowup'.*path 0$"):
+        # the limit records only its terminal state, so its step is n_fine
+        match = r"limit SDE on problem 'blowup': first at step 8 \(t=1\), path 0$"
+        with pytest.raises(FloatingPointError, match=match):
             simulate_limit_sde(blowup, paths=6, n_fine=8, master_seed=1)
         # a chunk of paths 3..5 run first names its global path 3, not its row 0
         monkeypatch.setattr(util, "compute_chunks", lambda *args: [(3, 3), (0, 3)])
@@ -278,17 +281,21 @@ def test_limit_sde_seeks_increments_and_aux_only(heisenberg, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "diag-comm", "gbm1d", "linear-nc", "affine-nc"])
-def test_limit_sde_matches_callable_loop(name):
-    # 100 steps span a full and a partial time-major block; paths run in one chunk
+def test_limit_sde_matches_callable_loop(name, monkeypatch):
+    # paths run in one chunk; 40 paths x 100 steps fit TIME_MAJOR_READ_BYTES,
+    # so they are read as one block, and with the read size at 0 in 16 blocks
+    # of 6 steps and a partial one of 4 (gbm1d has no pairs: its dB has width 0)
     prob = _affine_test_problem() if name == "affine-nc" else get_problem(name)
-    new = simulate_limit_sde(prob, paths=40, n_fine=100, master_seed=4)
     ref = _limit_sde_by_callables(prob, 40, 100, 4)
-    if name in ("heisenberg", "diag-comm", "gbm1d"):
-        np.testing.assert_array_equal(new, ref)
-        np.testing.assert_array_equal(np.signbit(new), np.signbit(ref))
-    else:
-        assert np.any(new != 0.0)
-        np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    for read_bytes in (paths_module.TIME_MAJOR_READ_BYTES, 0):
+        monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", read_bytes)
+        new = simulate_limit_sde(prob, paths=40, n_fine=100, master_seed=4)
+        if name in ("heisenberg", "diag-comm", "gbm1d"):
+            np.testing.assert_array_equal(new, ref)
+            np.testing.assert_array_equal(np.signbit(new), np.signbit(ref))
+        else:
+            assert np.any(new != 0.0)
+            np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_limit_sde_self_consistent_in_resolution(heisenberg):

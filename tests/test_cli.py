@@ -146,9 +146,18 @@ def test_refusals_come_before_the_study(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(analysis, "normalized_error_samples", _never_called)
     not_a_dir = tmp_path / "results.csv"
     not_a_dir.write_text("")
+    corrupt = []
+    for name, text in (("garbage", "garbage"), ("list", "[1]")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / report.LOCK_NAME).write_text(text)
+        corrupt.append(tmp_path / name)
     cases = [
         (args + ["--paths", "200", "--out", out], 3, "i/o error: "),
         (args + ["--paths", "100", "--out", str(not_a_dir)], 3, "i/o error: "),
+        *(
+            (args + ["--paths", "100", "--out", str(d)], 3, f"i/o error: {d / report.LOCK_NAME}: ")
+            for d in corrupt
+        ),
         (["convergence", "--nladder", "64,128"], 1, "usage error: need at least 3"),
         (["limit-law", "--nfine", "0", "--N", "64"], 1, "usage error: "),
         (["limit-law", "--paths", "1", "--N", "64"], 1, "usage error: "),

@@ -24,7 +24,7 @@ from nvlab import (
 from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA, PROBLEM_IDS
 import nvlab.paths as paths_module
 from nvlab.flows import flow_unchecked
-from nvlab.schemes import _discrete_nv_kernel, _euler_kernel, _march, _nv_kernel
+from nvlab.schemes import _discrete_nv_kernel, _euler_kernel, _nv_kernel, _scheme
 
 from oracles import fixed_tiles, heisenberg_exact_whole_chunk, sample_states
 
@@ -447,8 +447,8 @@ def test_time_major_march_matches_path_major_reference(name, scheme, paths, monk
                 bundle = PathBundle(T=1.0, dW=dW, eta=eta.astype(np.int8))
                 want = _path_major_march(problem, reference, bundle)
                 for stride in (1, 64):
-                    got = _march(problem, kernel, scheme, bundle, stride)
-                    expected = np.moveaxis(want[:, ::stride], 0, -1)
+                    got = _scheme(problem, kernel, scheme, bundle, steps, stride).states
+                    expected = want[:, ::stride]
                     assert got.shape == expected.shape
                     np.testing.assert_array_equal(got, expected)
                     np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
