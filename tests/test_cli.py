@@ -146,11 +146,11 @@ def test_refusals_come_before_the_study(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(analysis, "normalized_error_samples", _never_called)
     not_a_dir = tmp_path / "results.csv"
     not_a_dir.write_text("")
-    corrupt = []
-    for name, text in (("garbage", "garbage"), ("list", "[1]")):
-        (tmp_path / name).mkdir()
-        (tmp_path / name / report.LOCK_NAME).write_text(text)
-        corrupt.append(tmp_path / name)
+    # locks that are not JSON, or JSON but not an object
+    corrupt = [tmp_path / "garbage", tmp_path / "list"]
+    for d, text in zip(corrupt, ("garbage", "[1]")):
+        d.mkdir()
+        (d / report.LOCK_NAME).write_text(text)
     cases = [
         (args + ["--paths", "200", "--out", out], 3, "i/o error: "),
         (args + ["--paths", "100", "--out", str(not_a_dir)], 3, "i/o error: "),
