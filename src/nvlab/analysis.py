@@ -29,7 +29,10 @@ Every estimator fills a per-path value array through one engine,
 :func:`~nvlab.util.run_paths`, in memory-bounded chunks (chunk grouping cannot
 change per-path values because all kernels act path-wise) and then reduces
 over a fixed 20-slice batching, so results are byte-identical for any worker
-count; the batch spread also supplies the standard errors.
+count; the batch spread also supplies the standard errors. Where every
+fine-grid pass is path-wise (a closed-form reference, the source term) the
+fine noise is drawn one path tile at a time, so chunks are sized by what they
+keep at the coarse grid (:func:`chunk_floats`).
 """
 
 from __future__ import annotations
@@ -165,6 +168,63 @@ def _error_point(values: np.ndarray, N: int, p: int) -> ErrorPoint:
     return ErrorPoint(N=N, err=err, stderr=stderr, p=p)
 
 
+def chunk_floats(problem: Problem, Ns: Sequence[int], n_fine: int, states: int = 3) -> int:
+    """Float64s one path takes in a chunk of an estimator that marches a
+    scheme at the step counts ``Ns`` on noise drawn at ``n_fine`` steps: the
+    estimators' one footprint, which :func:`~nvlab.util.run_paths` sizes
+    chunks by.
+
+    Where the reference is a closed form (or the noise is not refined), the
+    fine noise is drawn one path tile at a time (:func:`_closed_form_chunk`),
+    so a chunk keeps only coarse arrays: d increments and a sign per step (a
+    float's room each) at every N of ``Ns``, since each coarse bundle stays
+    memoised on the chunk's, and ``states`` arrays of max(Ns) + 1 states (by
+    default the ladder's: the reference, one rung and their gap). The proxy
+    reference marches the whole fine bundle, so its chunks are still sized
+    by it, at n_fine (d + 3) floats.
+    """
+    N_max = max(Ns)
+    if problem.exact_solution is None and n_fine > N_max:
+        return n_fine * (problem.d + 3)
+    return sum(Ns) * (problem.d + 1) + states * (N_max + 1) * problem.n
+
+
+def _closed_form_chunk(
+    problem: Problem,
+    master_seed: int,
+    start: int,
+    count: int,
+    n_fine: int,
+    N: int,
+    terminal: bool = False,
+) -> tuple[np.ndarray, PathBundle]:
+    """The closed form's states at the N-step grid times (only the last with
+    ``terminal``) and the bundle at N steps, of paths start..start+count-1.
+
+    The bundle at ``n_fine`` steps is drawn one cache-sized tile of paths at
+    a time; each tile is coarsened to N steps and the closed form evaluated
+    on it, both written into the chunk's arrays, and the fine tile dropped.
+    Every draw and pass is path-wise, so the values are those of the whole
+    chunk's bundle.
+    """
+    d, n = problem.d, problem.n
+    dW = np.empty((count, N, d))
+    eta = np.empty((count, N), np.int8)
+    ref = np.empty((count, n) if terminal else (count, N + 1, n))
+    # a path's fine increments and signs, and the closed form's buffer
+    for tile in path_tiles(count, 8 * n_fine * (d + 1), n_fine):
+        fine = make_bundle_batch(
+            master_seed, start + tile.start, tile.stop - tile.start, n_fine, d, problem.T
+        )
+        states = trajectory(problem, "exact", fine, N).states
+        ref[tile] = states[:, -1] if terminal else states
+        coarse = coarsen(fine, N)
+        dW[tile], eta[tile] = coarse.dW, coarse.eta
+    dW.setflags(write=False)
+    eta.setflags(write=False)
+    return ref, PathBundle(problem.T, dW, eta, start)
+
+
 def _coupled_ladder(
     problem: Problem,
     reference: str,
@@ -179,28 +239,41 @@ def _coupled_ladder(
     """L^{2p} max-over-grid distance of ``scheme`` at every rung N of ``Ns``
     from ``reference`` at the finest rung N_max, on common random numbers.
 
-    Each chunk draws one bundle at N_max * refine_factor fine steps and runs
-    the reference on it once, at N_max steps. The scheme then runs at every
-    rung on the bundle coarsened to N_max steps, so each rung sums the N_max
-    increments, not the fine ones, and is compared with the reference at the
-    rung's grid times.
+    Each chunk holds its paths' bundle at N_max steps and the reference's
+    states at those N_max steps. The scheme then runs at every rung on that
+    bundle, so each rung sums the N_max increments, not the fine ones, and
+    is compared with the reference at the rung's grid times. A closed-form
+    reference is evaluated on the fine bundle (N_max * refine_factor steps)
+    one path tile at a time, so chunks are sized by the coarse grid
+    (:func:`chunk_floats`); a scheme reference, the proxy included, marches
+    the chunk's whole bundle.
     """
     N_max = _check_ladder(Ns)
     n_fine = N_max * refine_factor
+    closed_form = reference == "exact" and problem.exact_solution is not None
 
     def worker(start, count):
-        bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
-        ref = trajectory(problem, reference, bundle, N_max).states
-        rungs = coarsen(bundle, N_max)
-        del bundle  # the fine increments are no longer needed
+        if closed_form:
+            ref, rungs = _closed_form_chunk(problem, master_seed, start, count, n_fine, N_max)
+        else:
+            bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
+            ref = trajectory(problem, reference, bundle, N_max).states
+            rungs = coarsen(bundle, N_max)
+            del bundle  # the fine increments are no longer needed
         out = np.empty((count, len(Ns)))
         for i, N in enumerate(Ns):
             states = trajectory(problem, scheme, rungs, N).states
-            sup = np.linalg.norm(ref[:, :: N_max // N] - states, axis=2).max(axis=1)
-            out[:, i] = sup ** (2 * p)
+            # the Euclidean norm of the gap at each grid time, with the
+            # additions of np.linalg.norm but in place of its two copies
+            gap = ref[:, :: N_max // N] - states
+            gap *= gap
+            norms = gap.sum(axis=2)
+            np.sqrt(norms, out=norms)
+            out[:, i] = norms.max(axis=1) ** (2 * p)
         return out
 
-    values = run_paths(paths, n_fine * (problem.d + 3), threads, worker, width=len(Ns))
+    per_path = chunk_floats(problem, Ns, n_fine)
+    values = run_paths(paths, per_path, threads, worker, width=len(Ns))
     return [_error_point(v, N, p) for v, N in zip(values.T, Ns)]
 
 
@@ -262,6 +335,8 @@ def scheme_gap(
     same resolution, so this directly measures how close the adapted surrogate
     tracks the splitting scheme.
     """
+    if paths < 2:
+        raise ValueError("scheme_gap needs paths >= 2")
     if p < 1:
         raise ValueError("moment order p must be >= 1")
     (point,) = _coupled_ladder(
@@ -302,18 +377,35 @@ def normalized_error_samples(
     refine_factor: int = 64,
     threads: int = 1,
 ) -> np.ndarray:
-    """Per-path rescaled terminal error sqrt(N)(X_T - X^nv_T), shape (paths, n)."""
+    """Per-path rescaled terminal error sqrt(N)(X_T - X^nv_T), shape (paths, n).
+
+    With a closed form the fine noise is drawn one path tile at a time and a
+    chunk keeps its bundle at N steps and the reference's terminal state
+    (:func:`_closed_form_chunk`); the proxy reference marches the chunk's
+    whole bundle.
+    """
+    if N < 1:
+        raise ValueError("normalized_error_samples needs N >= 1")
+    if paths < 2:
+        raise ValueError("normalized_error_samples needs paths >= 2")
     _check_reference(problem, refine_factor)
     n_fine = N * refine_factor
     scale = math.sqrt(N)
 
     def worker(start, count):
-        bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
-        ref = trajectory(problem, "exact", bundle, N).terminal()
+        if problem.exact_solution is None:
+            bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
+            ref = trajectory(problem, "exact", bundle, N).terminal()
+        else:
+            ref, bundle = _closed_form_chunk(
+                problem, master_seed, start, count, n_fine, N, terminal=True
+            )
         nv = trajectory(problem, "nv", bundle, N).terminal()
         return scale * (ref - nv)
 
-    return run_paths(paths, n_fine * (problem.d + 3), threads, worker, width=problem.n)
+    # the nv run's states; the reference keeps only its terminal state
+    per_path = chunk_floats(problem, (N,), n_fine, states=1)
+    return run_paths(paths, per_path, threads, worker, width=problem.n)
 
 
 def simulate_limit_sde(
@@ -345,6 +437,8 @@ def simulate_limit_sde(
     """
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
+    if paths < 2:
+        raise ValueError("simulate_limit_sde needs paths >= 2")
     f = problem.fields
     A = f.A
     c = f.c[:, :, None]
@@ -482,6 +576,9 @@ def source_term_variance(
     pair (1 <= m < j) has the same law. The estimator therefore always draws
     a 2-dimensional bundle (coordinate 1 plays W^m, coordinate 2 plays W^j),
     and two valid pairs give the same estimate at a fixed seed.
+
+    The bundle is drawn one cache-sized tile of paths at a time, reduced to
+    the tile's values and dropped, so a chunk keeps one value per path.
     """
     if not 1 <= m < j:
         raise ValueError(f"need 1 <= m < j, got j={j}, m={m}")
@@ -503,10 +600,17 @@ def source_term_variance(
     scale = math.sqrt(N)
 
     def worker(start, count):
-        bundle = make_bundle_batch(master_seed, start, count, n_fine, 2, T)
-        return _source_term_values(bundle, mask, scale)
+        out = np.empty(count)
+        # the tiles of _source_term_values, so that each draw feeds one of them
+        for tile in path_tiles(count, 5 * 8 * n_fine, n_fine):
+            fine = make_bundle_batch(
+                master_seed, start + tile.start, tile.stop - tile.start, n_fine, 2, T
+            )
+            out[tile] = _source_term_values(fine, mask, scale)
+        return out
 
-    values = run_paths(paths, n_fine * 6, threads, worker)
+    # a chunk keeps one value per path: its fine noise lives one tile at a time
+    values = run_paths(paths, 1, threads, worker)
     var_est, stderr = _batch_var_se(values)
     return SourceTermEstimate(N, j, m, t, var_est, stderr, theory)
 

@@ -27,7 +27,8 @@ d = 1 numpy sums the contiguous block axis pairwise, and coarsening calls it.
 The fine-grid passes (coarsening, heisenberg's closed form, the source term)
 run over tiles of a few paths (:func:`path_tiles`), with the same additions in
 the same order as over the whole chunk, so their values do not depend on the
-tiling.
+tiling. The estimators whose fine-grid passes are all path-wise draw their
+fine bundles one such tile at a time, too.
 """
 
 from __future__ import annotations

@@ -39,9 +39,12 @@ def split_paths(total: int, batches: int = STAT_BATCHES) -> list[tuple[int, int]
     return out
 
 
-# Transient allocation cap, in float64 counts (~540 MB across the handful of
-# live fine-grid arrays), shared by all workers; path chunks are sized so the
-# chunks in flight together stay under it.
+# Transient allocation cap, in float64 counts (~540 MB), shared by all
+# workers; path chunks are sized by what a chunk keeps so the chunks in flight
+# together stay under it. Where the fine noise is drawn one path tile at a time
+# (a closed-form reference, the source term) a chunk keeps only coarse-grid
+# arrays, so its chunks are sized by the coarse grid; the proxy reference and
+# the limit SDE keep their chunk's whole fine noise.
 CHUNK_FLOAT_BUDGET = 2**26
 
 

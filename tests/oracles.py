@@ -8,7 +8,8 @@ test directories are collected in one session.
 import numpy as np
 
 from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA, LINNC_K1, LINNC_K2
-from nvlab.paths import DW_DOMAIN, _philox_key, coarsen
+from nvlab.paths import DW_DOMAIN, _philox_key, coarsen, make_bundle_batch
+from nvlab.schemes import trajectory
 
 
 def sample_states(problem, count=100, seed=1234, spread=1.0):
@@ -191,3 +192,25 @@ def source_term_values_whole_chunk(bundle, mask, scale):
     per_step_minus = np.einsum("pks,ks->pk", lag_m * dWj, mask)
     per_step_plus = np.einsum("pks,ks->pk", lag_j * dWm, mask)
     return scale * np.sum(np.where(eta < 0, -per_step_minus, per_step_plus), axis=1)
+
+
+def ladder_rows_whole_chunk(problem, scheme, Ns, refine, paths, master_seed, p=1):
+    """The closed-form ladder's per-path values max_k |gap|^{2p}, one column per
+    rung, from one bundle of every path at the fine grid."""
+    N_max = max(Ns)
+    bundle = make_bundle_batch(master_seed, 0, paths, N_max * refine, problem.d, problem.T)
+    ref = trajectory(problem, "exact", bundle, N_max).states
+    rungs = coarsen(bundle, N_max)
+    out = np.empty((paths, len(Ns)))
+    for i, N in enumerate(Ns):
+        states = trajectory(problem, scheme, rungs, N).states
+        out[:, i] = np.linalg.norm(ref[:, :: N_max // N] - states, axis=2).max(axis=1) ** (2 * p)
+    return out
+
+
+def normalized_errors_whole_chunk(problem, N, refine, paths, master_seed):
+    """sqrt(N) (X_T - X^nv_T) per path, from one bundle of every path at the fine grid."""
+    bundle = make_bundle_batch(master_seed, 0, paths, N * refine, problem.d, problem.T)
+    ref = trajectory(problem, "exact", bundle, N).terminal()
+    nv = trajectory(problem, "nv", bundle, N).terminal()
+    return np.sqrt(N) * (ref - nv)

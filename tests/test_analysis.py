@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from nvlab import (
 import nvlab.paths as paths_module
 from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, coarsen, make_bundle_batch
 
-from oracles import fixed_tiles, jacobian_bracket, source_term_values_whole_chunk
+from oracles import (
+    fixed_tiles,
+    jacobian_bracket,
+    ladder_rows_whole_chunk,
+    normalized_errors_whole_chunk,
+    source_term_values_whole_chunk,
+)
 
 # ---------------------------------------------------------------------------
 # strong error
@@ -102,6 +109,95 @@ def test_strong_error_higher_moment_order(heisenberg):
 def test_scheme_gap_same_scheme_is_zero(heisenberg):
     gap = scheme_gap(heisenberg, "nv", "nv", 16, 300, 5)
     assert gap.err == 0.0
+
+
+@pytest.mark.parametrize("paths", [-1, 0, 1])
+def test_estimators_reject_fewer_than_two_paths(heisenberg, paths):
+    # one path gave a zero standard error, none failed in split_paths
+    with pytest.raises(ValueError, match="scheme_gap needs paths >= 2"):
+        scheme_gap(heisenberg, "nv", "discrete-nv", 8, paths, 0)
+    with pytest.raises(ValueError, match="normalized_error_samples needs paths >= 2"):
+        normalized_error_samples(heisenberg, 8, paths, 0)
+    # zero paths gave an empty (0, n) array
+    with pytest.raises(ValueError, match="simulate_limit_sde needs paths >= 2"):
+        simulate_limit_sde(heisenberg, paths, n_fine=8)
+
+
+def test_normalized_error_samples_names_N(heisenberg):
+    with pytest.raises(ValueError, match="normalized_error_samples needs N >= 1"):
+        normalized_error_samples(heisenberg, 0, 100, 0)
+
+
+def _record_draws(monkeypatch):
+    """The path count of every bundle the estimators draw, in order."""
+    sizes = []
+
+    def draw(master_seed, path_start, n_paths, *rest):
+        sizes.append(n_paths)
+        return make_bundle_batch(master_seed, path_start, n_paths, *rest)
+
+    monkeypatch.setattr(analysis, "make_bundle_batch", draw)
+    return sizes
+
+
+def _record_rows(monkeypatch):
+    """The per-path values of every run_paths call of the estimators."""
+    rows = []
+
+    def run_paths(*args, **kwargs):
+        rows.append(util.run_paths(*args, **kwargs))
+        return rows[-1]
+
+    monkeypatch.setattr(analysis, "run_paths", run_paths)
+    return rows
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _check_tiles(sizes, paths, tile_bytes):
+    # one-path tiles, or tiles that do not divide the path count
+    assert sum(sizes) == paths
+    if tile_bytes == 1:
+        assert set(sizes) == {1}
+    else:
+        assert len(sizes) > 1 and paths % sizes[0] != 0
+
+
+# 1024 fine steps: one path a tile at 1 byte a tile, a few at 100 kB; no tile
+# of 2, 4 or 6 paths divides 101
+@pytest.mark.parametrize("tile_bytes", [1, 100_000])
+@pytest.mark.parametrize("name", ["heisenberg", "gbm1d"])
+def test_closed_form_tiles_equal_whole_chunk(monkeypatch, name, tile_bytes):
+    problem = get_problem(name)
+    paths, Ns, refine, seed = 101, (4, 8, 16), 64, 23
+    ladder = ladder_rows_whole_chunk(problem, "nv", Ns, refine, paths, seed)
+    errors = normalized_errors_whole_chunk(problem, 16, refine, paths, seed)
+    monkeypatch.setattr(paths_module, "PATH_TILE_BYTES", tile_bytes)
+    sizes, rows = _record_draws(monkeypatch), _record_rows(monkeypatch)
+    strong_error(problem, "nv", Ns, paths, seed, refine_factor=refine)
+    _check_tiles(sizes, paths, tile_bytes)
+    _assert_same_bits(rows[-1], ladder)
+    sizes.clear()
+    got = normalized_error_samples(problem, 16, paths, seed, refine_factor=refine)
+    _check_tiles(sizes, paths, tile_bytes)
+    _assert_same_bits(got, errors)
+
+
+def test_closed_form_ladder_chunk_holds_one_fine_tile(heisenberg):
+    # the ladder's peak allocation over one chunk (200 paths are one) stays
+    # under a quarter of its paths' fine bundle, which the chunk held whole
+    # when it drew every path at once
+    paths, Ns, refine = 200, (16, 32, 64), 64
+    tracemalloc.start()
+    try:
+        strong_error(heisenberg, "nv", Ns, paths, 3, refine_factor=refine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < paths * max(Ns) * refine * heisenberg.d * 8 / 4
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +529,20 @@ def test_source_term_tiles_equal_whole_chunk(monkeypatch, N, substeps, kept, til
     mask = (np.arange(n_fine) < kept).reshape(N, substeps).astype(float)
     got = analysis._source_term_values(bundle, mask, math.sqrt(N))
     np.testing.assert_array_equal(got, source_term_values_whole_chunk(bundle, mask, math.sqrt(N)))
+
+
+@pytest.mark.parametrize("tile_bytes", [1, 100_000])
+def test_source_term_draws_equal_whole_chunk(monkeypatch, tile_bytes):
+    # 1024 fine steps: one path a tile at 1 byte a tile, two at 100 kB
+    paths, N, substeps, seed = 101, 16, 64, 29
+    bundle = make_bundle_batch(seed, 0, paths, N * substeps, 2, 1.0)
+    mask = np.ones((N, substeps))
+    want = source_term_values_whole_chunk(bundle, mask, math.sqrt(N))
+    monkeypatch.setattr(paths_module, "PATH_TILE_BYTES", tile_bytes)
+    sizes, rows = _record_draws(monkeypatch), _record_rows(monkeypatch)
+    source_term_variance(N=N, j=2, m=1, t=1.0, paths=paths, master_seed=seed, substeps=substeps)
+    _check_tiles(sizes, paths, tile_bytes)
+    _assert_same_bits(rows[-1], want)
 
 
 def test_source_term_validation():

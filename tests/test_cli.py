@@ -265,7 +265,7 @@ def test_ladder_outputs_identical_across_chunk_layouts(problem, tmp_path, monkey
     # the chunk plan is forced through the memory budget, so this holds on any
     # core count: one chunk, 16-path chunks, and ragged 50/50/28 chunks
     paths, Ns, refine = 128, (8, 16, 32), 4
-    per_path = 32 * refine * (2 + 3)  # the ladder's footprint: n_fine * (d + 3)
+    per_path = analysis.chunk_floats(get_problem(problem), Ns, 32 * refine)  # the ladder's
     layouts = {"one": 2**40, "sixteen": 1, "ragged": 50 * per_path}
     expected = {"one": [128], "sixteen": [16] * 8, "ragged": [50, 50, 28]}
     args = ["convergence", "--problem", problem, "--scheme", "nv", "--nladder", "8,16,32"]
