@@ -14,7 +14,8 @@ The statistical core of the lab:
   driven by a fresh d(d-1)/2-dimensional Brownian motion B independent of W
   (Kurtz-Protter 1991); the fields are affine, so this is a constant-
   coefficient step on the matrices A_k and precomputed bracket matrices,
-  run by the schemes' one march (``schemes._march``);
+  run by the schemes' one march (``schemes._march``) on noise drawn one
+  block of steps at a time;
 * distribution comparison of two (samples, n) sample sets (moments +
   per-coordinate two-sample KS); scipy is imported only when a comparison
   runs, so no other estimator pays for it;
@@ -48,10 +49,11 @@ from .models import Problem
 from .paths import (
     AUX_DOMAIN,
     DW_DOMAIN,
+    NOISE_BLOCK,
     PathBundle,
-    StreamPool,
     coarsen,
     make_bundle_batch,
+    normal_blocks,
     path_tiles,
 )
 from .schemes import _march, trajectory
@@ -169,24 +171,27 @@ def _error_point(values: np.ndarray, N: int, p: int) -> ErrorPoint:
 
 
 def chunk_floats(problem: Problem, Ns: Sequence[int], n_fine: int, states: int = 3) -> int:
-    """Float64s one path takes in a chunk of an estimator that marches a
-    scheme at the step counts ``Ns`` on noise drawn at ``n_fine`` steps: the
-    estimators' one footprint, which :func:`~nvlab.util.run_paths` sizes
-    chunks by.
+    """Float64s one path takes at the peak of a chunk of an estimator that
+    marches a scheme at the step counts ``Ns`` on noise drawn at ``n_fine``
+    steps: the estimators' one footprint, which
+    :func:`~nvlab.util.run_paths` sizes chunks by.
 
     Where the reference is a closed form (or the noise is not refined), the
     fine noise is drawn one path tile at a time (:func:`_closed_form_chunk`),
-    so a chunk keeps only coarse arrays: d increments and a sign per step (a
-    float's room each) at every N of ``Ns``, since each coarse bundle stays
-    memoised on the chunk's, and ``states`` arrays of max(Ns) + 1 states (by
-    default the ladder's: the reference, one rung and their gap). The proxy
+    so a chunk holds only coarse arrays: the bundle at max(Ns) steps (d
+    increments and a sign per step, a float's room each), one array of
+    max(Ns) + 1 states, and, while rung N is marched, the rung's own coarse
+    bundle below max(Ns) and ``states - 1`` arrays of N + 1 states. By
+    default these are the ladder's reference, rung states and gap. The proxy
     reference marches the whole fine bundle, so its chunks are still sized
     by it, at n_fine (d + 3) floats.
     """
     N_max = max(Ns)
+    d, n = problem.d, problem.n
     if problem.exact_solution is None and n_fine > N_max:
-        return n_fine * (problem.d + 3)
-    return sum(Ns) * (problem.d + 1) + states * (N_max + 1) * problem.n
+        return n_fine * (d + 3)
+    rung = max((N < N_max) * N * (d + 1) + (states - 1) * (N + 1) * n for N in Ns)
+    return N_max * (d + 1) + (N_max + 1) * n + rung
 
 
 def _closed_form_chunk(
@@ -242,7 +247,8 @@ def _coupled_ladder(
     Each chunk holds its paths' bundle at N_max steps and the reference's
     states at those N_max steps. The scheme then runs at every rung on that
     bundle, so each rung sums the N_max increments, not the fine ones, and
-    is compared with the reference at the rung's grid times. A closed-form
+    is compared with the reference at the rung's grid times; the rung's own
+    coarse bundle and states are dropped once it is compared. A closed-form
     reference is evaluated on the fine bundle (N_max * refine_factor steps)
     one path tile at a time, so chunks are sized by the coarse grid
     (:func:`chunk_floats`); a scheme reference, the proxy included, marches
@@ -251,6 +257,18 @@ def _coupled_ladder(
     N_max = _check_ladder(Ns)
     n_fine = N_max * refine_factor
     closed_form = reference == "exact" and problem.exact_solution is not None
+
+    def rung_values(ref, rungs, N):
+        # a bundle of its own on the rungs' arrays: the rung's coarse bundle
+        # is memoised on it, so it goes once the rung is marched
+        rung = PathBundle(rungs.T, rungs.dW, rungs.eta, rungs.path_start)
+        # the Euclidean norm of the gap at each grid time, with the additions
+        # of np.linalg.norm but in place of its two copies
+        gap = ref[:, :: N_max // N] - trajectory(problem, scheme, rung, N).states
+        gap *= gap
+        norms = gap.sum(axis=2)
+        np.sqrt(norms, out=norms)
+        return norms.max(axis=1) ** (2 * p)
 
     def worker(start, count):
         if closed_form:
@@ -262,14 +280,7 @@ def _coupled_ladder(
             del bundle  # the fine increments are no longer needed
         out = np.empty((count, len(Ns)))
         for i, N in enumerate(Ns):
-            states = trajectory(problem, scheme, rungs, N).states
-            # the Euclidean norm of the gap at each grid time, with the
-            # additions of np.linalg.norm but in place of its two copies
-            gap = ref[:, :: N_max // N] - states
-            gap *= gap
-            norms = gap.sum(axis=2)
-            np.sqrt(norms, out=norms)
-            out[:, i] = norms.max(axis=1) ** (2 * p)
+            out[:, i] = rung_values(ref, rungs, N)
         return out
 
     per_path = chunk_floats(problem, Ns, n_fine)
@@ -428,9 +439,12 @@ def simulate_limit_sde(
     increments dW are those of :func:`~nvlab.paths.make_bundle_batch`, drawn
     without its signs. The bracket sources are driven by fresh increments of
     an independent d(d-1)/2-dimensional Brownian motion drawn from each
-    path's auxiliary stream. For commuting Brownian fields the source
-    vanishes and V stays exactly zero. A non-finite terminal state, of X or
-    of V, raises :class:`FloatingPointError` naming the problem, the step
+    path's auxiliary stream. Both are drawn one block of steps at a time
+    (:func:`~nvlab.paths.normal_blocks`), each path's streams continuing
+    across blocks, so a chunk holds one block of noise, not its whole
+    n_fine steps, and the values do not depend on the block size. For
+    commuting Brownian fields the source vanishes and V stays exactly zero.
+    A non-finite terminal state, of X or of V, raises :class:`FloatingPointError` naming the problem, the step
     and the first such path; the step is the first recorded one with a
     non-finite state, which is always n_fine (time T), since only the
     terminal state is recorded.
@@ -467,18 +481,17 @@ def simulate_limit_sde(
             out[:n] = x
         return out
 
+    widths = ((DW_DOMAIN, problem.d), (AUX_DOMAIN, n_pairs))
+    x0 = np.concatenate([problem.x0, np.zeros(n)])
+
     def worker(start, count):
-        # the increments of make_bundle_batch, without its signs
-        pool = StreamPool(master_seed)
-        dW = pool.fill_normals(DW_DOMAIN, start, np.empty((count, n_fine, problem.d)))
-        dW *= math.sqrt(delta)
-        dB = np.empty((count, n_fine, n_pairs))
-        if n_pairs:
-            pool.fill_normals(AUX_DOMAIN, start, dB)
-            dB *= math.sqrt(delta)
-        x0 = np.concatenate([problem.x0, np.zeros(n)])
+        # the increments of make_bundle_batch, without its signs, and the
+        # auxiliary noise, drawn one block of steps at a time
+        blocks = normal_blocks(master_seed, start, count, n_fine, widths, math.sqrt(delta))
         try:
-            records = _march(problem, "limit SDE", step, x0, (dW, dB), delta, n_fine, start)
+            records = _march(
+                problem, "limit SDE", step, x0, blocks, count, n_fine, delta, n_fine, start
+            )
         except FlowExplosionError as exc:
             raise FloatingPointError(
                 f"non-finite state from the limit SDE on problem {problem.name!r}: "
@@ -486,7 +499,8 @@ def simulate_limit_sde(
             ) from None
         return records[-1, n:].T
 
-    per_path = n_fine * (problem.d + max(1, n_pairs))
+    # a block of noise and the records, x0 and the terminal state (2n rows each)
+    per_path = min(n_fine, NOISE_BLOCK) * (problem.d + max(1, n_pairs)) + 4 * n
     return run_paths(paths, per_path, threads, worker, width=problem.n)
 
 

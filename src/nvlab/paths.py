@@ -14,9 +14,12 @@ stream (see :func:`rademacher_from_raw`), not from numpy's integer sampler.
 The short sign streams (at most VECTOR_SIGN_BLOCKS Philox blocks per path) of
 a batch have their words evaluated for all paths in one vectorised pass
 (:func:`philox_words`); longer streams are read through numpy's generator.
-Both give the same words. Every stream read through numpy's generator is
+Both give the same words. A stream read whole through numpy's generator is
 positioned by :meth:`StreamPool.seek`, which sets the generator's state from
-plain ints.
+plain ints. A stream read a block of steps at a time (the limit SDE's noise,
+:func:`normal_blocks`) gets a generator of its own, opened once and
+continued from block to block; numpy draws a stream the same way however its
+draws are split, so it gives the values of one whole draw.
 
 The same paths at a coarser resolution are again a :class:`PathBundle`:
 :func:`coarsen` sums the given bundle's increments, once per step count.
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 BIT_GENERATOR = "philox4x64-10"
 
@@ -310,6 +314,80 @@ def time_major_blocks(*arrays: np.ndarray):
                 np.copyto(rows[..., p0:p1], part.transpose(to_rows))
             blocks.append(rows)
         yield (k0, *blocks)
+
+
+# Steps of noise :func:`normal_blocks` draws per block. Each block costs a
+# numpy call per path and domain (about 1.4 us each), and its buffer is
+# read in TIME_MAJOR_BLOCK-step blocks only from 16 * TIME_MAJOR_BLOCK steps
+# on. Heisenberg's limit SDE at 1000 paths x 4096 steps holds a 25 MB block
+# where it held the whole 98 MB of noise; the limit-law benchmark's peak RSS
+# fell from 203 to 133 MB and its wall time did not rise, where 512-step
+# blocks gave 121 MB but 3% more wall time (2-vCPU VM, numpy 2.4).
+NOISE_BLOCK = 1024
+
+
+class _SeedKey(ISeedSequence):
+    """A master seed's applied Philox key (:func:`_philox_key`) posing as the
+    seed sequence ``np.random.Philox`` derives its two key words from, so a
+    generator opened on it starts at that key without deriving one: about
+    6 us an open against 25 us with the key passed as ``key=`` (2-vCPU VM,
+    numpy 2.4)."""
+
+    def __init__(self, master_seed: int):
+        self._words = np.array(_philox_key(master_seed), np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words.copy()
+
+
+_seed_key = lru_cache(maxsize=64)(_SeedKey)
+
+
+def _open_stream(master_seed: int, path_index: int, domain: int) -> np.random.Generator:
+    """A generator of its own at the start of the (path_index, domain) stream:
+    it draws what ``StreamPool(master_seed).seek(path_index, domain)`` does."""
+    counter = [0, 0, path_index, domain]  # little-endian words
+    return np.random.Generator(np.random.Philox(_seed_key(master_seed), counter=counter))
+
+
+def normal_blocks(
+    master_seed: int,
+    path_start: int,
+    count: int,
+    steps: int,
+    widths: tuple[tuple[int, int], ...],
+    scale: float,
+):
+    """``scale`` times the standard normals of paths path_start ..
+    path_start + count - 1, over ``steps`` steps, in time-major blocks.
+
+    For each ``(domain, width)`` of ``widths`` a path's steps take the
+    ``width`` normals each of its ``domain`` stream, in the order
+    :meth:`StreamPool.fill_normals` fills a (count, steps, width) array.
+    Yields ``(k0, rows_1, ...)`` as :func:`time_major_blocks` does, one
+    array per domain.
+
+    Every stream of non-zero width is opened once, as a generator of its own
+    (:func:`_open_stream`), and continues across blocks: numpy draws a
+    stream the same way however its draws are split, so the values are
+    those of one draw whatever NOISE_BLOCK is. A block of at most NOISE_BLOCK
+    steps is drawn path-major into a reused (count, NOISE_BLOCK, width)
+    buffer per domain, scaled, and read through :func:`time_major_blocks`.
+    """
+    size = min(NOISE_BLOCK, steps)
+    streams = [
+        [_open_stream(master_seed, path_start + i, domain) for i in range(count)] if width else []
+        for domain, width in widths
+    ]
+    buffers = [np.empty((count, size, width)) for _, width in widths]
+    for k0 in range(0, steps, size):
+        n = min(size, steps - k0)
+        parts = [buffer[:, :n] for buffer in buffers]
+        for part, generators in zip(parts, streams):
+            for row, generator in zip(part, generators):
+                generator.standard_normal(out=row)
+            part *= scale
+        yield from ((k0 + k, *rows) for k, *rows in time_major_blocks(*parts))
 
 
 # Tiles of the fine-grid passes. A pass over a whole chunk streams arrays of

@@ -25,12 +25,14 @@ States are rows: the scheme layer holds a batch of states as one (n, paths)
 array, so coordinate i of every path is the contiguous row ``x[i]``. Every
 scheme is one kernel run over the bundle that :func:`~nvlab.paths.coarsen`
 gives at the scheme's grid, a step count N on the bundle's horizon T (step
-T/N). There is one march, ``_march``, which knows no kernel: it applies a
-step function to state rows, feeding it each step of some path-major
-increment arrays, read in time-major blocks
-(:func:`~nvlab.paths.time_major_blocks`); the limit SDE of
-:mod:`nvlab.analysis` is marched by it too. A scheme's step hands its kernel
-the state rows (n, paths), the step's increments as rows (d, paths) and one
+T/N). There is one march, ``_march``, which knows no kernel and reads no
+arrays: it applies a step function to state rows, feeding it each step of
+the time-major blocks its caller hands it. A scheme hands it the coarse
+bundle read through :func:`~nvlab.paths.time_major_blocks`, each block's
+signs turned into sweep rows in one call; the limit SDE of
+:mod:`nvlab.analysis` hands it noise drawn one block of steps at a time
+(:func:`~nvlab.paths.normal_blocks`). A scheme's step hands its kernel the
+state rows (n, paths), the step's increments as rows (d, paths) and one
 boolean sweep row (paths,), True where the sign is +1. The ``nv`` kernel runs
 both sweep orders over every path and keeps one per path with ``np.where``
 over whole rows; every flow acts path by path, so this is bit-identical to
@@ -137,27 +139,31 @@ def _euler_kernel(problem: Problem, x, dW, plus, h):
 # ---------------------------------------------------------------------------
 
 
-def _march(problem, label, step, x0, increments, h, record_stride=1, path_start=0):
+def _march(problem, label, step, x0, blocks, paths, steps, h, record_stride=1, path_start=0):
     """Apply ``step(x, *rows)``, which returns new state rows and leaves ``x``
-    alone, at every step of the path-major ``increments`` (paths, steps, ...),
-    from the state ``x0`` (rows,) on every path. The records are time-major
-    rows (steps // record_stride + 1, rows, paths): record k is the state at
-    step k * record_stride, time k * record_stride * h.
+    alone, at every one of ``steps`` steps of ``paths`` paths, from the state
+    ``x0`` (rows,) on every path. The records are time-major rows
+    (steps // record_stride + 1, rows, paths): record k is the state at step
+    k * record_stride, time k * record_stride * h.
 
-    The increments are read in time-major blocks, so ``rows`` holds one
-    contiguous (..., paths) row of each array. A non-finite state raises
-    :class:`FlowExplosionError` naming ``label``, the first non-finite record
-    and that record's first non-finite path.
+    ``blocks`` yields time-major blocks ``(k0, *block)`` in step order, as
+    :func:`~nvlab.paths.time_major_blocks` does: ``block_i[k]`` is step
+    ``k0 + k``'s (..., paths) row of input i, handed to ``step`` as
+    ``rows``. A non-finite state raises :class:`FlowExplosionError` naming
+    ``label``, the first non-finite record and that record's first
+    non-finite path.
     """
-    paths, steps = increments[0].shape[:2]
     records = np.empty((steps // record_stride + 1, len(x0), paths))
     x = records[0]
     x[:] = x0[:, None]
-    for k0, *blocks in time_major_blocks(*increments):
-        for k, rows in enumerate(zip(*blocks), start=k0 + 1):
+    for k0, *block in blocks:
+        for k, rows in enumerate(zip(*block), start=k0 + 1):
             x = step(x, *rows)
             if k % record_stride == 0:
                 records[k // record_stride] = x
+        # let go of the block before the next is read, so that a source
+        # making each block anew never holds two
+        block = rows = None
     # one explosion check for the whole sweep: non-finite values propagate
     # through every step, so the last recorded states carry the evidence
     if not np.all(np.isfinite(x)):
@@ -184,11 +190,13 @@ def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, N: int, re
     grid = coarsen(bundle, N)
     h = grid.h
 
-    def step(x, dW_k, eta_k):
-        return kernel(problem, x, dW_k, eta_k > 0, h)
+    def step(x, dW_k, plus_k):
+        return kernel(problem, x, dW_k, plus_k, h)
 
+    # each block's signs become sweep rows (True where +1) in one call
+    blocks = ((k0, dW, eta > 0) for k0, dW, eta in time_major_blocks(grid.dW, grid.eta))
     records = _march(
-        problem, label, step, problem.x0, (grid.dW, grid.eta), h, record_stride, grid.path_start
+        problem, label, step, problem.x0, blocks, grid.paths, N, h, record_stride, grid.path_start
     )
     return Trajectory(states=np.moveaxis(records, -1, 0))
 

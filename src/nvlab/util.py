@@ -43,21 +43,29 @@ def split_paths(total: int, batches: int = STAT_BATCHES) -> list[tuple[int, int]
 # workers; path chunks are sized by what a chunk keeps so the chunks in flight
 # together stay under it. Where the fine noise is drawn one path tile at a time
 # (a closed-form reference, the source term) a chunk keeps only coarse-grid
-# arrays, so its chunks are sized by the coarse grid; the proxy reference and
-# the limit SDE keep their chunk's whole fine noise.
+# arrays, and the limit SDE draws its noise one block of steps at a time, so
+# their chunks are sized by the coarse grid and by the block; the proxy
+# reference keeps its chunk's whole fine noise.
 CHUNK_FLOAT_BUDGET = 2**26
+# The most paths a chunk takes, whatever its footprint: the nv march costs
+# about 27 ns a path-step from about 3000 paths on and gains little above, so
+# larger chunks would fill the budget for no speed (uncapped, criterion 5's
+# scheme side marches 52347-path chunks and peaks at 477 MB RSS).
+CHUNK_MAX_PATHS = 8192
 
 
 def compute_chunks(total: int, per_path_floats: int, threads: int) -> list[tuple[int, int]]:
     """Path ranges for the compute workers.
 
     Each of the resolved workers gets an equal share of the memory budget
-    (never fewer than 16 paths per chunk), and chunks are small enough to feed
-    every worker. Per-path results never depend on how paths are grouped (all
-    kernels act path-wise), so any chunking yields identical output arrays.
+    (never fewer than 16 paths per chunk), chunks take at most
+    CHUNK_MAX_PATHS paths, and they are small enough to feed every worker.
+    Per-path results never depend on how paths are grouped (all kernels act
+    path-wise), so any chunking yields identical output arrays.
     """
     workers = resolve_threads(threads)
     max_chunk = max(16, CHUNK_FLOAT_BUDGET // workers // max(1, per_path_floats))
+    max_chunk = min(max_chunk, CHUNK_MAX_PATHS)
     if workers > 1:
         max_chunk = min(max_chunk, max(16, -(-total // workers)))
     return [(start, min(max_chunk, total - start)) for start in range(0, total, max_chunk)]

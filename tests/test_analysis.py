@@ -200,6 +200,24 @@ def test_closed_form_ladder_chunk_holds_one_fine_tile(heisenberg):
     assert peak < paths * max(Ns) * refine * heisenberg.d * 8 / 4
 
 
+def test_ladder_chunk_peak_is_what_chunk_floats_counts(heisenberg):
+    # each rung's coarse bundle goes once the rung is compared, so one chunk
+    # of the 8..512 ladder peaks under its bundle at 512 steps, three arrays
+    # of 513 states and the largest lower rung's bundle, and chunk_floats
+    # counts that peak
+    paths, Ns, refine = 2000, (8, 16, 32, 64, 128, 256, 512), 2
+    d, n = heisenberg.d, heisenberg.n
+    held = 512 * (d + 1) + 3 * 513 * n + 256 * (d + 1)
+    footprint = analysis.chunk_floats(heisenberg, Ns, 512 * refine)
+    tracemalloc.start()
+    try:
+        strong_error(heisenberg, "nv", Ns, paths, 3, refine_factor=refine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * footprint < peak / (8 * paths) <= footprint <= held
+
+
 # ---------------------------------------------------------------------------
 # rate fitting
 # ---------------------------------------------------------------------------
@@ -363,28 +381,33 @@ def test_limit_sde_overflow_raises(tmp_path, monkeypatch, capsys):
 
 
 def test_limit_sde_seeks_increments_and_aux_only(heisenberg, monkeypatch):
-    # two streams per path: its increments and its auxiliary noise, no signs
-    seeks = []
-    seek = StreamPool.seek
+    # two streams per path, each opened once: its increments and its
+    # auxiliary noise, no signs
+    opened = []
+    open_stream = paths_module._open_stream
 
-    def counting_seek(pool, path_index, domain):
-        seeks.append((path_index, domain))
-        return seek(pool, path_index, domain)
+    def counting_open(master_seed, path_index, domain):
+        opened.append((path_index, domain))
+        return open_stream(master_seed, path_index, domain)
 
-    monkeypatch.setattr(StreamPool, "seek", counting_seek)
+    monkeypatch.setattr(paths_module, "_open_stream", counting_open)
+    monkeypatch.setattr(paths_module, "NOISE_BLOCK", 3)  # three blocks a stream
     simulate_limit_sde(heisenberg, 5, n_fine=8, master_seed=3)
-    assert sorted(seeks) == sorted((i, dom) for i in range(5) for dom in (DW_DOMAIN, AUX_DOMAIN))
+    assert sorted(opened) == sorted((i, dom) for i in range(5) for dom in (DW_DOMAIN, AUX_DOMAIN))
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "diag-comm", "gbm1d", "linear-nc", "affine-nc"])
 def test_limit_sde_matches_callable_loop(name, monkeypatch):
     # paths run in one chunk; 40 paths x 100 steps fit TIME_MAJOR_READ_BYTES,
-    # so they are read as one block, and with the read size at 0 in 16 blocks
-    # of 6 steps and a partial one of 4 (gbm1d has no pairs: its dB has width 0)
+    # so each noise block is read as one block, and with the read size at 0
+    # a whole-run block is read in 16 blocks of 6 steps and a partial one of
+    # 4 (gbm1d has no pairs: its dB has width 0); the noise is drawn whole
+    # and in blocks of 7 steps, the last one partial
     prob = _affine_test_problem() if name == "affine-nc" else get_problem(name)
     ref = _limit_sde_by_callables(prob, 40, 100, 4)
-    for read_bytes in (paths_module.TIME_MAJOR_READ_BYTES, 0):
+    for read_bytes, noise_block in ((paths_module.TIME_MAJOR_READ_BYTES, 7), (0, 100), (0, 7)):
         monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", read_bytes)
+        monkeypatch.setattr(paths_module, "NOISE_BLOCK", noise_block)
         new = simulate_limit_sde(prob, paths=40, n_fine=100, master_seed=4)
         if name in ("heisenberg", "diag-comm", "gbm1d"):
             np.testing.assert_array_equal(new, ref)
@@ -392,6 +415,38 @@ def test_limit_sde_matches_callable_loop(name, monkeypatch):
         else:
             assert np.any(new != 0.0)
             np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_limit_sde_same_bits_across_threads_and_chunks(heisenberg, monkeypatch):
+    # one 70-path chunk drawn whole, two threads' 35-path chunks and 16-path
+    # chunks (the budget's floor), both in 40-step noise blocks, draw each
+    # path's same streams, so every layout gives the same bits
+    want = simulate_limit_sde(heisenberg, paths=70, n_fine=96, master_seed=5, threads=1)
+    monkeypatch.setattr(paths_module, "NOISE_BLOCK", 40)
+    got = [simulate_limit_sde(heisenberg, paths=70, n_fine=96, master_seed=5, threads=2)]
+    monkeypatch.setattr(util, "CHUNK_FLOAT_BUDGET", 1)
+    got.append(simulate_limit_sde(heisenberg, paths=70, n_fine=96, master_seed=5, threads=1))
+    for v in got:
+        np.testing.assert_array_equal(v, want)
+        np.testing.assert_array_equal(np.signbit(v), np.signbit(want))
+
+
+def test_limit_sde_chunk_holds_one_noise_block(heisenberg, monkeypatch):
+    # a 200-path x 4096-step chunk draws its d + 1 = 3 normals a step one
+    # 256-step block at a time: its peak is near one block of noise (twice,
+    # with its time-major copy), far under the 4096 x 3 floats a path of the
+    # whole noise
+    monkeypatch.setattr(paths_module, "NOISE_BLOCK", 256)
+    paths, n_fine = 200, 4096
+    whole = paths * n_fine * 3 * 8
+    block = paths * 256 * 3 * 8
+    tracemalloc.start()
+    try:
+        simulate_limit_sde(heisenberg, paths, n_fine=n_fine, master_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * block < whole / 4
 
 
 def test_limit_sde_self_consistent_in_resolution(heisenberg):

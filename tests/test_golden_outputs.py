@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from nvlab import get_problem, scheme_gap, strong_error
+from nvlab import get_problem, paths, scheme_gap, strong_error
 from nvlab.cli import main
 from nvlab.report import csv_body
 
@@ -94,6 +94,16 @@ def test_golden_csv_body(name, tmp_path, capsys):
     capsys.readouterr()
     body = csv_body(tmp_path / f"{stem}.csv")
     assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN[name]
+
+
+def test_golden_limit_law_in_short_noise_blocks(tmp_path, capsys, monkeypatch):
+    # the limit SDE's 64 steps drawn in blocks of 7, the last one partial
+    monkeypatch.setattr(paths, "NOISE_BLOCK", 7)
+    argv, stem = RUNS["limit-law-heisenberg"]
+    assert main(argv + COMMON + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    body = csv_body(tmp_path / f"{stem}.csv")
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN["limit-law-heisenberg"]
 
 
 # ids name the key (problem-scheme-N-refine), so a new pinned case renames no other

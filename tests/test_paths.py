@@ -160,6 +160,26 @@ def test_fill_normals_matches_fresh_streams():
         assert np.array_equal(out[i], stream(99, 40 + i, AUX_DOMAIN).standard_normal((5, 2)))
 
 
+@pytest.mark.parametrize("seed", [99, 42])  # a key numpy rounds, and one it does not
+@pytest.mark.parametrize("block", [1, 7, 30])
+def test_normal_blocks_stream_the_fill_normals_values(seed, block, monkeypatch):
+    # 30 steps drawn one step a time, in blocks of 7 (the last one partial)
+    # and in one block: each domain's normals are those fill_normals draws
+    # for the same paths, bit for bit, and a zero-width domain gives none
+    monkeypatch.setattr(paths, "NOISE_BLOCK", block)
+    count, steps, widths = 5, 30, ((DW_DOMAIN, 2), (ETA_DOMAIN, 0), (AUX_DOMAIN, 3))
+    pool = StreamPool(seed)
+    want = [pool.fill_normals(dom, 11, np.empty((count, steps, w))) for dom, w in widths]
+    got = [[], [], []]
+    for k0, *rows in paths.normal_blocks(seed, 11, count, steps, widths, 1.0):
+        assert k0 == sum(r.shape[1] for r in got[0]) and len(rows[0]) <= block
+        for out, r in zip(got, rows):
+            out.append(np.moveaxis(r, -1, 0).copy())  # (count, steps, width)
+    for out, w in zip(got, want):
+        assert np.array_equal(np.concatenate(out, axis=1), w)
+    assert want[1].size == 0
+
+
 @pytest.mark.parametrize(
     "n_paths, steps", [(1, 1), (7, 130), (1000, 61), (3, 4096), (20000, 7), (5000, 128)]
 )

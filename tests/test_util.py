@@ -3,7 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from nvlab.util import CHUNK_FLOAT_BUDGET, compute_chunks, resolve_threads, run_paths
+from nvlab.util import (
+    CHUNK_FLOAT_BUDGET,
+    CHUNK_MAX_PATHS,
+    compute_chunks,
+    resolve_threads,
+    run_paths,
+)
 
 FLOOR = 16
 
@@ -18,10 +24,18 @@ def test_memory_budget_is_shared_by_the_workers(threads, per_path_floats, total)
     assert sum(counts) == total
     assert [s for s, _ in chunks] == list(np.cumsum([0] + counts[:-1]))
     workers = resolve_threads(threads)
+    assert max(counts) <= CHUNK_MAX_PATHS
     if max(counts) > FLOOR:
         assert max(counts) * per_path_floats * workers <= CHUNK_FLOAT_BUDGET
     if workers > 1 and total >= workers * FLOOR:
         assert len(chunks) >= workers  # every worker gets work
+
+
+def test_small_footprints_are_cut_at_the_path_cap():
+    # a footprint of a few floats would fit 10**5 paths in one chunk
+    assert compute_chunks(10**5, 4, 1) == [
+        (start, min(CHUNK_MAX_PATHS, 10**5 - start)) for start in range(0, 10**5, CHUNK_MAX_PATHS)
+    ]
 
 
 def test_run_paths_fills_rows_in_path_order():
@@ -41,7 +55,8 @@ def test_thread_requests_are_capped_at_the_available_cores(monkeypatch):
     # planning only: nothing here starts a thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     assert [resolve_threads(t) for t in (0, 1, 2, 3, 1000)] == [1, 1, 2, 3, 3]
-    assert len(compute_chunks(10**5, 1, 1000)) == 3
+    # 3334 paths a worker, under the chunk cap: one chunk each
+    assert len(compute_chunks(10**4, 1, 1000)) == 3
     chunks = compute_chunks(10**5, 2**16 * 5, 1000)
     assert sum(c for _, c in chunks) == 10**5
     assert max(c for _, c in chunks) * 2**16 * 5 * 3 <= CHUNK_FLOAT_BUDGET
