@@ -30,10 +30,11 @@ Every estimator fills a per-path value array through one engine,
 :func:`~nvlab.util.run_paths`, in memory-bounded chunks (chunk grouping cannot
 change per-path values because all kernels act path-wise) and then reduces
 over a fixed 20-slice batching, so results are byte-identical for any worker
-count; the batch spread also supplies the standard errors. Where every
-fine-grid pass is path-wise (a closed-form reference, the source term) the
-fine noise is drawn one path tile at a time, so chunks are sized by what they
-keep at the coarse grid (:func:`chunk_floats`).
+count; the batch spread also supplies the standard errors. Both coupled
+estimators draw their reference and bundle through :func:`_reference_chunk`.
+Where every fine-grid pass is path-wise (a closed-form reference, the source
+term) the fine noise is drawn one path tile at a time, so chunks are sized by
+what they keep at the coarse grid (:func:`chunk_floats`).
 """
 
 from __future__ import annotations
@@ -176,15 +177,16 @@ def chunk_floats(problem: Problem, Ns: Sequence[int], n_fine: int, states: int =
     steps: the estimators' one footprint, which
     :func:`~nvlab.util.run_paths` sizes chunks by.
 
-    Where the reference is a closed form (or the noise is not refined), the
-    fine noise is drawn one path tile at a time (:func:`_closed_form_chunk`),
-    so a chunk holds only coarse arrays: the bundle at max(Ns) steps (d
+    Where the reference is a closed form (or the noise is not refined),
+    :func:`_reference_chunk` draws the fine noise one path tile at a time, so
+    a chunk holds only coarse arrays: the bundle at max(Ns) steps (d
     increments and a sign per step, a float's room each), one array of
     max(Ns) + 1 states, and, while rung N is marched, the rung's own coarse
     bundle below max(Ns) and ``states - 1`` arrays of N + 1 states. By
     default these are the ladder's reference, rung states and gap. The proxy
-    reference marches the whole fine bundle, so its chunks are still sized
-    by it, at n_fine (d + 3) floats.
+    reference marches the chunk's whole fine bundle in
+    :func:`_reference_chunk`, so its chunks are still sized by it, at
+    n_fine (d + 3) floats.
     """
     N_max = max(Ns)
     d, n = problem.d, problem.n
@@ -194,8 +196,9 @@ def chunk_floats(problem: Problem, Ns: Sequence[int], n_fine: int, states: int =
     return N_max * (d + 1) + (N_max + 1) * n + rung
 
 
-def _closed_form_chunk(
+def _reference_chunk(
     problem: Problem,
+    reference: str,
     master_seed: int,
     start: int,
     count: int,
@@ -203,16 +206,21 @@ def _closed_form_chunk(
     N: int,
     terminal: bool = False,
 ) -> tuple[np.ndarray, PathBundle]:
-    """The closed form's states at the N-step grid times (only the last with
-    ``terminal``) and the bundle at N steps, of paths start..start+count-1.
+    """``reference``'s states at the N-step grid times (only the last with
+    ``terminal``) and the bundle at N steps, of paths start..start+count-1,
+    drawn at ``n_fine`` steps.
 
-    The bundle at ``n_fine`` steps is drawn one cache-sized tile of paths at
-    a time; each tile is coarsened to N steps and the closed form evaluated
-    on it, both written into the chunk's arrays, and the fine tile dropped.
-    Every draw and pass is path-wise, so the values are those of the whole
-    chunk's bundle.
+    A scheme reference, the nv proxy included, marches the chunk's whole
+    bundle: on tiles of a few paths the march costs several times more per
+    path-step. A closed form is evaluated one cache-sized tile of paths at a
+    time, each fine tile coarsened into the chunk's arrays and dropped; every
+    pass is path-wise, so the values are those of the whole chunk's bundle.
     """
     d, n = problem.d, problem.n
+    if reference != "exact" or problem.exact_solution is None:
+        bundle = make_bundle_batch(master_seed, start, count, n_fine, d, problem.T)
+        states = trajectory(problem, reference, bundle, N).states
+        return (states[:, -1] if terminal else states), coarsen(bundle, N)
     dW = np.empty((count, N, d))
     eta = np.empty((count, N), np.int8)
     ref = np.empty((count, n) if terminal else (count, N + 1, n))
@@ -221,7 +229,7 @@ def _closed_form_chunk(
         fine = make_bundle_batch(
             master_seed, start + tile.start, tile.stop - tile.start, n_fine, d, problem.T
         )
-        states = trajectory(problem, "exact", fine, N).states
+        states = trajectory(problem, reference, fine, N).states
         ref[tile] = states[:, -1] if terminal else states
         coarse = coarsen(fine, N)
         dW[tile], eta[tile] = coarse.dW, coarse.eta
@@ -248,15 +256,14 @@ def _coupled_ladder(
     states at those N_max steps. The scheme then runs at every rung on that
     bundle, so each rung sums the N_max increments, not the fine ones, and
     is compared with the reference at the rung's grid times; the rung's own
-    coarse bundle and states are dropped once it is compared. A closed-form
-    reference is evaluated on the fine bundle (N_max * refine_factor steps)
-    one path tile at a time, so chunks are sized by the coarse grid
-    (:func:`chunk_floats`); a scheme reference, the proxy included, marches
-    the chunk's whole bundle.
+    coarse bundle and states are dropped once it is compared. The reference
+    and the bundle at N_max come from :func:`_reference_chunk`, on the fine
+    bundle at N_max * refine_factor steps: a closed form one path tile at a
+    time, so chunks are sized by the coarse grid (:func:`chunk_floats`), and
+    a scheme reference, the proxy included, on the chunk's whole bundle.
     """
     N_max = _check_ladder(Ns)
     n_fine = N_max * refine_factor
-    closed_form = reference == "exact" and problem.exact_solution is not None
 
     def rung_values(ref, rungs, N):
         # a bundle of its own on the rungs' arrays: the rung's coarse bundle
@@ -271,13 +278,7 @@ def _coupled_ladder(
         return norms.max(axis=1) ** (2 * p)
 
     def worker(start, count):
-        if closed_form:
-            ref, rungs = _closed_form_chunk(problem, master_seed, start, count, n_fine, N_max)
-        else:
-            bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
-            ref = trajectory(problem, reference, bundle, N_max).states
-            rungs = coarsen(bundle, N_max)
-            del bundle  # the fine increments are no longer needed
+        ref, rungs = _reference_chunk(problem, reference, master_seed, start, count, n_fine, N_max)
         out = np.empty((count, len(Ns)))
         for i, N in enumerate(Ns):
             out[:, i] = rung_values(ref, rungs, N)
@@ -390,10 +391,10 @@ def normalized_error_samples(
 ) -> np.ndarray:
     """Per-path rescaled terminal error sqrt(N)(X_T - X^nv_T), shape (paths, n).
 
-    With a closed form the fine noise is drawn one path tile at a time and a
-    chunk keeps its bundle at N steps and the reference's terminal state
-    (:func:`_closed_form_chunk`); the proxy reference marches the chunk's
-    whole bundle.
+    The reference's terminal state and the bundle at N steps come from
+    :func:`_reference_chunk`, and nv runs on that bundle. With a closed form
+    the fine noise is drawn one path tile at a time; the proxy reference
+    marches the chunk's whole bundle, which is dropped before the nv run.
     """
     if N < 1:
         raise ValueError("normalized_error_samples needs N >= 1")
@@ -404,13 +405,9 @@ def normalized_error_samples(
     scale = math.sqrt(N)
 
     def worker(start, count):
-        if problem.exact_solution is None:
-            bundle = make_bundle_batch(master_seed, start, count, n_fine, problem.d, problem.T)
-            ref = trajectory(problem, "exact", bundle, N).terminal()
-        else:
-            ref, bundle = _closed_form_chunk(
-                problem, master_seed, start, count, n_fine, N, terminal=True
-            )
+        ref, bundle = _reference_chunk(
+            problem, "exact", master_seed, start, count, n_fine, N, terminal=True
+        )
         nv = trajectory(problem, "nv", bundle, N).terminal()
         return scale * (ref - nv)
 
@@ -444,10 +441,11 @@ def simulate_limit_sde(
     across blocks, so a chunk holds one block of noise, not its whole
     n_fine steps, and the values do not depend on the block size. For
     commuting Brownian fields the source vanishes and V stays exactly zero.
-    A non-finite terminal state, of X or of V, raises :class:`FloatingPointError` naming the problem, the step
-    and the first such path; the step is the first recorded one with a
-    non-finite state, which is always n_fine (time T), since only the
-    terminal state is recorded.
+    A non-finite terminal state, of X or of V, raises
+    :class:`FloatingPointError` naming the problem, the step and the first
+    such path; the step is the first recorded one with a non-finite state,
+    which is always n_fine (time T), since only the terminal state is
+    recorded.
     """
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
@@ -615,7 +613,8 @@ def source_term_variance(
 
     def worker(start, count):
         out = np.empty(count)
-        # the tiles of _source_term_values, so that each draw feeds one of them
+        # a path's increments and signs and the two lag sums of
+        # _source_term_values, within 5 floats a fine step
         for tile in path_tiles(count, 5 * 8 * n_fine, n_fine):
             fine = make_bundle_batch(
                 master_seed, start + tile.start, tile.stop - tile.start, n_fine, 2, T
@@ -636,23 +635,16 @@ def _source_term_values(bundle: PathBundle, mask: np.ndarray, scale: float) -> n
     W^m and coordinate 2 W^j; in step k the lagged sum is the increment's
     running sum within the step before each substep, and the step's first
     sign picks its left-point sum of lag_m dW^j (-1) or of lag_j dW^m (+1).
-    The paths run one tile at a time through buffers of one tile.
+    Its buffers are the bundle's size, so it is handed one path tile at a time.
     """
     N, substeps = mask.shape
     eta = bundle.eta[:, ::substeps]  # the sign of each step's first substep
     dW = bundle.dW.reshape(bundle.paths, N, substeps, 2)
-    # a path reads its increments (2 floats a substep) and three buffers
-    tiles = path_tiles(bundle.paths, 5 * 8 * bundle.n_fine, bundle.n_fine)
-    lags = np.zeros((2, tiles[0].stop, N, substeps))  # substep 0 keeps its 0
-    prod = np.empty((tiles[0].stop, N, substeps))
-    out = np.empty(bundle.paths)
-    for tile in tiles:
-        count = tile.stop - tile.start
-        dWm, dWj = dW[tile, :, :, 0], dW[tile, :, :, 1]
-        lag_m, lag_j, p = lags[0, :count], lags[1, :count], prod[:count]
-        np.cumsum(dWm[:, :, :-1], axis=2, out=lag_m[:, :, 1:])
-        np.cumsum(dWj[:, :, :-1], axis=2, out=lag_j[:, :, 1:])
-        minus = np.einsum("pks,ks->pk", np.multiply(lag_m, dWj, out=p), mask)
-        plus = np.einsum("pks,ks->pk", np.multiply(lag_j, dWm, out=p), mask)
-        out[tile] = scale * np.sum(np.where(eta[tile] < 0, -minus, plus), axis=1)
-    return out
+    dWm, dWj = dW[..., 0], dW[..., 1]
+    lag_m = np.zeros((bundle.paths, N, substeps))  # substep 0 keeps its 0
+    lag_j = np.zeros_like(lag_m)
+    np.cumsum(dWm[:, :, :-1], axis=2, out=lag_m[:, :, 1:])
+    np.cumsum(dWj[:, :, :-1], axis=2, out=lag_j[:, :, 1:])
+    minus = np.einsum("pks,ks->pk", np.multiply(lag_m, dWj, out=lag_m), mask)
+    plus = np.einsum("pks,ks->pk", np.multiply(lag_j, dWm, out=lag_j), mask)
+    return scale * np.sum(np.where(eta < 0, -minus, plus), axis=1)

@@ -186,6 +186,23 @@ def test_closed_form_tiles_equal_whole_chunk(monkeypatch, name, tile_bytes):
     _assert_same_bits(got, errors)
 
 
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("name", ["diag-comm", "linear-nc"])
+def test_proxy_normalized_errors_equal_whole_chunk(monkeypatch, name, budget):
+    # the proxy reference marches each chunk's whole fine bundle: one chunk
+    # of 50 paths, or 16-path chunks (the budget's floor) that do not divide
+    # them, give the bits of one bundle of every path
+    problem = get_problem(name)
+    paths, N, refine, seed = 50, 8, 4, 31
+    want = normalized_errors_whole_chunk(problem, N, refine, paths, seed)
+    if budget is not None:
+        monkeypatch.setattr(util, "CHUNK_FLOAT_BUDGET", budget)
+    sizes = _record_draws(monkeypatch)
+    got = normalized_error_samples(problem, N, paths, seed, refine_factor=refine)
+    assert sizes == ([paths] if budget is None else [16, 16, 16, 2])
+    _assert_same_bits(got, want)
+
+
 def test_closed_form_ladder_chunk_holds_one_fine_tile(heisenberg):
     # the ladder's peak allocation over one chunk (200 paths are one) stays
     # under a quarter of its paths' fine bundle, which the chunk held whole
@@ -576,14 +593,20 @@ def test_source_term_pairs_identical_in_law():
 @pytest.mark.parametrize("N, substeps, kept", [(4, 64, 256), (8, 8, 37), (1, 2, 1)])
 def test_source_term_tiles_equal_whole_chunk(monkeypatch, N, substeps, kept, tile):
     # 250 paths: no tile of 3 or 16 divides them, nor the default tile of
-    # 102 paths at 256 fine steps
+    # 102 paths at 256 fine steps; t = kept / n_fine keeps the first kept
+    # substeps
+    paths, seed, n_fine = 250, 19, N * substeps
+    bundle = make_bundle_batch(seed, 0, paths, n_fine, 2, 1.0)
+    mask = (np.arange(n_fine) < kept).reshape(N, substeps).astype(float)
+    want = source_term_values_whole_chunk(bundle, mask, math.sqrt(N))
     if tile is not None:
         monkeypatch.setattr(analysis, "path_tiles", fixed_tiles(tile))
-    n_fine = N * substeps
-    bundle = make_bundle_batch(19, 5, 250, n_fine, 2, 1.0)
-    mask = (np.arange(n_fine) < kept).reshape(N, substeps).astype(float)
-    got = analysis._source_term_values(bundle, mask, math.sqrt(N))
-    np.testing.assert_array_equal(got, source_term_values_whole_chunk(bundle, mask, math.sqrt(N)))
+    sizes, rows = _record_draws(monkeypatch), _record_rows(monkeypatch)
+    source_term_variance(
+        N=N, j=2, m=1, t=kept / n_fine, paths=paths, master_seed=seed, substeps=substeps
+    )
+    assert sum(sizes) == paths and (tile is None or max(sizes) == tile)
+    _assert_same_bits(rows[-1], want)
 
 
 @pytest.mark.parametrize("tile_bytes", [1, 100_000])
