@@ -213,8 +213,10 @@ def _reference_chunk(
     A scheme reference, the nv proxy included, marches the chunk's whole
     bundle: on tiles of a few paths the march costs several times more per
     path-step. A closed form is evaluated one cache-sized tile of paths at a
-    time, each fine tile coarsened into the chunk's arrays and dropped; every
-    pass is path-wise, so the values are those of the whole chunk's bundle.
+    time: each fine tile is coarsened once, the closed form reads the fine
+    tile and its coarse bundle, and the coarse arrays are copied into the
+    chunk's before the tile is dropped. Every pass is path-wise, so the
+    values are those of the whole chunk's bundle.
     """
     d, n = problem.d, problem.n
     if reference != "exact" or problem.exact_solution is None:
@@ -229,9 +231,9 @@ def _reference_chunk(
         fine = make_bundle_batch(
             master_seed, start + tile.start, tile.stop - tile.start, n_fine, d, problem.T
         )
-        states = trajectory(problem, reference, fine, N).states
-        ref[tile] = states[:, -1] if terminal else states
         coarse = coarsen(fine, N)
+        states = problem.exact_solution(problem, fine, coarse)
+        ref[tile] = states[:, -1] if terminal else states
         dW[tile], eta[tile] = coarse.dW, coarse.eta
     dW.setflags(write=False)
     eta.setflags(write=False)
@@ -266,12 +268,9 @@ def _coupled_ladder(
     n_fine = N_max * refine_factor
 
     def rung_values(ref, rungs, N):
-        # a bundle of its own on the rungs' arrays: the rung's coarse bundle
-        # is memoised on it, so it goes once the rung is marched
-        rung = PathBundle(rungs.T, rungs.dW, rungs.eta, rungs.path_start)
         # the Euclidean norm of the gap at each grid time, with the additions
         # of np.linalg.norm but in place of its two copies
-        gap = ref[:, :: N_max // N] - trajectory(problem, scheme, rung, N).states
+        gap = ref[:, :: N_max // N] - trajectory(problem, scheme, rungs, N).states
         gap *= gap
         norms = gap.sum(axis=2)
         np.sqrt(norms, out=norms)

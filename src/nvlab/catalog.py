@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import Problem, VectorFieldSet
-from .paths import PathBundle, coarsen, path_tiles
+from .paths import PathBundle
 
 # ---------------------------------------------------------------------------
 # gbm1d
@@ -34,14 +34,13 @@ GBM_MU = 0.1
 GBM_SIGMA = 0.5
 
 
-def _gbm_exact(problem: Problem, bundle: PathBundle, N: int) -> np.ndarray:
-    """x0 * exp((mu - s^2/2) t_k + s W_{t_k}) on the N-step grid."""
-    view = coarsen(bundle, N)
+def _gbm_exact(problem: Problem, bundle: PathBundle, coarse: PathBundle) -> np.ndarray:
+    """x0 * exp((mu - s^2/2) t_k + s W_{t_k}) on the coarse bundle's grid."""
     W = np.concatenate(
-        [np.zeros((bundle.paths, 1)), np.cumsum(view.dW[:, :, 0], axis=1)], axis=1
+        [np.zeros((coarse.paths, 1)), np.cumsum(coarse.dW[:, :, 0], axis=1)], axis=1
     )
     rate = GBM_MU - 0.5 * GBM_SIGMA**2
-    times = np.arange(N + 1) * (bundle.T / N)  # the grid times, t_k = k T / N
+    times = np.arange(coarse.n_fine + 1) * coarse.h  # the grid times, t_k = k T / N
     states = problem.x0[0] * np.exp(rate * times[None, :] + GBM_SIGMA * W)
     return states[:, :, None]
 
@@ -56,30 +55,25 @@ def _make_gbm1d() -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def _heisenberg_exact(problem: Problem, bundle: PathBundle, N: int) -> np.ndarray:
+def _heisenberg_exact(problem: Problem, bundle: PathBundle, coarse: PathBundle) -> np.ndarray:
     """X1 = W^1; X2 = int W^1 dW^2 as a left-point Ito sum on the fine grid.
 
     X1 is accumulated from the coarse increments in step order, which matches
     the scheme's additions bit for bit. X2 needs the fine resolution: the
-    within-step iterated integral is exactly what the scheme cannot see.
+    within-step iterated integral is exactly what the scheme cannot see. Its
+    buffer holds a float a fine step of every path it is handed.
     """
-    view = coarsen(bundle, N)
-    n_fine = bundle.n_fine
-    block = n_fine // N
+    N = coarse.n_fine
+    block = bundle.n_fine // N
     states = np.zeros((bundle.paths, N + 1, 2))
-    np.cumsum(view.dW[:, :, 0], axis=1, out=states[:, 1:, 0])
-    dW1, dW2 = bundle.dW[:, :, 0], bundle.dW[:, :, 1]
-    # a path reads its increments (2 floats a step) and the buffer (1 float a step)
-    tiles = path_tiles(bundle.paths, 3 * 8 * n_fine, n_fine)
-    # one fine-resolution buffer per tile: left-point W^1, then W^1 dW^2, then its running sum
-    buffer = np.empty((tiles[0].stop, n_fine))
-    for tile in tiles:
-        acc = buffer[: tile.stop - tile.start]
-        acc[:, 0] = 0.0
-        np.cumsum(dW1[tile, :-1], axis=1, out=acc[:, 1:])
-        acc *= dW2[tile]
-        np.cumsum(acc, axis=1, out=acc)
-        states[tile, 1:, 1] = acc[:, block - 1 :: block]
+    np.cumsum(coarse.dW[:, :, 0], axis=1, out=states[:, 1:, 0])
+    # left-point W^1, then W^1 dW^2, then its running sum
+    acc = np.empty((bundle.paths, bundle.n_fine))
+    acc[:, 0] = 0.0
+    np.cumsum(bundle.dW[:, :-1, 0], axis=1, out=acc[:, 1:])
+    acc *= bundle.dW[:, :, 1]
+    np.cumsum(acc, axis=1, out=acc)
+    states[:, 1:, 1] = acc[:, block - 1 :: block]
     return states
 
 

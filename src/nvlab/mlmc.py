@@ -94,7 +94,8 @@ def level_difference_samples(
 
     def worker(start, count):
         bundle = make_bundle_batch(master_seed, offset + start, count, n_l, problem.d, problem.T)
-        vals = f(nv_trajectory(problem, bundle, n_l).terminal())
+        # a copy of the terminal states, so the fine records go before the coarse march
+        vals = f(nv_trajectory(problem, bundle, n_l).terminal().copy())
         if level > 0:
             vals = vals - f(nv_trajectory(problem, bundle, n_l // 2).terminal())
         bad = ~np.isfinite(vals)
@@ -105,7 +106,10 @@ def level_difference_samples(
             )
         return vals
 
-    return run_paths(paths, n_l * (problem.d + 2), threads, worker)
+    # the bundle and its time-major copy (d increments and a sign a step, a
+    # float's room each) and the fine march's n_l + 1 records of n states
+    per_path = 2 * n_l * (problem.d + 1) + (n_l + 1) * problem.n
+    return run_paths(paths, per_path, threads, worker)
 
 
 def mlmc_estimate(

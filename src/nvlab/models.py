@@ -141,9 +141,10 @@ def build_bracket_table(fields: VectorFieldSet) -> BracketTable:
     return BracketTable(entries={p: make(*p) for p in fields.pairs})
 
 
-# exact_solution signature: (problem, bundle, N) -> states (paths, N+1, n) at
-# the N-step grid's times on the bundle's horizon, from its fine increments.
-ExactSolution = Callable[["Problem", "object", int], np.ndarray]
+# exact_solution signature: (problem, bundle, coarse) -> states (paths, N+1, n)
+# at the grid times of ``coarse``, the bundle coarsened to N steps, from the
+# bundle's fine increments and the coarse ones.
+ExactSolution = Callable[["Problem", "object", "object"], np.ndarray]
 
 
 @dataclass(frozen=True)

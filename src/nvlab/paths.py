@@ -22,22 +22,24 @@ continued from block to block; numpy draws a stream the same way however its
 draws are split, so it gives the values of one whole draw.
 
 The same paths at a coarser resolution are again a :class:`PathBundle`:
-:func:`coarsen` sums the given bundle's increments, once per step count.
-Each coarse increment is 0.0 + dW_0 + dW_1 + ... over its block, added in
-step order: the bits of numpy's ``sum`` over the block axis when d >= 2. At
-d = 1 numpy sums the contiguous block axis pairwise, and coarsening calls it.
+:func:`coarsen` sums the given bundle's increments into a new bundle, a plain
+value that nothing keeps. Each coarse increment is 0.0 + dW_0 + dW_1 + ...
+over its block, added in step order: the bits of numpy's ``sum`` over the
+block axis when d >= 2. At d = 1 numpy sums the contiguous block axis
+pairwise, and coarsening calls it.
 
-The fine-grid passes (coarsening, heisenberg's closed form, the source term)
-run over tiles of a few paths (:func:`path_tiles`), with the same additions in
-the same order as over the whole chunk, so their values do not depend on the
-tiling. The estimators whose fine-grid passes are all path-wise draw their
-fine bundles one such tile at a time, too.
+The fine-grid passes run over tiles of a few paths (:func:`path_tiles`), with
+the same additions in the same order as over the whole chunk, so their values
+do not depend on the tiling: coarsening tiles its own sums, and the
+estimators whose fine-grid passes are all path-wise (a closed-form reference,
+the source term) draw their fine bundles one such tile at a time and hand
+each pass one tile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -427,9 +429,6 @@ class PathBundle:
     dW: np.ndarray
     eta: np.ndarray
     path_start: int = 0
-    # coarse bundles by step count, filled by coarsen(); they do not refer
-    # back, so a bundle is freed as soon as its last reference goes
-    _coarse: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.T > 0:
@@ -518,20 +517,17 @@ def coarsen(bundle: PathBundle, N_coarse: int) -> PathBundle:
     Coarse increment k is the sum of the bundle's increments inside
     (t_k, t_{k+1}], 0.0 + dW_0 + dW_1 + ... in step order (pairwise, as numpy
     sums, at d = 1; see :func:`_block_sums`); the coarse sign is the one of the
-    first sub-step in the block. A coarse bundle is computed once per
-    (bundle, N_coarse); at the bundle's own step count it is the bundle itself.
+    first sub-step in the block. Below the bundle's own step count every call
+    returns a new bundle; at that step count it is the bundle itself.
     """
     n = bundle.n_fine
     if N_coarse < 1 or n % N_coarse != 0:
         raise ValueError(f"N_coarse={N_coarse} does not divide N_fine={n}")
     if N_coarse == n:
         return bundle
-    coarse = bundle._coarse.get(N_coarse)
-    if coarse is None:
-        block = n // N_coarse
-        dW = _block_sums(bundle.dW, block)
-        eta = bundle.eta[:, ::block].copy()
-        dW.setflags(write=False)
-        eta.setflags(write=False)
-        coarse = bundle._coarse[N_coarse] = PathBundle(bundle.T, dW, eta, bundle.path_start)
-    return coarse
+    block = n // N_coarse
+    dW = _block_sums(bundle.dW, block)
+    eta = bundle.eta[:, ::block].copy()
+    dW.setflags(write=False)
+    eta.setflags(write=False)
+    return PathBundle(bundle.T, dW, eta, bundle.path_start)

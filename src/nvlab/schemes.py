@@ -219,7 +219,7 @@ def exact_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory
     """
     _check_grid(problem, bundle, N)
     if problem.exact_solution is not None:
-        return Trajectory(states=problem.exact_solution(problem, bundle, N))
+        return Trajectory(states=problem.exact_solution(problem, bundle, coarsen(bundle, N)))
     if bundle.n_fine == N:
         raise ValueError(
             f"problem {problem.name!r} has no closed form and the bundle has no "

@@ -217,6 +217,25 @@ def test_closed_form_ladder_chunk_holds_one_fine_tile(heisenberg):
     assert peak < paths * max(Ns) * refine * heisenberg.d * 8 / 4
 
 
+def test_closed_form_reference_sums_each_fine_tile_once(monkeypatch, heisenberg):
+    # one-path tiles of 1024 fine steps: each is coarsened once, for both the
+    # closed form and the chunk's bundle at the finest rung
+    paths, Ns, refine = 101, (4, 8, 16), 64
+    n_fine = max(Ns) * refine
+    block_sums, fine_sums = paths_module._block_sums, []
+
+    def counted(dW, block):
+        if dW.shape[1] == n_fine:
+            fine_sums.append(dW.shape[0])
+        return block_sums(dW, block)
+
+    monkeypatch.setattr(paths_module, "PATH_TILE_BYTES", 1)
+    monkeypatch.setattr(paths_module, "_block_sums", counted)
+    sizes = _record_draws(monkeypatch)
+    strong_error(heisenberg, "nv", Ns, paths, 23, refine_factor=refine)
+    assert set(sizes) == {1} and fine_sums == sizes
+
+
 def test_ladder_chunk_peak_is_what_chunk_floats_counts(heisenberg):
     # each rung's coarse bundle goes once the rung is compared, so one chunk
     # of the 8..512 ladder peaks under its bundle at 512 steps, three arrays

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import nvlab.mlmc as mlmc_module
 from nvlab import (
     Problem,
     VectorFieldSet,
@@ -79,6 +82,34 @@ def test_variance_decay_exponents_quick(heisenberg, diag_comm):
     assert 0.5 <= rep_h.beta_fit <= 1.6
     rep_d = mlmc_estimate(diag_comm, "norm2", L_max=4, paths_per_level=3000, master_seed=22)
     assert 1.3 <= rep_d.beta_fit <= 2.8
+
+
+def test_level_chunk_peak_is_what_its_count_holds(monkeypatch, heisenberg):
+    # one chunk of 2000 paths at level 5 (32 steps) peaks under its bundle,
+    # the bundle's time-major copy and the fine march's 33 records, which its
+    # chunks are sized by; the fine records go before the coarse march, so a
+    # payoff that views the terminal states (coord2) peaks no higher than
+    # one that computes a new array from them (norm2)
+    paths, n_l, d, n = 2000, 32, heisenberg.d, heisenberg.n
+    held = 2 * n_l * (d + 1) + (n_l + 1) * n
+    counts, peaks = [], {}
+
+    def run_paths(paths, per_path, *args, **kwargs):
+        counts.append(per_path)
+        return util.run_paths(paths, per_path, *args, **kwargs)
+
+    monkeypatch.setattr(mlmc_module, "run_paths", run_paths)
+    for payoff in ("coord2", "norm2"):
+        tracemalloc.start()
+        try:
+            level_difference_samples(heisenberg, payoff, 5, paths, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks[payoff] = peak / (8 * paths)
+    assert counts == [held, held]
+    assert all(0.8 * held < peak <= held for peak in peaks.values())
+    assert peaks["coord2"] <= 1.01 * peaks["norm2"]
 
 
 def test_mlmc_validation(heisenberg):

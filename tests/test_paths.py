@@ -433,19 +433,21 @@ def test_raw_word_signs_match_numpy_integer_sampler(n, path_index):
     assert np.array_equal(eta, 2 * bits - 1)
 
 
-def test_coarsen_memoised_per_bundle():
+def test_coarsen_below_full_resolution_returns_new_bundles():
+    # coarsen keeps nothing: each call sums anew into arrays of its own
     bundle = make_bundle_batch(3, 0, 4, 16, 2, 1.0)
-    first = coarsen(bundle, 4)
-    assert isinstance(first, PathBundle) and coarsen(bundle, 4) is first
-    assert coarsen(bundle, 2) is not first
-    assert coarsen(bundle, bundle.n_fine) is bundle
-    middle = coarsen(bundle, 8)
-    assert coarsen(middle, 4) is coarsen(middle, 4)
+    first, second = coarsen(bundle, 4), coarsen(bundle, 4)
+    assert isinstance(first, PathBundle) and first is not second
+    assert first.dW is not second.dW and first.eta is not second.eta
+    np.testing.assert_array_equal(first.dW, second.dW)
+    np.testing.assert_array_equal(first.eta, second.eta)
+    assert (first.T, first.path_start) == (second.T, second.path_start)
 
 
 def test_coarsen_at_full_resolution_shares_bundle_arrays():
     bundle = make_bundle_batch(5, 0, 1, 8, 2, 1.0)
     view = coarsen(bundle, bundle.n_fine)
+    assert view is bundle
     assert view.dW is bundle.dW and view.eta is bundle.eta
     assert not view.dW.flags.writeable and not view.eta.flags.writeable
 

@@ -1,5 +1,3 @@
-import importlib
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,9 +25,6 @@ from nvlab.flows import flow_unchecked
 from nvlab.schemes import _discrete_nv_kernel, _euler_kernel, _nv_kernel, _scheme
 
 from oracles import fixed_tiles, heisenberg_exact_whole_chunk, sample_states
-
-# the package exports the catalog() function under the submodule's name
-catalog_module = importlib.import_module("nvlab.catalog")
 
 incr = st.floats(-1.5, 1.5)
 
@@ -310,28 +305,20 @@ def test_heisenberg_closed_form_in_place_is_bit_identical(heisenberg, N, refine)
 
 @pytest.mark.parametrize("tile", [None, 1, 3, 16])
 @pytest.mark.parametrize("N, refine", [(8, 16), (3, 5), (4, 1)])
-def test_heisenberg_closed_form_tiles_equal_whole_chunk(heisenberg, monkeypatch, N, refine, tile):
-    # 10 paths: no tile of 3 or 16 divides them
-    if tile is not None:
-        monkeypatch.setattr(catalog_module, "path_tiles", fixed_tiles(tile))
+def test_heisenberg_closed_form_tiles_equal_whole_chunk(heisenberg, N, refine, tile):
+    # the closed form is path-wise: handed the 10 paths whole, or one tile of
+    # 1, 3 or 16 paths at a time with the tile's coarse bundle (no tile of 3
+    # or 16 divides them), it gives the bits of one whole-chunk buffer
     bundle = make_bundle_batch(8, 0, 10, N * refine, 2, 1.0)
-    ref = exact_trajectory(heisenberg, bundle, N).states
+    if tile is None:
+        ref = exact_trajectory(heisenberg, bundle, N).states
+    else:
+        parts = []
+        for rows in fixed_tiles(tile)(bundle.paths):
+            part = PathBundle(bundle.T, bundle.dW[rows], bundle.eta[rows], rows.start)
+            parts.append(heisenberg.exact_solution(heisenberg, part, coarsen(part, N)))
+        ref = np.concatenate(parts)
     np.testing.assert_array_equal(ref, heisenberg_exact_whole_chunk(bundle, N))
-
-
-def test_heisenberg_closed_form_buffer_holds_one_tile(heisenberg):
-    # the closed form's peak allocation stays under a quarter of one
-    # (paths, n_fine) float array, which its fine buffer took when it held
-    # every path of the chunk
-    paths, n_fine = 200, 4096
-    bundle = make_bundle_batch(3, 0, paths, n_fine, 2, 1.0)
-    tracemalloc.start()
-    try:
-        heisenberg.exact_solution(heisenberg, bundle, 64)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < paths * n_fine * 8 / 4
 
 
 def test_exact_trajectory_proxy_mode(diag_comm):
