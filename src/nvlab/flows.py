@@ -16,6 +16,22 @@ entries, which keeps the signs of zero states. Times may be negative and may
 vary per path. States are rows: a batch (n, paths) holds coordinate i of
 every path in the contiguous row ``x[i]``, a per-path time (paths,)
 broadcasts along the rows, and a single state (n,) works the same way.
+
+Each case also reports its flow's footprint: the state rows the flow writes,
+and the rows those written rows are computed from (its reads). A row it does
+not write comes back bit-exact, and a written row depends on its reads and
+the time alone:
+
+1. the identity writes and reads no row;
+2. a translation writes the rows with v_i != 0, each reading only itself,
+   to which it adds t v_i;
+3. a diagonal flow writes the rows with M_ii != 0, each reading only itself;
+4. a nilpotent flow writes the rows of M with a non-zero entry, reading
+   those rows and M's non-zero columns;
+5. and 6. an involution or a symmetric flow writes and reads every row.
+
+So two flows of which neither writes a row the other reads or writes give
+the same bits in either order.
 """
 
 from __future__ import annotations
@@ -141,20 +157,34 @@ def _symmetric(M: np.ndarray) -> FlowMap:
     return flow
 
 
-def affine_flow(M: np.ndarray, v: np.ndarray, field: str) -> FlowMap:
+def _rows(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(int(i) for i in np.flatnonzero(mask))
+
+
+def affine_flow(
+    M: np.ndarray, v: np.ndarray, field: str
+) -> tuple[FlowMap, frozenset[int], frozenset[int]]:
     """The flow (t, x) -> exp(t V) x of V(x) = M x + v in the first structural
-    case it fits; ``field`` names V in the error when it fits none."""
+    case it fits, with its footprint: ``(flow, writes, reads)``, the state rows
+    the flow writes and the rows those are computed from, as frozensets.
+    ``field`` names V in the error when it fits no case."""
     if not M.any():
-        return (lambda t, x: x) if not v.any() else _linear_in_time(M, v)
+        if not v.any():
+            return (lambda t, x: x), frozenset(), frozenset()
+        written = _rows(v)
+        return _linear_in_time(M, v), written, written
     if v.any():
         raise ValueError(f"{field}: no closed-form flow for M != 0 with an offset v != 0")
     if not (M - np.diag(np.diag(M))).any():
-        return _diagonal(M)
+        written = _rows(np.diag(M))
+        return _diagonal(M), written, written
     M2 = M @ M
     if not M2.any():
-        return _linear_in_time(M, v)
+        written = _rows(M.any(axis=1))
+        return _linear_in_time(M, v), written, written | _rows(M.any(axis=0))
+    every = frozenset(range(len(M)))
     if M2[0, 0] > 0 and not (M2 - M2[0, 0] * np.eye(len(M))).any():
-        return _involution(M, math.sqrt(M2[0, 0]))
+        return _involution(M, math.sqrt(M2[0, 0])), every, every
     if (M == M.T).all():
-        return _symmetric(M)
+        return _symmetric(M), every, every
     raise ValueError(f"{field}: no closed-form flow for M = {M.tolist()}, which fits no case")

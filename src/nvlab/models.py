@@ -61,6 +61,12 @@ class VectorFieldSet:
     Brownian fields) to the flow map (t, x0) -> exp(t V) x0 of that field,
     vectorized over both a batch of states, as rows (n, paths), and a per-path
     vector of times (see :mod:`nvlab.flows`).
+
+    flows_commute, derived with the flows, is True when every pair of
+    Brownian flows commutes bit for bit: neither flow writes a state row the
+    other reads or writes, by the footprints :func:`~nvlab.flows.affine_flow`
+    reports. Then both nv sweep orders give the same bits, and a single
+    Brownian field always qualifies.
     """
 
     A: np.ndarray
@@ -70,6 +76,7 @@ class VectorFieldSet:
     jac_b: MatrixField
     jac_sigma: tuple[MatrixField, ...]
     exact_flows: Mapping[int, FlowMap] = field(init=False, repr=False, compare=False)
+    flows_commute: bool = field(init=False, repr=False, compare=False)
 
     @classmethod
     def affine(cls, A, c) -> "VectorFieldSet":
@@ -101,9 +108,16 @@ class VectorFieldSet:
         A, c, brownian = self.A, self.c, range(1, self.d + 1)
         M0 = A[0] - 0.5 * sum(A[j] @ A[j] for j in brownian)  # the Stratonovich drift
         v0 = c[0] - 0.5 * sum(A[j] @ c[j] for j in brownian)
-        flows = {0: affine_flow(M0, v0, "field 0 (the Stratonovich drift)")}
-        flows.update((k, affine_flow(A[k], c[k], f"field {k}")) for k in brownian)
-        object.__setattr__(self, "exact_flows", flows)
+        derived = {0: affine_flow(M0, v0, "field 0 (the Stratonovich drift)")}
+        derived.update((k, affine_flow(A[k], c[k], f"field {k}")) for k in brownian)
+        object.__setattr__(self, "exact_flows", {k: flow for k, (flow, _, _) in derived.items()})
+        footprints = [derived[k][1:] for k in brownian]  # (writes, reads) of each flow
+        commute = all(
+            not (writes & (writes_m | reads_m) or writes_m & reads)
+            for i, (writes, reads) in enumerate(footprints)
+            for writes_m, reads_m in footprints[:i]
+        )
+        object.__setattr__(self, "flows_commute", commute)
 
     @property
     def n(self) -> int:
@@ -175,7 +189,14 @@ class Problem:
 
     @property
     def commutative(self) -> bool:
-        """True when every Brownian pair's bracket matrices (C, e) are exactly zero."""
+        """True when every Brownian pair's bracket matrices (C, e) are exactly zero.
+
+        This is the mathematical property: the fields commute, so the paper's
+        limit error vanishes. The nv kernel's single sweep rests instead on
+        the stricter :attr:`VectorFieldSet.flows_commute`, from the flows' row
+        footprints, since flows of commuting fields can still round
+        differently in the two orders.
+        """
         f = self.fields
         return not any(M.any() for p in f.pairs for M in f.bracket_matrices(*p))
 

@@ -373,23 +373,41 @@ def normal_blocks(
     (:func:`_open_stream`), and continues across blocks: numpy draws a
     stream the same way however its draws are split, so the values are
     those of one draw whatever NOISE_BLOCK is. A block of at most NOISE_BLOCK
-    steps is drawn path-major into a reused (count, NOISE_BLOCK, width)
-    buffer per domain, scaled, and read through :func:`time_major_blocks`.
+    steps is drawn path by path and scaled. When its time-major copy fits
+    TIME_MAJOR_READ_BYTES it is drawn a tile of paths at a time into a
+    staging buffer and transposed into one time-major buffer per domain,
+    which every block reuses, so a chunk holds one block; otherwise it is
+    drawn into a reused path-major (count, NOISE_BLOCK, width) buffer per
+    domain and read through :func:`time_major_blocks`.
     """
     size = min(NOISE_BLOCK, steps)
     streams = [
         [_open_stream(master_seed, path_start + i, domain) for i in range(count)] if width else []
         for domain, width in widths
     ]
-    buffers = [np.empty((count, size, width)) for _, width in widths]
+    whole = count * size * 8 * sum(width for _, width in widths) <= TIME_MAJOR_READ_BYTES
+    tile = count
+    if whole:  # a tile stages at most TIME_MAJOR_STAGE_BYTES of the widest domain
+        widest = max(width for _, width in widths)
+        tile = max(1, min(count, TIME_MAJOR_STAGE_BYTES // max(1, size * 8 * widest)))
+    stages = [np.empty((tile, size, width)) for _, width in widths]
+    copies = [np.empty((size, width, count)) for _, width in widths] if whole else []
     for k0 in range(0, steps, size):
         n = min(size, steps - k0)
-        parts = [buffer[:, :n] for buffer in buffers]
-        for part, generators in zip(parts, streams):
-            for row, generator in zip(part, generators):
-                generator.standard_normal(out=row)
-            part *= scale
-        yield from ((k0 + k, *rows) for k, *rows in time_major_blocks(*parts))
+        for p0 in range(0, count, tile):
+            p1 = min(p0 + tile, count)
+            for i, (stage, generators) in enumerate(zip(stages, streams)):
+                part = stage[: p1 - p0, :n]
+                for row, generator in zip(part, generators[p0:p1]):
+                    generator.standard_normal(out=row)
+                part *= scale
+                if whole:
+                    np.copyto(copies[i][:n, :, p0:p1], part.transpose(1, 2, 0))
+        if whole:
+            yield (k0, *(copy[:n] for copy in copies))
+        else:
+            parts = (stage[:, :n] for stage in stages)
+            yield from ((k0 + k, *rows) for k, *rows in time_major_blocks(*parts))
 
 
 # Tiles of the fine-grid passes. A pass over a whole chunk streams arrays of

@@ -33,12 +33,16 @@ signs turned into sweep rows in one call; the limit SDE of
 :mod:`nvlab.analysis` hands it noise drawn one block of steps at a time
 (:func:`~nvlab.paths.normal_blocks`). A scheme's step hands its kernel the
 state rows (n, paths), the step's increments as rows (d, paths) and one
-boolean sweep row (paths,), True where the sign is +1. The ``nv`` kernel runs
-both sweep orders over every path and keeps one per path with ``np.where``
-over whole rows; every flow acts path by path, so this is bit-identical to
-sweeping each path alone. A recorded state is written as one contiguous
-(n, paths) row of a time-major record (records, n, paths); :class:`Trajectory`
-exposes it as (paths, records, n).
+boolean sweep row (paths,), True where the sign is +1. Where the Brownian
+flows commute bit for bit (``VectorFieldSet.flows_commute``, derived from the
+rows each flow writes and reads: a single field, or diag-comm's fields on
+rows of their own) the ``nv`` kernel runs one ascending sweep, whose bits
+are those of either order. Otherwise it runs both sweep orders over every
+path and keeps one per path with ``np.where`` over whole rows; every flow
+acts path by path, so this is bit-identical to sweeping each path alone. A
+recorded state is written as one contiguous (n, paths) row of a time-major
+record (records, n, paths); :class:`Trajectory` exposes it as (paths,
+records, n).
 
 Worked ordering example (``heisenberg``, fields s1=(1,0), s2=(0,x1), zero
 drift): from x=(0,0) with sign +1 the s1 flow acts first, so the step lands on
@@ -86,9 +90,11 @@ def _nv_kernel(problem: Problem, x, dW, plus, h):
     half = 0.5 * h
     x = flow_unchecked(problem, 0, half, x)
     d = problem.d
-    if d == 1:
-        # a single Brownian flow: the two sweep directions coincide
-        x = flow_unchecked(problem, 1, dW[0], x)
+    if problem.fields.flows_commute:
+        # the Brownian flows commute bit for bit, so both sweep orders give
+        # the same bits: one ascending sweep serves every path
+        for j in range(1, d + 1):
+            x = flow_unchecked(problem, j, dW[j - 1], x)
     else:
         # both sweeps over every path, then each path keeps its own: the flows
         # act path by path, so this equals sweeping each path alone

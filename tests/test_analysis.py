@@ -467,22 +467,22 @@ def test_limit_sde_same_bits_across_threads_and_chunks(heisenberg, monkeypatch):
         np.testing.assert_array_equal(np.signbit(v), np.signbit(want))
 
 
-def test_limit_sde_chunk_holds_one_noise_block(heisenberg, monkeypatch):
+def test_limit_sde_chunk_holds_one_noise_block(heisenberg):
     # a 200-path x 4096-step chunk draws its d + 1 = 3 normals a step one
-    # 256-step block at a time: its peak is near one block of noise (twice,
-    # with its time-major copy), far under the 4096 x 3 floats a path of the
-    # whole noise
-    monkeypatch.setattr(paths_module, "NOISE_BLOCK", 256)
+    # NOISE_BLOCK of 1024 steps at a time, a few paths at a time, into one
+    # time-major buffer that every block reuses: its peak is near one block
+    # of noise (a path-major copy beside it would double it), far under the
+    # 4096 x 3 floats a path of the whole noise
     paths, n_fine = 200, 4096
     whole = paths * n_fine * 3 * 8
-    block = paths * 256 * 3 * 8
+    block = paths * paths_module.NOISE_BLOCK * 3 * 8
     tracemalloc.start()
     try:
         simulate_limit_sde(heisenberg, paths, n_fine=n_fine, master_seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * block < whole / 4
+    assert peak < 1.2 * block < whole / 3
 
 
 def test_limit_sde_self_consistent_in_resolution(heisenberg):

@@ -13,7 +13,7 @@ from nvlab import (
     trajectory,
 )
 from nvlab.catalog import GBM_MU, GBM_SIGMA
-from nvlab.flows import flow_unchecked
+from nvlab.flows import affine_flow, flow_unchecked
 
 from oracles import ORACLE_FLOWS, jacobian_drift, sample_states, with_signed_zeros
 
@@ -139,3 +139,81 @@ def test_closed_forms_solve_their_odes(name):
             fd = (forward - flow_unchecked(prob, idx, t - FD_EPS, xs)) / (2 * FD_EPS)
             v = V(phi)
             assert np.max(np.abs(fd - v)) <= 1e-8 * max(1.0, np.max(np.abs(v))), (idx, t)
+
+
+def _nonzero_entries(rng, shape):
+    """Uniform entries in +-[0.2, 1.5), about a third of them set to 0 (+0 or
+    -0), at least one left non-zero."""
+    out = rng.uniform(0.2, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
+    out[rng.random(shape) < 0.35] = rng.choice([0.0, -0.0])
+    out.flat[rng.integers(out.size)] = 0.7
+    return out
+
+
+def _structured_field(case, n, rng):
+    """A random field (M, v) of dimension n in ``case``, one of the structural
+    cases of affine_flow, with the footprint (writes, reads) it must report."""
+    M, v, every = np.zeros((n, n)), np.zeros(n), set(range(n))
+    if case == "identity":
+        return M, v, set(), set()
+    if case == "translation":
+        v = _nonzero_entries(rng, n)
+        return M, v, set(np.flatnonzero(v)), set(np.flatnonzero(v))
+    if case == "diagonal":
+        M = np.diag(_nonzero_entries(rng, n))
+        return M, v, set(np.flatnonzero(np.diag(M))), set(np.flatnonzero(np.diag(M)))
+    if case == "nilpotent":
+        # rows written and columns read are disjoint, so M^2 = 0
+        order = rng.permutation(n)
+        cut = int(rng.integers(1, n))
+        rows, cols = order[:cut], order[cut:]
+        M[np.ix_(rows, cols)] = _nonzero_entries(rng, (len(rows), len(cols)))
+        written = set(np.flatnonzero(M.any(axis=1)))
+        return M, v, written, written | set(np.flatnonzero(M.any(axis=0)))
+    if case == "involution":
+        # k times a signed involutive permutation, with powers of two scaling
+        # each swapped pair, so that M^2 = k^2 I exactly
+        k, order = rng.uniform(0.2, 1.5), rng.permutation(n)
+        pairs = int(rng.integers(1, n // 2 + 1))
+        for a, b in zip(order[: 2 * pairs : 2], order[1 : 2 * pairs : 2]):
+            sign, scale = rng.choice([-1.0, 1.0]), 2.0 ** int(rng.integers(-2, 3))
+            M[a, b], M[b, a] = sign * k * scale, sign * k / scale
+        for a in order[2 * pairs :]:
+            M[a, a] = rng.choice([-1.0, 1.0]) * k
+        return M, v, every, every
+    if case == "symmetric":
+        B = rng.standard_normal((n, n))
+        return B + B.T, v, every, every
+    raise ValueError(case)
+
+
+FLOW_CASES = ("identity", "translation", "diagonal", "nilpotent", "involution", "symmetric")
+
+
+@pytest.mark.parametrize(
+    "case, n",
+    # a 1 x 1 field with M != 0 is diagonal
+    [(case, n) for case in FLOW_CASES for n in (1, 2, 3, 5) if n > 1 or FLOW_CASES.index(case) < 3],
+)
+def test_affine_flow_footprint_holds(case, n):
+    # on random fields of each case and random states with +-0 entries, at
+    # scalar and per-path times: every row the flow does not report written
+    # comes back bit-exact, and a written row keeps its bits when every row
+    # outside its reported reads is redrawn
+    for seed in range(8):
+        rng = np.random.default_rng([seed, n, FLOW_CASES.index(case)])
+        M, v, writes, reads = _structured_field(case, n, rng)
+        flow, got_writes, got_reads = affine_flow(M, v, case)
+        assert (got_writes, got_reads) == (writes, reads)
+        x = with_signed_zeros(rng.standard_normal((n, 64)), rng)
+        unread = sorted(set(range(n)) - reads)
+        redrawn = x.copy()
+        redrawn[unread] = with_signed_zeros(rng.standard_normal((len(unread), 64)), rng)
+        per_path = with_signed_zeros(rng.uniform(-1.0, 1.0, 64), rng)
+        for t in (rng.uniform(-1.0, 1.0), per_path):
+            out, again = flow(t, x), flow(t, redrawn)
+            for i in range(n):
+                want = (out if i in writes else x)[i]
+                got = (again if i in writes else out)[i]
+                np.testing.assert_array_equal(got, want, err_msg=f"row {i}")
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))

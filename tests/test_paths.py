@@ -166,6 +166,22 @@ def test_normal_blocks_stream_the_fill_normals_values(seed, block, monkeypatch):
     # 30 steps drawn one step a time, in blocks of 7 (the last one partial)
     # and in one block: each domain's normals are those fill_normals draws
     # for the same paths, bit for bit, and a zero-width domain gives none
+    _assert_normal_blocks_stream_fill_normals(seed, block, monkeypatch)
+
+
+@pytest.mark.parametrize("read", ["tiled", "blocked"])
+def test_normal_blocks_same_values_in_tiles_and_short_reads(read, monkeypatch):
+    # each block drawn into its time-major buffer 2 paths at a time (the last
+    # tile partial), or drawn path-major and read in short blocks
+    if read == "blocked":
+        monkeypatch.setattr(paths, "TIME_MAJOR_READ_BYTES", 0)
+    for block in (1, 7, 30):
+        if read == "tiled":  # two paths of the widest domain, 3 normals a step
+            monkeypatch.setattr(paths, "TIME_MAJOR_STAGE_BYTES", 2 * block * 3 * 8)
+        _assert_normal_blocks_stream_fill_normals(99, block, monkeypatch)
+
+
+def _assert_normal_blocks_stream_fill_normals(seed, block, monkeypatch):
     monkeypatch.setattr(paths, "NOISE_BLOCK", block)
     count, steps, widths = 5, 30, ((DW_DOMAIN, 2), (ETA_DOMAIN, 0), (AUX_DOMAIN, 3))
     pool = StreamPool(seed)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from nvlab import (
     FlowExplosionError,
     PathBundle,
+    Problem,
     SCHEME_IDS,
+    VectorFieldSet,
     coarsen,
     discrete_nv_trajectory,
     exact_trajectory,
@@ -24,7 +26,7 @@ import nvlab.paths as paths_module
 from nvlab.flows import flow_unchecked
 from nvlab.schemes import _discrete_nv_kernel, _euler_kernel, _nv_kernel, _scheme
 
-from oracles import fixed_tiles, heisenberg_exact_whole_chunk, sample_states
+from oracles import fixed_tiles, heisenberg_exact_whole_chunk, sample_states, with_signed_zeros
 
 incr = st.floats(-1.5, 1.5)
 
@@ -102,6 +104,110 @@ def test_nv_step_batched_matches_single(heisenberg):
     for i in range(10):
         single = _one_step(start, "nv", start.x0, dW[i], eta[i], 0.2)
         np.testing.assert_array_equal(batch[i, 1], single)
+
+
+def _both_sweeps_step(problem, x, dW, plus, h):
+    """The nv step with both sweep orders run over every path and one kept
+    per path with np.where, whatever the fields."""
+    x = flow_unchecked(problem, 0, 0.5 * h, x)
+    up = down = x
+    for j in range(1, problem.d + 1):
+        up = flow_unchecked(problem, j, dW[j - 1], up)
+    for j in range(problem.d, 0, -1):
+        down = flow_unchecked(problem, j, dW[j - 1], down)
+    return flow_unchecked(problem, 0, 0.5 * h, np.where(plus, up, down))
+
+
+def _assert_nv_kernel_equals_both_sweeps(problem, rng, paths=500):
+    """The nv kernel's step equals _both_sweeps_step bit for bit, signs of zero
+    included, from random states and increments with +-0 entries and mixed
+    sweep signs."""
+    x = with_signed_zeros(rng.standard_normal((problem.n, paths)), rng)
+    dW = with_signed_zeros(0.5 * rng.standard_normal((problem.d, paths)), rng)
+    plus = rng.random(paths) < 0.5
+    for h in (0.05, 0.3):
+        got = _nv_kernel(problem, x, dW, plus, h)
+        want = _both_sweeps_step(problem, x, dW, plus, h)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _disjoint_rows_problem(kinds, rng):
+    """A problem whose Brownian field j is of kind kinds[j - 1] (diagonal,
+    translation or nilpotent) on one or two state rows of its own; the
+    nilpotent fields read two further rows that no field writes. The drift
+    is zero or a random symmetric coupling of all rows."""
+    widths = [int(rng.integers(1, 3)) for _ in kinds]
+    n = 2 + sum(widths)
+    A, c = np.zeros((len(kinds) + 1, n, n)), np.zeros((len(kinds) + 1, n))
+    start = 2  # rows 0 and 1 are only read
+    for j, (kind, width) in enumerate(zip(kinds, widths), start=1):
+        own = np.arange(start, start + width)
+        start += width
+        entries = rng.uniform(0.2, 0.9, (width, 2)) * rng.choice([-1.0, 1.0], (width, 2))
+        if kind == "diagonal":
+            A[j][own, own] = entries[:, 0]
+        elif kind == "translation":
+            c[j][own] = entries[:, 0]
+        else:
+            A[j][np.ix_(own, [0, 1])] = entries
+    if rng.random() < 0.5:
+        B = 0.3 * rng.standard_normal((n, n))
+        A[0] = B + B.T
+    return Problem("disjoint-rows", VectorFieldSet.affine(A, c), x0=np.ones(n), T=1.0)
+
+
+def test_flows_commute_flag_of_the_catalog(problems):
+    flags = {name: p.fields.flows_commute for name, p in problems.items()}
+    assert flags == {"gbm1d": True, "heisenberg": False, "diag-comm": True, "linear-nc": False}
+    # the copy perfbench's tracer hands out, with wrapped callables, derives
+    # the same flag from the same matrices
+    for p in problems.values():
+        f = p.fields
+        copy = replace(f, b=lambda x: f.b(x), sigma=tuple(f.sigma))
+        assert copy.flows_commute is f.flows_commute
+        assert replace(f).flows_commute is f.flows_commute
+
+
+def test_commuting_brackets_do_not_make_the_flows_commute():
+    # two diagonal fields on the same row have a zero bracket, but the two
+    # sweep orders multiply x by the two growth factors in opposite orders,
+    # which rounds differently on some paths
+    fields = VectorFieldSet.affine(A=[[[0.0]], [[0.7]], [[0.3]]], c=np.zeros((3, 1)))
+    problem = Problem("same-row", fields, x0=np.ones(1), T=1.0)
+    assert problem.commutative and not fields.flows_commute
+    rng = np.random.default_rng(5)
+    x, dW = rng.standard_normal((1, 1000)), rng.standard_normal((2, 1000))
+    up = _both_sweeps_step(problem, x, dW, np.ones(1000, bool), 0.1)
+    down = _both_sweeps_step(problem, x, dW, np.zeros(1000, bool), 0.1)
+    assert not np.array_equal(up, down)
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ("diagonal", "translation"),
+        ("nilpotent", "diagonal"),
+        ("translation", "nilpotent"),
+        ("nilpotent", "nilpotent"),
+        ("diagonal", "translation", "nilpotent"),
+        ("nilpotent", "diagonal", "diagonal"),
+    ],
+    ids="-".join,
+)
+def test_one_sweep_equals_both_sweeps_on_disjoint_rows(kinds):
+    # fields on rows of their own commute bit for bit: the kernel's single
+    # sweep equals both sweeps kept per path, signs of zero included
+    for seed in range(4):
+        rng = np.random.default_rng([seed, *(ord(kind[0]) for kind in kinds)])
+        problem = _disjoint_rows_problem(kinds, rng)
+        assert problem.fields.flows_commute
+        _assert_nv_kernel_equals_both_sweeps(problem, rng)
+
+
+@pytest.mark.parametrize("name", PROBLEM_IDS)
+def test_nv_kernel_equals_both_sweeps_on_the_catalog(name):
+    _assert_nv_kernel_equals_both_sweeps(get_problem(name), np.random.default_rng(11))
 
 
 def test_step_inputs_validation(heisenberg):
