@@ -32,9 +32,11 @@ change per-path values because all kernels act path-wise) and then reduces
 over a fixed 20-slice batching, so results are byte-identical for any worker
 count; the batch spread also supplies the standard errors. Both coupled
 estimators draw their reference and bundle through :func:`_reference_chunk`.
-Where every fine-grid pass is path-wise (a closed-form reference, the source
-term) the fine noise is drawn one path tile at a time, so chunks are sized by
-what they keep at the coarse grid (:func:`chunk_floats`).
+No estimator holds a chunk's whole fine noise: where every fine-grid pass is
+path-wise (a closed-form reference, the source term) it is drawn one path tile
+at a time, and the nv proxy reference and the limit SDE, which march the whole
+chunk, draw it one block of steps at a time. So chunks are sized by what they
+keep at the coarse grid (:func:`chunk_floats`).
 """
 
 from __future__ import annotations
@@ -50,14 +52,18 @@ from .models import Problem
 from .paths import (
     AUX_DOMAIN,
     DW_DOMAIN,
-    NOISE_BLOCK,
+    ETA_DOMAIN,
     PathBundle,
+    _block_sums,
     coarsen,
     make_bundle_batch,
+    noise_block,
     normal_blocks,
     path_tiles,
+    rademacher_signs,
+    vector_signs,
 )
-from .schemes import _march, trajectory
+from .schemes import _march, proxy_march, trajectory
 from .util import STAT_BATCHES, run_paths, split_paths
 
 # Seed stride separating the limit-SDE sample stream from the scheme stream,
@@ -177,23 +183,29 @@ def chunk_floats(problem: Problem, Ns: Sequence[int], n_fine: int, states: int =
     steps: the estimators' one footprint, which
     :func:`~nvlab.util.run_paths` sizes chunks by.
 
-    Where the reference is a closed form (or the noise is not refined),
-    :func:`_reference_chunk` draws the fine noise one path tile at a time, so
-    a chunk holds only coarse arrays: the bundle at max(Ns) steps (d
-    increments and a sign per step, a float's room each), one array of
-    max(Ns) + 1 states, and, while rung N is marched, the rung's own coarse
-    bundle below max(Ns) and ``states - 1`` arrays of N + 1 states. By
-    default these are the ladder's reference, rung states and gap. The proxy
-    reference marches the chunk's whole fine bundle in
-    :func:`_reference_chunk`, so its chunks are still sized by it, at
-    n_fine (d + 3) floats.
+    :func:`_reference_chunk` keeps only coarse arrays a path: the bundle at
+    max(Ns) steps (d increments and a sign per step, a float's room each)
+    and one array of max(Ns) + 1 states. While rung N is marched a chunk
+    also holds the rung's own coarse bundle below max(Ns) and ``states - 1``
+    arrays of N + 1 states; by default these are the ladder's reference,
+    rung states and gap. A closed form draws the fine noise one path tile at
+    a time. The proxy reference draws it one block of steps at a time and
+    drops the block before any rung is marched: d normals a step, and the
+    step's sign as an int8 and as a sweep row.
     """
     N_max = max(Ns)
     d, n = problem.d, problem.n
-    if problem.exact_solution is None and n_fine > N_max:
-        return n_fine * (d + 3)
     rung = max((N < N_max) * N * (d + 1) + (states - 1) * (N + 1) * n for N in Ns)
+    if problem.exact_solution is None and n_fine > N_max:
+        block = noise_block(n_fine, _proxy_multiple(n_fine, N_max))
+        rung = max(rung, block * d + 2 * -(-block // 8))
     return N_max * (d + 1) + (N_max + 1) * n + rung
+
+
+def _proxy_multiple(n_fine: int, N: int) -> int:
+    """What the proxy reference's noise blocks are a multiple of: the
+    n_fine // N steps a coarse step sums and the 8 steps a sign word holds."""
+    return math.lcm(n_fine // N, 8)
 
 
 def _reference_chunk(
@@ -210,34 +222,72 @@ def _reference_chunk(
     ``terminal``) and the bundle at N steps, of paths start..start+count-1,
     drawn at ``n_fine`` steps.
 
-    A scheme reference, the nv proxy included, marches the chunk's whole
-    bundle: on tiles of a few paths the march costs several times more per
-    path-step. A closed form is evaluated one cache-sized tile of paths at a
-    time: each fine tile is coarsened once, the closed form reads the fine
-    tile and its coarse bundle, and the coarse arrays are copied into the
-    chunk's before the tile is dropped. Every pass is path-wise, so the
-    values are those of the whole chunk's bundle.
+    A closed form is evaluated one cache-sized tile of paths at a time: each
+    fine tile is coarsened once, the closed form reads the fine tile and its
+    coarse bundle, and the coarse arrays are copied into the chunk's before
+    the tile is dropped. The nv proxy reference streams its noise in blocks
+    of steps (:func:`_proxy_reference`). Every pass is path-wise, so the
+    values are those of the whole chunk's bundle. Any other reference (a
+    scheme, at n_fine = N) marches the chunk's bundle.
     """
     d, n = problem.d, problem.n
-    if reference != "exact" or problem.exact_solution is None:
+    if reference != "exact":
         bundle = make_bundle_batch(master_seed, start, count, n_fine, d, problem.T)
         states = trajectory(problem, reference, bundle, N).states
         return (states[:, -1] if terminal else states), coarsen(bundle, N)
     dW = np.empty((count, N, d))
     eta = np.empty((count, N), np.int8)
-    ref = np.empty((count, n) if terminal else (count, N + 1, n))
-    # a path's fine increments and signs, and the closed form's buffer
-    for tile in path_tiles(count, 8 * n_fine * (d + 1), n_fine):
-        fine = make_bundle_batch(
-            master_seed, start + tile.start, tile.stop - tile.start, n_fine, d, problem.T
-        )
-        coarse = coarsen(fine, N)
-        states = problem.exact_solution(problem, fine, coarse)
-        ref[tile] = states[:, -1] if terminal else states
-        dW[tile], eta[tile] = coarse.dW, coarse.eta
+    if problem.exact_solution is None:
+        ref = _proxy_reference(problem, master_seed, start, n_fine, terminal, dW, eta)
+    else:
+        ref = np.empty((count, n) if terminal else (count, N + 1, n))
+        # a path's fine increments and signs, and the closed form's buffer
+        for tile in path_tiles(count, 8 * n_fine * (d + 1), n_fine):
+            fine = make_bundle_batch(
+                master_seed, start + tile.start, tile.stop - tile.start, n_fine, d, problem.T
+            )
+            coarse = coarsen(fine, N)
+            states = problem.exact_solution(problem, fine, coarse)
+            ref[tile] = states[:, -1] if terminal else states
+            dW[tile], eta[tile] = coarse.dW, coarse.eta
     dW.setflags(write=False)
     eta.setflags(write=False)
     return ref, PathBundle(problem.T, dW, eta, start)
+
+
+def _proxy_reference(problem, master_seed, start, n_fine, terminal, dW, eta) -> np.ndarray:
+    """The nv proxy reference's states at the grid times of ``dW``'s (count,
+    N, d) coarse bundle (only the last with ``terminal``), for paths
+    start..start+count-1 at ``n_fine`` steps, filling ``dW`` and ``eta``
+    with their bundle coarsened to N steps.
+
+    The march runs over the whole chunk (on tiles of a few paths it costs
+    several times more per path-step), fed noise one block of steps at a
+    time (:func:`~nvlab.paths.normal_blocks`), each path's streams
+    continuing across blocks. A block is a multiple of n_fine // N steps
+    and of 8: each of its tiles is summed into its coarse increments by
+    :func:`~nvlab.paths._block_sums` and its coarse signs are read off, so
+    no coarse sum or sign word straddles two blocks, and the bits are those
+    of :func:`~nvlab.paths.coarsen` on the whole bundle.
+    """
+    count, N, d = dW.shape
+    stride = n_fine // N
+
+    def coarsen_tile(k0, p0, fine_dW, fine_eta):
+        rows = slice(p0, p0 + len(fine_dW))
+        steps = slice(k0 // stride, (k0 + fine_dW.shape[1]) // stride)
+        dW[rows, steps] = _block_sums(fine_dW, stride)
+        eta[rows, steps] = fine_eta[:, ::stride]
+
+    h = problem.T / n_fine
+    widths = ((DW_DOMAIN, d), (ETA_DOMAIN, 1))
+    multiple = _proxy_multiple(n_fine, N)
+    blocks = normal_blocks(
+        master_seed, start, count, n_fine, widths, math.sqrt(h), multiple, coarsen_tile
+    )
+    # the terminal state alone is one record of the whole march
+    records = proxy_march(problem, blocks, count, n_fine, h, n_fine if terminal else stride, start)
+    return records[-1].T if terminal else np.moveaxis(records, -1, 0)
 
 
 def _coupled_ladder(
@@ -259,10 +309,11 @@ def _coupled_ladder(
     bundle, so each rung sums the N_max increments, not the fine ones, and
     is compared with the reference at the rung's grid times; the rung's own
     coarse bundle and states are dropped once it is compared. The reference
-    and the bundle at N_max come from :func:`_reference_chunk`, on the fine
-    bundle at N_max * refine_factor steps: a closed form one path tile at a
-    time, so chunks are sized by the coarse grid (:func:`chunk_floats`), and
-    a scheme reference, the proxy included, on the chunk's whole bundle.
+    and the bundle at N_max come from :func:`_reference_chunk`, on noise at
+    N_max * refine_factor fine steps: a closed form one path tile at a time
+    and the proxy one block of steps at a time, so chunks are sized by the
+    coarse grid (:func:`chunk_floats`); a scheme reference (refine_factor 1)
+    marches the chunk's bundle at N_max.
     """
     N_max = _check_ladder(Ns)
     n_fine = N_max * refine_factor
@@ -391,9 +442,10 @@ def normalized_error_samples(
     """Per-path rescaled terminal error sqrt(N)(X_T - X^nv_T), shape (paths, n).
 
     The reference's terminal state and the bundle at N steps come from
-    :func:`_reference_chunk`, and nv runs on that bundle. With a closed form
-    the fine noise is drawn one path tile at a time; the proxy reference
-    marches the chunk's whole bundle, which is dropped before the nv run.
+    :func:`_reference_chunk`, and nv runs on that bundle. The fine noise is
+    drawn one path tile at a time for a closed form, and one block of steps
+    at a time for the proxy reference, which records only its terminal
+    state; either way a chunk keeps only coarse arrays.
     """
     if N < 1:
         raise ValueError("normalized_error_samples needs N >= 1")
@@ -497,7 +549,7 @@ def simulate_limit_sde(
         return records[-1, n:].T
 
     # a block of noise and the records, x0 and the terminal state (2n rows each)
-    per_path = min(n_fine, NOISE_BLOCK) * (problem.d + max(1, n_pairs)) + 4 * n
+    per_path = noise_block(n_fine) * (problem.d + max(1, n_pairs)) + 4 * n
     return run_paths(paths, per_path, threads, worker, width=problem.n)
 
 
@@ -610,19 +662,26 @@ def source_term_variance(
     mask = (np.arange(n_fine) < kept).reshape(N, substeps).astype(float)
     scale = math.sqrt(N)
 
+    # short sign streams are drawn a chunk at a time: one philox_words call
+    # costs 0.2-0.4 ms whatever its size
+    chunk_signs = vector_signs(n_fine)
+
     def worker(start, count):
         out = np.empty(count)
+        eta = rademacher_signs(master_seed, start, count, n_fine) if chunk_signs else None
         # a path's increments and signs and the two lag sums of
         # _source_term_values, within 5 floats a fine step
         for tile in path_tiles(count, 5 * 8 * n_fine, n_fine):
             fine = make_bundle_batch(
-                master_seed, start + tile.start, tile.stop - tile.start, n_fine, 2, T
+                master_seed, start + tile.start, tile.stop - tile.start, n_fine, 2, T,
+                eta=None if eta is None else eta[tile],
             )
             out[tile] = _source_term_values(fine, mask, scale)
         return out
 
-    # a chunk keeps one value per path: its fine noise lives one tile at a time
-    values = run_paths(paths, 1, threads, worker)
+    # a chunk keeps one value per path, and the short sign streams: its
+    # normals live one tile at a time
+    values = run_paths(paths, 1 + chunk_signs * -(-n_fine // 8), threads, worker)
     var_est, stderr = _batch_var_se(values)
     return SourceTermEstimate(N, j, m, t, var_est, stderr, theory)
 

@@ -16,10 +16,12 @@ a batch have their words evaluated for all paths in one vectorised pass
 (:func:`philox_words`); longer streams are read through numpy's generator.
 Both give the same words. A stream read whole through numpy's generator is
 positioned by :meth:`StreamPool.seek`, which sets the generator's state from
-plain ints. A stream read a block of steps at a time (the limit SDE's noise,
-:func:`normal_blocks`) gets a generator of its own, opened once and
-continued from block to block; numpy draws a stream the same way however its
-draws are split, so it gives the values of one whole draw.
+plain ints. A stream read a block of steps at a time (:func:`normal_blocks`:
+the limit SDE's noise, and the nv proxy reference's increments and signs)
+gets a generator of its own, opened once and continued from block to block;
+numpy draws a stream the same way however its draws are split, so it gives
+the values of one whole draw, and a sign stream read 8 steps a word in
+blocks of a multiple of 8 steps gives the signs of one whole read.
 
 The same paths at a coarser resolution are again a :class:`PathBundle`:
 :func:`coarsen` sums the given bundle's increments into a new bundle, a plain
@@ -33,7 +35,10 @@ the same additions in the same order as over the whole chunk, so their values
 do not depend on the tiling: coarsening tiles its own sums, and the
 estimators whose fine-grid passes are all path-wise (a closed-form reference,
 the source term) draw their fine bundles one such tile at a time and hand
-each pass one tile.
+each pass one tile. No estimator draws a chunk's whole fine noise: the nv
+proxy reference, which marches the whole chunk, draws it a block of steps at
+a time and sums each block's tiles into the coarse increments as they are
+drawn (:func:`normal_blocks`' ``each_tile``).
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ PHILOX_ROUNDS = 10
 # Lanes of philox_words evaluated together: the ten (lanes,) uint64 temporaries
 # of one tile (640 KiB) stay in cache and bounded whatever the batch size.
 PHILOX_TILE = 8192
-# make_bundle_batch evaluates sign streams of at most VECTOR_SIGN_BLOCKS
+# rademacher_signs evaluates sign streams of at most VECTOR_SIGN_BLOCKS
 # Philox blocks per path (four 64-bit words, one sign per byte: 32 signs
 # each, so 12 blocks cover N <= 384 steps) with philox_words, whatever the
 # batch's path count, and longer ones through numpy's generator. The block
@@ -328,6 +333,13 @@ def time_major_blocks(*arrays: np.ndarray):
 NOISE_BLOCK = 1024
 
 
+def noise_block(steps: int, multiple: int = 1) -> int:
+    """Steps in a block of :func:`normal_blocks` over ``steps`` steps: the
+    most multiples of ``multiple`` that fit NOISE_BLOCK (at least one
+    multiple), and never more than ``steps``."""
+    return min(steps, max(1, NOISE_BLOCK // multiple) * multiple)
+
+
 class _SeedKey(ISeedSequence):
     """A master seed's applied Philox key (:func:`_philox_key`) posing as the
     seed sequence ``np.random.Philox`` derives its two key words from, so a
@@ -345,11 +357,17 @@ class _SeedKey(ISeedSequence):
 _seed_key = lru_cache(maxsize=64)(_SeedKey)
 
 
+def _open_bits(master_seed: int, path_index: int, domain: int) -> np.random.Philox:
+    """A bit generator of its own at the start of the (path_index, domain)
+    stream, as ``StreamPool(master_seed).seek(path_index, domain)`` sets it."""
+    counter = [0, 0, path_index, domain]  # little-endian words
+    return np.random.Philox(_seed_key(master_seed), counter=counter)
+
+
 def _open_stream(master_seed: int, path_index: int, domain: int) -> np.random.Generator:
     """A generator of its own at the start of the (path_index, domain) stream:
     it draws what ``StreamPool(master_seed).seek(path_index, domain)`` does."""
-    counter = [0, 0, path_index, domain]  # little-endian words
-    return np.random.Generator(np.random.Philox(_seed_key(master_seed), counter=counter))
+    return np.random.Generator(_open_bits(master_seed, path_index, domain))
 
 
 def normal_blocks(
@@ -359,54 +377,96 @@ def normal_blocks(
     steps: int,
     widths: tuple[tuple[int, int], ...],
     scale: float,
+    multiple: int = 1,
+    each_tile=None,
 ):
     """``scale`` times the standard normals of paths path_start ..
-    path_start + count - 1, over ``steps`` steps, in time-major blocks.
+    path_start + count - 1, over ``steps`` steps, in time-major blocks, and
+    the paths' signs where ETA_DOMAIN is asked for.
 
     For each ``(domain, width)`` of ``widths`` a path's steps take the
     ``width`` normals each of its ``domain`` stream, in the order
     :meth:`StreamPool.fill_normals` fills a (count, steps, width) array.
+    The sign domain ETA_DOMAIN, at width 1, gives instead one sign a step,
+    those of :func:`make_bundle_batch`: raw words of its stream, read one
+    word per 8 steps, turned into signs by :func:`rademacher_from_raw`.
     Yields ``(k0, rows_1, ...)`` as :func:`time_major_blocks` does, one
-    array per domain.
+    array per domain: (steps, width, paths) normals, (steps, paths) int8
+    signs. With ``each_tile``, ``each_tile(k0, p0, part_1, ...)`` is called
+    on every tile of paths p0 .. p0 + len(part_i) - 1 as it is drawn, with
+    its path-major parts: (paths, steps, width) normals, scaled, and
+    (paths, steps) signs.
 
-    Every stream of non-zero width is opened once, as a generator of its own
-    (:func:`_open_stream`), and continues across blocks: numpy draws a
-    stream the same way however its draws are split, so the values are
-    those of one draw whatever NOISE_BLOCK is. A block of at most NOISE_BLOCK
-    steps is drawn path by path and scaled. When its time-major copy fits
+    A block is :func:`noise_block` steps, a multiple of ``multiple``; with
+    signs a multiple of 8 too (every block but the last), so that no sign
+    word straddles two blocks. Every stream of non-zero width is opened
+    once, as a generator of its own (:func:`_open_stream`), and continues
+    across blocks: numpy draws a stream the same way however its draws are
+    split, so the values are those of one draw whatever the block. A block
+    is drawn path by path and scaled. When its time-major copy fits
     TIME_MAJOR_READ_BYTES it is drawn a tile of paths at a time into a
     staging buffer and transposed into one time-major buffer per domain,
     which every block reuses, so a chunk holds one block; otherwise it is
-    drawn into a reused path-major (count, NOISE_BLOCK, width) buffer per
-    domain and read through :func:`time_major_blocks`.
+    drawn into a reused path-major (count, block, width) buffer per domain
+    and read through :func:`time_major_blocks`.
     """
-    size = min(NOISE_BLOCK, steps)
-    streams = [
-        [_open_stream(master_seed, path_start + i, domain) for i in range(count)] if width else []
-        for domain, width in widths
+    size = noise_block(steps, multiple)
+    signs = [domain == ETA_DOMAIN and width > 0 for domain, width in widths]
+    if any(signs) and size % 8 and size < steps:
+        raise ValueError(f"signs are read 8 steps a word: a block of {size} steps splits one")
+    # each stream's draw: the raw words of a sign stream, else the normals
+    draws = [
+        [
+            _open_bits(master_seed, path, domain).random_raw
+            if sign
+            else _open_stream(master_seed, path, domain).standard_normal
+            for path in range(path_start, path_start + count)
+        ]
+        if width
+        else []
+        for (domain, width), sign in zip(widths, signs)
     ]
-    whole = count * size * 8 * sum(width for _, width in widths) <= TIME_MAJOR_READ_BYTES
+    # bytes a step of each domain takes in its time-major copy
+    step_bytes = [1 if sign else 8 * width for sign, (_, width) in zip(signs, widths)]
+    whole = count * size * sum(step_bytes) <= TIME_MAJOR_READ_BYTES
     tile = count
     if whole:  # a tile stages at most TIME_MAJOR_STAGE_BYTES of the widest domain
         widest = max(width for _, width in widths)
         tile = max(1, min(count, TIME_MAJOR_STAGE_BYTES // max(1, size * 8 * widest)))
-    stages = [np.empty((tile, size, width)) for _, width in widths]
-    copies = [np.empty((size, width, count)) for _, width in widths] if whole else []
+    stages = [
+        np.empty((tile, -(-size // 8)), "<u8") if sign else np.empty((tile, size, width))
+        for sign, (_, width) in zip(signs, widths)
+    ]
+    copies = []
+    if whole:
+        copies = [
+            np.empty((size, count), np.int8) if sign else np.empty((size, width, count))
+            for sign, (_, width) in zip(signs, widths)
+        ]
     for k0 in range(0, steps, size):
         n = min(size, steps - k0)
         for p0 in range(0, count, tile):
             p1 = min(p0 + tile, count)
-            for i, (stage, generators) in enumerate(zip(stages, streams)):
-                part = stage[: p1 - p0, :n]
-                for row, generator in zip(part, generators[p0:p1]):
-                    generator.standard_normal(out=row)
-                part *= scale
-                if whole:
-                    np.copyto(copies[i][:n, :, p0:p1], part.transpose(1, 2, 0))
+            parts = []
+            for stage, domain_draws, sign in zip(stages, draws, signs):
+                if sign:
+                    words = stage[: p1 - p0, : -(-n // 8)]
+                    for row, draw in zip(words, domain_draws[p0:p1]):
+                        row[:] = draw(len(row))
+                    part = rademacher_from_raw(words, n)
+                else:
+                    part = stage[: p1 - p0, :n]
+                    for row, draw in zip(part, domain_draws[p0:p1]):
+                        draw(out=row)
+                    part *= scale
+                parts.append(part)
+            if each_tile is not None:
+                each_tile(k0, p0, *parts)
+            for copy, part in zip(copies, parts):  # the paths axis moved last
+                np.copyto(copy[:n, ..., p0:p1], part.transpose(*range(1, part.ndim), 0))
         if whole:
             yield (k0, *(copy[:n] for copy in copies))
         else:
-            parts = (stage[:, :n] for stage in stages)
             yield from ((k0 + k, *rows) for k, *rows in time_major_blocks(*parts))
 
 
@@ -470,14 +530,21 @@ class PathBundle:
 
 
 def make_bundle_batch(
-    master_seed: int, path_start: int, n_paths: int, N_fine: int, d: int, T: float
+    master_seed: int,
+    path_start: int,
+    n_paths: int,
+    N_fine: int,
+    d: int,
+    T: float,
+    eta: np.ndarray | None = None,
 ) -> PathBundle:
     """Bundle for path indices path_start .. path_start + n_paths - 1.
 
     Row i holds the normals of the (path_start + i, DW_DOMAIN) stream, scaled,
-    and the signs of the (path_start + i, ETA_DOMAIN) stream, so it is
-    bit-deterministic in (master_seed, path index): batching is a packing
-    detail, not part of the random stream.
+    and the signs of the (path_start + i, ETA_DOMAIN) stream
+    (:func:`rademacher_signs`), so it is bit-deterministic in (master_seed,
+    path index): batching is a packing detail, not part of the random stream.
+    ``eta``, if given, holds those signs, drawn by the caller.
     """
     if N_fine < 1 or d < 1:
         raise ValueError("N_fine and d must be >= 1")
@@ -488,15 +555,35 @@ def make_bundle_batch(
     pool = StreamPool(master_seed)
     dW = pool.fill_normals(DW_DOMAIN, path_start, np.empty((n_paths, N_fine, d)))
     dW *= np.sqrt(T / N_fine)
-    words = -(-N_fine // 8)  # one sign per byte
-    if words <= 4 * VECTOR_SIGN_BLOCKS:
-        raw = philox_words(master_seed, ETA_DOMAIN, path_start, n_paths, words)
-    else:
-        raw = pool.fill_raw(ETA_DOMAIN, path_start, np.empty((n_paths, words), dtype="<u8"))
-    eta = rademacher_from_raw(raw, N_fine)
+    if eta is None:
+        eta = rademacher_signs(master_seed, path_start, n_paths, N_fine, pool)
     dW.setflags(write=False)
     eta.setflags(write=False)
     return PathBundle(T=T, dW=dW, eta=eta, path_start=path_start)
+
+
+def vector_signs(N_fine: int) -> bool:
+    """Whether :func:`rademacher_signs` evaluates streams of ``N_fine`` signs
+    with :func:`philox_words`: at most VECTOR_SIGN_BLOCKS Philox blocks."""
+    return -(-N_fine // 8) <= 4 * VECTOR_SIGN_BLOCKS
+
+
+def rademacher_signs(
+    master_seed: int, path_start: int, n_paths: int, N_fine: int, pool: StreamPool | None = None
+) -> np.ndarray:
+    """The first ``N_fine`` signs of the ETA_DOMAIN streams of paths
+    path_start .. path_start + n_paths - 1, (n_paths, N_fine) int8: one per
+    byte of their raw words (:func:`rademacher_from_raw`). Short streams
+    (:func:`vector_signs`) are evaluated for every path in one call of
+    :func:`philox_words`, whose cost is mostly fixed; longer ones through
+    numpy's generator (``pool``'s, or a new pool's)."""
+    words = -(-N_fine // 8)  # one sign per byte
+    if vector_signs(N_fine):
+        raw = philox_words(master_seed, ETA_DOMAIN, path_start, n_paths, words)
+    else:
+        pool = pool or StreamPool(master_seed)
+        raw = pool.fill_raw(ETA_DOMAIN, path_start, np.empty((n_paths, words), dtype="<u8"))
+    return rademacher_from_raw(raw, N_fine)
 
 
 def _block_sums(dW: np.ndarray, block: int) -> np.ndarray:

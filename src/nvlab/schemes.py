@@ -29,9 +29,9 @@ T/N). There is one march, ``_march``, which knows no kernel and reads no
 arrays: it applies a step function to state rows, feeding it each step of
 the time-major blocks its caller hands it. A scheme hands it the coarse
 bundle read through :func:`~nvlab.paths.time_major_blocks`, each block's
-signs turned into sweep rows in one call; the limit SDE of
-:mod:`nvlab.analysis` hands it noise drawn one block of steps at a time
-(:func:`~nvlab.paths.normal_blocks`). A scheme's step hands its kernel the
+signs turned into sweep rows in one call; the limit SDE and the nv proxy
+reference (:func:`proxy_march`) of :mod:`nvlab.analysis` hand it noise drawn
+one block of steps at a time (:func:`~nvlab.paths.normal_blocks`). A scheme's step hands its kernel the
 state rows (n, paths), the step's increments as rows (d, paths) and one
 boolean sweep row (paths,), True where the sign is +1. Where the Brownian
 flows commute bit for bit (``VectorFieldSet.flows_commute``, derived from the
@@ -189,22 +189,40 @@ def _check_grid(problem: Problem, bundle: PathBundle, N: int):
         raise ValueError(f"grid N={N} is not a step count dividing N_fine={bundle.n_fine}")
 
 
+def _march_kernel(problem, kernel, label, blocks, paths, steps, h, record_stride, path_start):
+    """``kernel`` marched from x0 at step h over time-major blocks ``(k0, dW
+    rows, sign rows)``, recording every ``record_stride`` steps; each block's
+    signs become sweep rows (True where +1) in one call."""
+
+    def step(x, dW_k, plus_k):
+        return kernel(problem, x, dW_k, plus_k, h)
+
+    sweeps = ((k0, dW, eta > 0) for k0, dW, eta in blocks)
+    x0 = problem.x0
+    return _march(problem, label, step, x0, sweeps, paths, steps, h, record_stride, path_start)
+
+
 def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, N: int, record_stride=1):
     """The shared driver: ``kernel`` marched on the bundle coarsened to N steps,
     recording every ``record_stride`` steps."""
     _check_grid(problem, bundle, N)
     grid = coarsen(bundle, N)
-    h = grid.h
-
-    def step(x, dW_k, plus_k):
-        return kernel(problem, x, dW_k, plus_k, h)
-
-    # each block's signs become sweep rows (True where +1) in one call
-    blocks = ((k0, dW, eta > 0) for k0, dW, eta in time_major_blocks(grid.dW, grid.eta))
-    records = _march(
-        problem, label, step, problem.x0, blocks, grid.paths, N, h, record_stride, grid.path_start
+    blocks = time_major_blocks(grid.dW, grid.eta)
+    records = _march_kernel(
+        problem, kernel, label, blocks, grid.paths, N, grid.h, record_stride, grid.path_start
     )
     return Trajectory(states=np.moveaxis(records, -1, 0))
+
+
+def proxy_march(problem: Problem, blocks, paths, n_fine, h, record_stride, path_start=0):
+    """The records of the nv proxy reference: nv at its fine step h, fed
+    time-major blocks ``(k0, dW rows, sign rows)`` of ``n_fine`` steps in
+    step order, from a whole bundle (:func:`exact_trajectory`) or drawn a
+    block at a time (:func:`~nvlab.paths.normal_blocks`), recording every
+    ``record_stride`` steps."""
+    return _march_kernel(
+        problem, _nv_kernel, "nv-proxy", blocks, paths, n_fine, h, record_stride, path_start
+    )
 
 
 def nv_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory:
@@ -231,7 +249,10 @@ def exact_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory
             f"problem {problem.name!r} has no closed form and the bundle has no "
             "refinement to build a proxy reference from"
         )
-    return _scheme(problem, _nv_kernel, "nv-proxy", bundle, bundle.n_fine, bundle.n_fine // N)
+    blocks = time_major_blocks(bundle.dW, bundle.eta)
+    n_fine, paths = bundle.n_fine, bundle.paths
+    records = proxy_march(problem, blocks, paths, n_fine, bundle.h, n_fine // N, bundle.path_start)
+    return Trajectory(states=np.moveaxis(records, -1, 0))
 
 
 def trajectory(problem: Problem, scheme: str, bundle: PathBundle, N: int) -> Trajectory:

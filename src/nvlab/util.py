@@ -43,9 +43,9 @@ def split_paths(total: int, batches: int = STAT_BATCHES) -> list[tuple[int, int]
 # workers; path chunks are sized by what a chunk keeps so the chunks in flight
 # together stay under it. Where the fine noise is drawn one path tile at a time
 # (a closed-form reference, the source term) a chunk keeps only coarse-grid
-# arrays, and the limit SDE draws its noise one block of steps at a time, so
-# their chunks are sized by the coarse grid and by the block; the proxy
-# reference keeps its chunk's whole fine noise (analysis._reference_chunk).
+# arrays, and the nv proxy reference and the limit SDE draw their noise one
+# block of steps at a time, so chunks are sized by the coarse grid and by the
+# block (analysis.chunk_floats); no chunk holds its whole fine noise.
 CHUNK_FLOAT_BUDGET = 2**26
 # The most paths a chunk takes, whatever its footprint: the nv march costs
 # about 27 ns a path-step from about 3000 paths on and gains little above, so

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -132,12 +133,26 @@ def _record_draws(monkeypatch):
     """The path count of every bundle the estimators draw, in order."""
     sizes = []
 
-    def draw(master_seed, path_start, n_paths, *rest):
+    def draw(master_seed, path_start, n_paths, *rest, **kwargs):
         sizes.append(n_paths)
-        return make_bundle_batch(master_seed, path_start, n_paths, *rest)
+        return make_bundle_batch(master_seed, path_start, n_paths, *rest, **kwargs)
 
     monkeypatch.setattr(analysis, "make_bundle_batch", draw)
     return sizes
+
+
+def _record_chunks(monkeypatch):
+    """The chunk sizes of every run_paths call of the estimators."""
+    layouts = []
+
+    def compute_chunks(*args):
+        chunks = compute(*args)
+        layouts.append([count for _, count in chunks])
+        return chunks
+
+    compute = util.compute_chunks
+    monkeypatch.setattr(util, "compute_chunks", compute_chunks)
+    return layouts
 
 
 def _record_rows(monkeypatch):
@@ -189,18 +204,97 @@ def test_closed_form_tiles_equal_whole_chunk(monkeypatch, name, tile_bytes):
 @pytest.mark.parametrize("budget", [None, 1])
 @pytest.mark.parametrize("name", ["diag-comm", "linear-nc"])
 def test_proxy_normalized_errors_equal_whole_chunk(monkeypatch, name, budget):
-    # the proxy reference marches each chunk's whole fine bundle: one chunk
-    # of 50 paths, or 16-path chunks (the budget's floor) that do not divide
-    # them, give the bits of one bundle of every path
+    # the proxy reference marches each chunk whole: one chunk of 50 paths,
+    # or 16-path chunks (the budget's floor) that do not divide them, give
+    # the bits of one bundle of every path
     problem = get_problem(name)
     paths, N, refine, seed = 50, 8, 4, 31
     want = normalized_errors_whole_chunk(problem, N, refine, paths, seed)
     if budget is not None:
         monkeypatch.setattr(util, "CHUNK_FLOAT_BUDGET", budget)
-    sizes = _record_draws(monkeypatch)
+    layouts = _record_chunks(monkeypatch)
     got = normalized_error_samples(problem, N, paths, seed, refine_factor=refine)
-    assert sizes == ([paths] if budget is None else [16, 16, 16, 2])
+    assert layouts == [[paths] if budget is None else [16, 16, 16, 2]]
     _assert_same_bits(got, want)
+
+
+def _no_closed_form(name):
+    problem = get_problem(name)
+    return dataclasses.replace(problem, exact_solution=None)
+
+
+# (N, refine, NOISE_BLOCK) and the blocks the proxy draws: 8-step blocks, 24
+# steps that do not divide n_fine, one block of n_fine, and n_fine = 20 and
+# 21, no multiple of 8 (the coarse steps of 7 make a block of 56 at least)
+PROXY_BLOCKS = [
+    ((64, 4, 8), [8] * 32),
+    ((64, 4, 24), [24] * 10 + [16]),
+    ((64, 4, 1024), [256]),
+    ((5, 4, 8), [8, 8, 4]),
+    ((3, 7, 8), [21]),
+]
+
+
+@pytest.mark.parametrize("read", ["tiled", "blocked"])
+@pytest.mark.parametrize("grid, blocks", PROXY_BLOCKS)
+@pytest.mark.parametrize("name", ["gbm1d", "diag-comm", "linear-nc"])
+def test_streamed_proxy_equals_whole_bundle(monkeypatch, name, grid, blocks, read):
+    # the proxy reference marched block by block, and the bundle at N summed
+    # block by block, equal exact_trajectory's proxy on one whole bundle and
+    # coarsen's sums (pairwise at d = 1), signs of zero included; the blocks
+    # are drawn in path tiles (37 paths: the tiles do not divide them) or
+    # whole and read in short blocks
+    problem = _no_closed_form(name)  # gbm1d without its closed form: d = 1
+    (N, refine, noise_block), paths, start, seed = grid, 37, 5, 13
+    n_fine = N * refine
+    bundle = make_bundle_batch(seed, start, paths, n_fine, problem.d, problem.T)
+    states = trajectory(problem, "exact", bundle, N).states
+    coarse = coarsen(bundle, N)
+    monkeypatch.setattr(paths_module, "NOISE_BLOCK", noise_block)
+    if read == "blocked":
+        monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", 0)
+    drawn = []
+    normal_blocks = analysis.normal_blocks
+
+    def recording(*args):
+        *rest, each_tile = args
+
+        def each(k0, p0, fine_dW, fine_eta):
+            if p0 == 0:
+                drawn.append(fine_dW.shape[1])
+            each_tile(k0, p0, fine_dW, fine_eta)
+
+        return normal_blocks(*rest, each)
+
+    monkeypatch.setattr(analysis, "normal_blocks", recording)
+    for terminal in (False, True):
+        drawn.clear()
+        ref, got = analysis._reference_chunk(
+            problem, "exact", seed, start, paths, n_fine, N, terminal
+        )
+        assert drawn == blocks
+        _assert_same_bits(ref, states[:, -1] if terminal else states)
+        _assert_same_bits(got.dW, coarse.dW)
+        np.testing.assert_array_equal(got.eta, coarse.eta)
+        assert got.path_start == start and not got.dW.flags.writeable
+
+
+def test_proxy_ladder_chunk_peaks_at_what_chunk_floats_counts(diag_comm):
+    # one 200-path chunk of a proxy ladder at 8192 fine steps holds its bundle
+    # and reference at 64 steps and one 1024-step block of noise, near what
+    # chunk_floats counts and far under the chunk's fine bundle, which it
+    # held whole when the proxy marched a whole bundle
+    paths, Ns, refine = 200, (16, 32, 64), 128
+    fine_bundle = max(Ns) * refine * (diag_comm.d + 1)
+    footprint = analysis.chunk_floats(diag_comm, Ns, max(Ns) * refine)
+    tracemalloc.start()
+    try:
+        strong_error(diag_comm, "nv", Ns, paths, 3, refine_factor=refine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * footprint < peak / (8 * paths) < 1.1 * footprint
+    assert footprint < fine_bundle / 5
 
 
 def test_closed_form_ladder_chunk_holds_one_fine_tile(heisenberg):
@@ -640,6 +734,27 @@ def test_source_term_draws_equal_whole_chunk(monkeypatch, tile_bytes):
     source_term_variance(N=N, j=2, m=1, t=1.0, paths=paths, master_seed=seed, substeps=substeps)
     _check_tiles(sizes, paths, tile_bytes)
     _assert_same_bits(rows[-1], want)
+
+
+def test_source_term_draws_short_sign_streams_once_a_chunk(monkeypatch):
+    # 256 signs a path are evaluated by philox_words, whose cost is mostly
+    # fixed: one call a chunk (16-path chunks at the budget's floor), not
+    # one a 3-path tile; 1024 signs a path are read per tile, with no call
+    philox_words, calls = paths_module.philox_words, []
+
+    def spy(master_seed, domain, path_start, n_paths, words):
+        calls.append(n_paths)
+        return philox_words(master_seed, domain, path_start, n_paths, words)
+
+    monkeypatch.setattr(paths_module, "philox_words", spy)
+    monkeypatch.setattr(analysis, "path_tiles", fixed_tiles(3))
+    monkeypatch.setattr(util, "CHUNK_FLOAT_BUDGET", 1)
+    layouts, sizes = _record_chunks(monkeypatch), _record_draws(monkeypatch)
+    source_term_variance(N=4, j=2, m=1, t=1.0, paths=50, master_seed=7)
+    assert calls == layouts[0] == [16, 16, 16, 2] and max(sizes) == 3
+    calls.clear()
+    source_term_variance(N=16, j=2, m=1, t=1.0, paths=50, master_seed=7)
+    assert calls == [] and max(sizes) == 3
 
 
 def test_source_term_validation():

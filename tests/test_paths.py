@@ -196,6 +196,59 @@ def _assert_normal_blocks_stream_fill_normals(seed, block, monkeypatch):
     assert want[1].size == 0
 
 
+@pytest.mark.parametrize("read", ["tiled", "blocked"])
+@pytest.mark.parametrize("block, steps", [(8, 64), (24, 64), (16, 30), (64, 30)])
+def test_normal_blocks_sign_domain_gives_the_bundle_signs(read, block, steps, monkeypatch):
+    # signs in blocks of 8 and 16 steps, in 24-step blocks that do not divide
+    # the steps, over steps that are no multiple of 8, and in one block; each
+    # tile is handed over path-major and each block time-major, and both
+    # hold the signs and increments of make_bundle_batch
+    if read == "blocked":
+        monkeypatch.setattr(paths, "TIME_MAJOR_READ_BYTES", 0)
+    else:  # two paths a staged tile
+        monkeypatch.setattr(paths, "TIME_MAJOR_STAGE_BYTES", 2 * block * 2 * 8)
+    monkeypatch.setattr(paths, "NOISE_BLOCK", block)
+    count, scale = 5, 0.25
+    bundle = make_bundle_batch(42, 11, count, steps, 2, scale**2 * steps)
+    dW, eta = np.empty_like(bundle.dW), np.empty_like(bundle.eta)
+    tiles = []
+
+    def each_tile(k0, p0, dW_part, eta_part):
+        tiles.append((k0, p0))
+        dW[p0 : p0 + len(dW_part), k0 : k0 + dW_part.shape[1]] = dW_part
+        eta[p0 : p0 + len(eta_part), k0 : k0 + eta_part.shape[1]] = eta_part
+
+    widths = ((DW_DOMAIN, 2), (ETA_DOMAIN, 1))
+    rows = [[], []]
+    blocks = paths.normal_blocks(42, 11, count, steps, widths, scale, 8, each_tile)
+    for k0, dW_rows, eta_rows in blocks:
+        assert eta_rows.dtype == np.int8 and k0 == sum(r.shape[1] for r in rows[1])
+        rows[0].append(np.moveaxis(dW_rows, -1, 0).copy())
+        rows[1].append(eta_rows.T.copy())
+    assert {k0 for k0, _ in tiles} == set(range(0, steps, min(block, steps)))
+    for got in (dW, np.concatenate(rows[0], axis=1)):
+        np.testing.assert_array_equal(got, bundle.dW)
+    for got in (eta, np.concatenate(rows[1], axis=1)):
+        np.testing.assert_array_equal(got, bundle.eta)
+
+
+def test_normal_blocks_sign_domain_rejects_split_words(monkeypatch):
+    monkeypatch.setattr(paths, "NOISE_BLOCK", 12)
+    with pytest.raises(ValueError, match="a block of 12 steps"):
+        next(paths.normal_blocks(1, 0, 2, 30, ((ETA_DOMAIN, 1),), 1.0))
+    # a multiple of 8 below the block, or one block of every step, splits none
+    next(paths.normal_blocks(1, 0, 2, 30, ((ETA_DOMAIN, 1),), 1.0, multiple=8))
+    next(paths.normal_blocks(1, 0, 2, 12, ((ETA_DOMAIN, 1),), 1.0))
+
+
+def test_noise_block_is_a_multiple_within_the_steps(monkeypatch):
+    monkeypatch.setattr(paths, "NOISE_BLOCK", 1024)
+    assert paths.noise_block(4096) == 1024
+    assert paths.noise_block(4096, 24) == 1008  # the most multiples that fit
+    assert paths.noise_block(4096, 2048) == 2048  # at least one multiple
+    assert paths.noise_block(100, 64) == 100  # never more than the steps
+
+
 @pytest.mark.parametrize(
     "n_paths, steps", [(1, 1), (7, 130), (1000, 61), (3, 4096), (20000, 7), (5000, 128)]
 )
