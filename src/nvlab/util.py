@@ -60,6 +60,9 @@ def compute_chunks(total: int, per_path_floats: int, threads: int) -> list[tuple
     Each of the resolved workers gets an equal share of the memory budget
     (never fewer than 16 paths per chunk), chunks take at most
     CHUNK_MAX_PATHS paths, and they are small enough to feed every worker.
+    The paths are split evenly among the fewest chunks these allow
+    (:func:`split_paths`), so no chunk is larger than it has to be: 10000
+    paths at the path cap make two chunks of 5000, not 8192 and 1808.
     Per-path results never depend on how paths are grouped (all kernels act
     path-wise), so any chunking yields identical output arrays.
     """
@@ -68,7 +71,7 @@ def compute_chunks(total: int, per_path_floats: int, threads: int) -> list[tuple
     max_chunk = min(max_chunk, CHUNK_MAX_PATHS)
     if workers > 1:
         max_chunk = min(max_chunk, max(16, -(-total // workers)))
-    return [(start, min(max_chunk, total - start)) for start in range(0, total, max_chunk)]
+    return split_paths(total, -(-total // max_chunk))
 
 
 def run_paths(

@@ -205,8 +205,8 @@ def test_closed_form_tiles_equal_whole_chunk(monkeypatch, name, tile_bytes):
 @pytest.mark.parametrize("name", ["diag-comm", "linear-nc"])
 def test_proxy_normalized_errors_equal_whole_chunk(monkeypatch, name, budget):
     # the proxy reference marches each chunk whole: one chunk of 50 paths,
-    # or 16-path chunks (the budget's floor) that do not divide them, give
-    # the bits of one bundle of every path
+    # or four chunks of at most 16 paths (the budget's floor), split evenly
+    # and not dividing them, give the bits of one bundle of every path
     problem = get_problem(name)
     paths, N, refine, seed = 50, 8, 4, 31
     want = normalized_errors_whole_chunk(problem, N, refine, paths, seed)
@@ -214,7 +214,7 @@ def test_proxy_normalized_errors_equal_whole_chunk(monkeypatch, name, budget):
         monkeypatch.setattr(util, "CHUNK_FLOAT_BUDGET", budget)
     layouts = _record_chunks(monkeypatch)
     got = normalized_error_samples(problem, N, paths, seed, refine_factor=refine)
-    assert layouts == [[paths] if budget is None else [16, 16, 16, 2]]
+    assert layouts == [[paths] if budget is None else [13, 13, 12, 12]]
     _assert_same_bits(got, want)
 
 
@@ -548,9 +548,10 @@ def test_limit_sde_matches_callable_loop(name, monkeypatch):
 
 
 def test_limit_sde_same_bits_across_threads_and_chunks(heisenberg, monkeypatch):
-    # one 70-path chunk drawn whole, two threads' 35-path chunks and 16-path
-    # chunks (the budget's floor), both in 40-step noise blocks, draw each
-    # path's same streams, so every layout gives the same bits
+    # one 70-path chunk drawn whole, two threads' 35-path chunks and 14-path
+    # chunks (the budget's floor of 16, split evenly), both in 40-step noise
+    # blocks, draw each path's same streams, so every layout gives the same
+    # bits
     want = simulate_limit_sde(heisenberg, paths=70, n_fine=96, master_seed=5, threads=1)
     monkeypatch.setattr(paths_module, "NOISE_BLOCK", 40)
     got = [simulate_limit_sde(heisenberg, paths=70, n_fine=96, master_seed=5, threads=2)]
@@ -738,8 +739,9 @@ def test_source_term_draws_equal_whole_chunk(monkeypatch, tile_bytes):
 
 def test_source_term_draws_short_sign_streams_once_a_chunk(monkeypatch):
     # 256 signs a path are evaluated by philox_words, whose cost is mostly
-    # fixed: one call a chunk (16-path chunks at the budget's floor), not
-    # one a 3-path tile; 1024 signs a path are read per tile, with no call
+    # fixed: one call a chunk (chunks of at most 16 paths, the budget's
+    # floor), not one a 3-path tile; 1024 signs a path are read per tile,
+    # with no call
     philox_words, calls = paths_module.philox_words, []
 
     def spy(master_seed, domain, path_start, n_paths, words):
@@ -751,7 +753,7 @@ def test_source_term_draws_short_sign_streams_once_a_chunk(monkeypatch):
     monkeypatch.setattr(util, "CHUNK_FLOAT_BUDGET", 1)
     layouts, sizes = _record_chunks(monkeypatch), _record_draws(monkeypatch)
     source_term_variance(N=4, j=2, m=1, t=1.0, paths=50, master_seed=7)
-    assert calls == layouts[0] == [16, 16, 16, 2] and max(sizes) == 3
+    assert calls == layouts[0] == [13, 13, 12, 12] and max(sizes) == 3
     calls.clear()
     source_term_variance(N=16, j=2, m=1, t=1.0, paths=50, master_seed=7)
     assert calls == [] and max(sizes) == 3

@@ -263,11 +263,11 @@ def test_convergence_rejects_ladder_rung_not_dividing_the_finest(tmp_path, capsy
 @pytest.mark.parametrize("problem", ["heisenberg", "diag-comm"])
 def test_ladder_outputs_identical_across_chunk_layouts(problem, tmp_path, monkeypatch):
     # the chunk plan is forced through the memory budget, so this holds on any
-    # core count: one chunk, 16-path chunks, and ragged 50/50/28 chunks
+    # core count: one chunk, 16-path chunks, and ragged 43/43/42 chunks
     paths, Ns, refine = 128, (8, 16, 32), 4
     per_path = analysis.chunk_floats(get_problem(problem), Ns, 32 * refine)  # the ladder's
     layouts = {"one": 2**40, "sixteen": 1, "ragged": 50 * per_path}
-    expected = {"one": [128], "sixteen": [16] * 8, "ragged": [50, 50, 28]}
+    expected = {"one": [128], "sixteen": [16] * 8, "ragged": [43, 43, 42]}
     args = ["convergence", "--problem", problem, "--scheme", "nv", "--nladder", "8,16,32"]
     args += ["--paths", str(paths), "--refine", str(refine), "--threads", "1", "--format", "csv"]
     points, bodies = {}, {}

@@ -9,6 +9,7 @@ from nvlab.util import (
     compute_chunks,
     resolve_threads,
     run_paths,
+    split_paths,
 )
 
 FLOOR = 16
@@ -32,10 +33,13 @@ def test_memory_budget_is_shared_by_the_workers(threads, per_path_floats, total)
 
 
 def test_small_footprints_are_cut_at_the_path_cap():
-    # a footprint of a few floats would fit 10**5 paths in one chunk
-    assert compute_chunks(10**5, 4, 1) == [
-        (start, min(CHUNK_MAX_PATHS, 10**5 - start)) for start in range(0, 10**5, CHUNK_MAX_PATHS)
-    ]
+    # a footprint of a few floats would fit 10**5 paths in one chunk; at the
+    # path cap they take the fewest chunks, 13, split evenly
+    chunks = compute_chunks(10**5, 4, 1)
+    assert chunks == split_paths(10**5, 13)
+    assert {c for _, c in chunks} == {7692, 7693} and 12 * CHUNK_MAX_PATHS < 10**5
+    # not one full chunk and a remainder
+    assert compute_chunks(10**4, 4, 1) == [(0, 5000), (5000, 5000)]
 
 
 def test_run_paths_fills_rows_in_path_order():
