@@ -63,7 +63,7 @@ from .paths import (
     rademacher_signs,
     vector_signs,
 )
-from .schemes import _march, proxy_march, trajectory
+from .schemes import _march, nv_march, nv_terminal, trajectory
 from .util import STAT_BATCHES, run_paths, split_paths
 
 # Seed stride separating the limit-SDE sample stream from the scheme stream,
@@ -177,7 +177,7 @@ def _error_point(values: np.ndarray, N: int, p: int) -> ErrorPoint:
     return ErrorPoint(N=N, err=err, stderr=stderr, p=p)
 
 
-def chunk_floats(problem: Problem, Ns: Sequence[int], n_fine: int, states: int = 3) -> int:
+def chunk_floats(problem: Problem, Ns: Sequence[int], n_fine: int, terminal: bool = False) -> int:
     """Float64s one path takes at the peak of a chunk of an estimator that
     marches a scheme at the step counts ``Ns`` on noise drawn at ``n_fine``
     steps: the estimators' one footprint, which
@@ -185,21 +185,27 @@ def chunk_floats(problem: Problem, Ns: Sequence[int], n_fine: int, states: int =
 
     :func:`_reference_chunk` keeps only coarse arrays a path: the bundle at
     max(Ns) steps (d increments and a sign per step, a float's room each)
-    and one array of max(Ns) + 1 states. While rung N is marched a chunk
-    also holds the rung's own coarse bundle below max(Ns) and ``states - 1``
-    arrays of N + 1 states; by default these are the ladder's reference,
-    rung states and gap. A closed form draws the fine noise one path tile at
-    a time. The proxy reference draws it one block of steps at a time and
-    drops the block before any rung is marched: d normals a step, and the
-    step's sign as an int8 and as a sweep row.
+    and the reference's states. A ladder keeps its reference's max(Ns) + 1
+    states, and while rung N is marched also the rung's own coarse bundle
+    below max(Ns), its N + 1 states and their gap. With ``terminal`` (one
+    rung, terminal states only) a chunk keeps the reference's terminal state
+    and the scheme march's two records, its start and its terminal state. A
+    closed form draws the fine noise one path tile at a time. The proxy
+    reference draws it one block of steps at a time and drops the block
+    before any rung is marched: d normals a step, and the step's sign as an
+    int8 and as a sweep row.
     """
     N_max = max(Ns)
     d, n = problem.d, problem.n
-    rung = max((N < N_max) * N * (d + 1) + (states - 1) * (N + 1) * n for N in Ns)
+    if terminal:
+        states, rung = 3 * n, 0
+    else:
+        states = (N_max + 1) * n
+        rung = max((N < N_max) * N * (d + 1) + 2 * (N + 1) * n for N in Ns)
     if problem.exact_solution is None and n_fine > N_max:
         block = noise_block(n_fine, _proxy_multiple(n_fine, N_max))
         rung = max(rung, block * d + 2 * -(-block // 8))
-    return N_max * (d + 1) + (N_max + 1) * n + rung
+    return N_max * (d + 1) + states + rung
 
 
 def _proxy_multiple(n_fine: int, N: int) -> int:
@@ -286,7 +292,8 @@ def _proxy_reference(problem, master_seed, start, n_fine, terminal, dW, eta) -> 
         master_seed, start, count, n_fine, widths, math.sqrt(h), multiple, coarsen_tile
     )
     # the terminal state alone is one record of the whole march
-    records = proxy_march(problem, blocks, count, n_fine, h, n_fine if terminal else stride, start)
+    record_stride = n_fine if terminal else stride
+    records = nv_march(problem, blocks, count, n_fine, h, record_stride, start, "nv-proxy")
     return records[-1].T if terminal else np.moveaxis(records, -1, 0)
 
 
@@ -444,8 +451,8 @@ def normalized_error_samples(
     The reference's terminal state and the bundle at N steps come from
     :func:`_reference_chunk`, and nv runs on that bundle. The fine noise is
     drawn one path tile at a time for a closed form, and one block of steps
-    at a time for the proxy reference, which records only its terminal
-    state; either way a chunk keeps only coarse arrays.
+    at a time for the proxy reference; the reference and the nv run record
+    only their terminal states, so a chunk keeps only its coarse bundle.
     """
     if N < 1:
         raise ValueError("normalized_error_samples needs N >= 1")
@@ -459,11 +466,9 @@ def normalized_error_samples(
         ref, bundle = _reference_chunk(
             problem, "exact", master_seed, start, count, n_fine, N, terminal=True
         )
-        nv = trajectory(problem, "nv", bundle, N).terminal()
-        return scale * (ref - nv)
+        return scale * (ref - nv_terminal(problem, bundle, N))
 
-    # the nv run's states; the reference keeps only its terminal state
-    per_path = chunk_floats(problem, (N,), n_fine, states=1)
+    per_path = chunk_floats(problem, (N,), n_fine, terminal=True)
     return run_paths(paths, per_path, threads, worker, width=problem.n)
 
 

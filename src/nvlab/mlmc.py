@@ -1,12 +1,19 @@
 """Multilevel Monte Carlo on the splitting scheme, with level-variance profiling.
 
 Levels use N_l = N0 * 2^l steps. The level-l correction couples the scheme at
-N_l and N_{l-1} through one shared bundle (the coarse run consumes the summed
+N_l and N_{l-1} on the same noise (the coarse run consumes the summed
 increments and inherits the sign of the first fine sub-step), which is what
 makes the correction variance decay like 2^(-beta l) with beta twice the
 strong order for Lipschitz payoffs. Sample counts per level are fixed, not
 adaptive: the quantity under test is beta, and adaptive allocation would just
 add noise to it.
+
+A level's chunk draws its noise once, straight into time-major blocks
+(:func:`~nvlab.paths.normal_blocks`), and marches both grids over those
+blocks together (:func:`~nvlab.schemes.coupled_terminals`), recording only
+their terminal states; the values are those of the scheme on the chunk's
+bundle, coarsened for the coarse grid. A chunk therefore holds about one
+block of noise and a few states a path, whatever the level.
 """
 
 from __future__ import annotations
@@ -18,9 +25,10 @@ from typing import Callable
 
 import numpy as np
 
+from .flows import FlowExplosionError
 from .models import Problem
-from .paths import make_bundle_batch
-from .schemes import nv_trajectory
+from .paths import DW_DOMAIN, ETA_DOMAIN, noise_block, normal_blocks
+from .schemes import coarse_blocks, coupled_terminals, nv_march
 from .util import run_paths
 
 Payoff = Callable[[np.ndarray], np.ndarray]
@@ -81,35 +89,79 @@ def level_difference_samples(
 ) -> np.ndarray:
     """Coupled samples f(fine_T) - f(coarse_T) at one level (plain f at level 0).
 
-    Both discretizations share one bundle; levels are kept independent by
+    Both discretizations march on the same noise, drawn once per chunk in
+    time-major blocks of whole coarse steps; levels are kept independent by
     giving level l the path indices [l*paths, (l+1)*paths). A non-finite
-    sample raises :class:`FloatingPointError` naming the problem, the payoff,
-    the level and the first such path.
+    state raises :class:`FloatingPointError` naming the problem, the level,
+    the grid N, and that grid's first non-finite step and path
+    (:func:`_explosion`); a non-finite sample from finite states names the
+    problem, the payoff, the level and the first such path.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     f = parse_payoff(payoff, problem.n)
     n_l = n0 * 2**level
     offset = level * paths
+    n, d = problem.n, problem.d
+    h = problem.T / n_l
+    widths = ((DW_DOMAIN, d), (ETA_DOMAIN, 1))
+    group = 2 if level else 1
+
+    def draw(start, count):
+        # the increments and signs of make_bundle_batch, in blocks of whole
+        # sign words (8 steps) and whole coarse steps
+        return normal_blocks(master_seed, start, count, n_l, widths, math.sqrt(h), 8, group=group)
 
     def worker(start, count):
-        bundle = make_bundle_batch(master_seed, offset + start, count, n_l, problem.d, problem.T)
-        # a copy of the terminal states, so the fine records go before the coarse march
-        vals = f(nv_trajectory(problem, bundle, n_l).terminal().copy())
-        if level > 0:
-            vals = vals - f(nv_trajectory(problem, bundle, n_l // 2).terminal())
+        start += offset
+        try:
+            if level:
+                rows = coupled_terminals(problem, draw(start, count), count, n_l, start)
+            else:
+                rows = nv_march(problem, draw(start, count), count, n_l, h, n_l, start)[-1]
+        except FlowExplosionError:
+            raise _explosion(problem, level, n_l, draw, start, count) from None
+        vals = f(rows[:n].T)
+        if level:
+            vals = vals - f(rows[n:].T)
         bad = ~np.isfinite(vals)
         if bad.any():
             raise FloatingPointError(
                 f"non-finite {payoff} payoff on problem {problem.name!r} at level {level}: "
-                f"first at path {offset + start + int(np.argmax(bad))}"
+                f"first at path {start + int(np.argmax(bad))}"
             )
         return vals
 
-    # the bundle and its time-major copy (d increments and a sign a step, a
-    # float's room each) and the fine march's n_l + 1 records of n states
-    per_path = 2 * n_l * (problem.d + 1) + (n_l + 1) * problem.n
+    # one block of noise (d increments a step, and each step's sign as its
+    # raw byte, its int8 and its sweep row) and about ten arrays of each
+    # grid's n states: the march's two records, a step's new states and the
+    # nv kernel's temporaries
+    block = noise_block(n_l, 8)
+    per_path = block * d + 3 * -(-block // 8) + 10 * n * (2 if level else 1)
     return run_paths(paths, per_path, threads, worker)
+
+
+def _explosion(problem, level, n_l, draw, start, count) -> FloatingPointError:
+    """The error of a level's chunk of paths start..start+count-1 whose
+    march went non-finite. Each grid is marched again alone on the chunk's
+    noise (``draw(start, count)``), recording every step; the error names
+    the grid whose first non-finite state comes first in time (the fine one
+    on a tie), that step and its first non-finite path."""
+    grids = [(n_l, draw(start, count))]
+    if level:
+        grids.append((n_l // 2, coarse_blocks(draw(start, count))))
+    found = []
+    for N, blocks in grids:
+        try:
+            nv_march(problem, blocks, count, N, problem.T / N, 1, start)
+        except FlowExplosionError as exc:
+            # the fine step it falls on, and the fine grid first on a tie
+            found.append((exc.step * (n_l // N), -N, exc))
+    _, N, exc = min(found, key=lambda item: item[:2])
+    return FloatingPointError(
+        f"non-finite state from nv on problem {problem.name!r} at level {level}, grid "
+        f"N={-N}: first at step {exc.step} (t={exc.t:.3g}), path {exc.path}"
+    )
 
 
 def mlmc_estimate(

@@ -16,12 +16,13 @@ a batch have their words evaluated for all paths in one vectorised pass
 (:func:`philox_words`); longer streams are read through numpy's generator.
 Both give the same words. A stream read whole through numpy's generator is
 positioned by :meth:`StreamPool.seek`, which sets the generator's state from
-plain ints. A stream read a block of steps at a time (:func:`normal_blocks`:
-the limit SDE's noise, and the nv proxy reference's increments and signs)
-gets a generator of its own, opened once and continued from block to block;
-numpy draws a stream the same way however its draws are split, so it gives
-the values of one whole draw, and a sign stream read 8 steps a word in
-blocks of a multiple of 8 steps gives the signs of one whole read.
+plain ints; so is every stream :func:`normal_blocks` reads in one block (an
+MLMC level's noise). A stream it reads a block of steps at a time (the limit
+SDE's noise, and the nv proxy reference's increments and signs) gets a
+generator of its own, opened once and continued from block to block; numpy
+draws a stream the same way however its draws are split, so it gives the
+values of one whole draw, and a sign stream read 8 steps a word in blocks of
+a multiple of 8 steps gives the signs of one whole read.
 
 The same paths at a coarser resolution are again a :class:`PathBundle`:
 :func:`coarsen` sums the given bundle's increments into a new bundle, a plain
@@ -255,15 +256,17 @@ def rademacher_from_raw(raw: np.ndarray, n: int) -> np.ndarray:
 # staging buffer of at most TIME_MAJOR_STAGE_BYTES, and transposed from there;
 # the staged rows are short (TIME_MAJOR_BLOCK is not a power of two, so they
 # do not alias either). A block is at most TIME_MAJOR_BLOCK steps and at most
-# 1/TIME_MAJOR_FRACTION of the steps (but at least one), so its buffer stays
-# small next to the arrays it reads even where many paths take few steps,
-# and long marches still read several cache lines of each path per block.
+# 1/TIME_MAJOR_FRACTION of the steps (but at least one, and whole groups of
+# steps where the reader asks for them), so its buffer stays small next to
+# the arrays it reads even where many paths take few steps, and long marches
+# still read several cache lines of each path per block.
 #
 # Arrays whose time-major copies take at most TIME_MAJOR_READ_BYTES together
-# (short marches: MLMC's 1-64 steps at 5000 paths, a ladder's coarse rungs)
-# are instead read as one block, each transposed a tile of whole paths at a
-# time straight into its time-major copy; there the blocks above would be
-# only 1-4 steps long, each with its own copies. At 5000 paths x 64 steps
+# (short marches: a ladder's coarse rungs, and the noise of MLMC's 1-64
+# steps at 5000 paths, which normal_blocks draws the same way) are instead
+# read as one block, each transposed a tile of whole paths at a time
+# straight into its time-major copy; there the blocks above would be only
+# 1-4 steps long, each with its own copies. At 5000 paths x 64 steps
 # (d = 2) one read took 1.8 ms against 5.6 ms in 4-step blocks; at 1000 paths
 # x 4096 steps the blocks took 29-40 ms against 90-150 ms in one read (2-vCPU
 # VM, numpy 2.4).
@@ -285,7 +288,7 @@ def _time_major_copy(a: np.ndarray) -> np.ndarray:
     return rows
 
 
-def time_major_blocks(*arrays: np.ndarray):
+def time_major_blocks(*arrays: np.ndarray, group: int = 1):
     """Read path-major arrays (paths, steps, ...) in blocks of at most
     TIME_MAJOR_BLOCK steps, or, when small, in one block.
 
@@ -294,14 +297,16 @@ def time_major_blocks(*arrays: np.ndarray):
     ``rows_i[k]`` holds step ``k0 + k`` of every path in rows of (..., paths).
     The arrays share their (paths, steps). Each block is a buffer of its own
     (never a view of the arrays), shared by every block: a block is only
-    valid until the next is read, and its holder may overwrite it.
+    valid until the next is read, and its holder may overwrite it. Every
+    block holds whole groups of ``group`` steps, which must divide the steps.
     """
     paths, steps = arrays[0].shape[:2]
     step_bytes = [a.itemsize * math.prod(a.shape[2:]) for a in arrays]
     if paths * steps * sum(step_bytes) <= TIME_MAJOR_READ_BYTES:
         yield (0, *(_time_major_copy(a) for a in arrays))
         return
-    size = max(1, min(TIME_MAJOR_BLOCK, steps // TIME_MAJOR_FRACTION))
+    size = min(TIME_MAJOR_BLOCK, steps // TIME_MAJOR_FRACTION)
+    size = max(group, size - size % group)
     buffers = []
     for a, nbytes in zip(arrays, step_bytes):
         tile = max(1, min(paths, TIME_MAJOR_STAGE_BYTES // max(1, size * nbytes)))
@@ -379,6 +384,7 @@ def normal_blocks(
     scale: float,
     multiple: int = 1,
     each_tile=None,
+    group: int = 1,
 ):
     """``scale`` times the standard normals of paths path_start ..
     path_start + count - 1, over ``steps`` steps, in time-major blocks, and
@@ -392,15 +398,20 @@ def normal_blocks(
     word per 8 steps, turned into signs by :func:`rademacher_from_raw`.
     Yields ``(k0, rows_1, ...)`` as :func:`time_major_blocks` does, one
     array per domain: (steps, width, paths) normals, (steps, paths) int8
-    signs. With ``each_tile``, ``each_tile(k0, p0, part_1, ...)`` is called
-    on every tile of paths p0 .. p0 + len(part_i) - 1 as it is drawn, with
-    its path-major parts: (paths, steps, width) normals, scaled, and
-    (paths, steps) signs.
+    signs; every block yielded holds whole groups of ``group`` steps, which
+    must divide ``steps`` and ``multiple``. With ``each_tile``,
+    ``each_tile(k0, p0, part_1, ...)`` is called on every tile of paths
+    p0 .. p0 + len(part_i) - 1 as it is drawn, with its path-major parts:
+    (paths, steps, width) normals, scaled, and (paths, steps) signs.
 
     A block is :func:`noise_block` steps, a multiple of ``multiple``; with
     signs a multiple of 8 too (every block but the last), so that no sign
-    word straddles two blocks. Every stream of non-zero width is opened
-    once, as a generator of its own (:func:`_open_stream`), and continues
+    word straddles two blocks. Streams that fit in one block are read as
+    :func:`make_bundle_batch` reads them: each positioned by a
+    :meth:`StreamPool.seek` of one pool, and the chunk's sign streams in one
+    call of :func:`rademacher_signs` (one :func:`philox_words` pass where
+    they are short, :func:`vector_signs`). Longer streams are each opened
+    once, as a generator of its own (:func:`_open_stream`), and continue
     across blocks: numpy draws a stream the same way however its draws are
     split, so the values are those of one draw whatever the block. A block
     is drawn path by path and scaled. When its time-major copy fits
@@ -414,18 +425,28 @@ def normal_blocks(
     signs = [domain == ETA_DOMAIN and width > 0 for domain, width in widths]
     if any(signs) and size % 8 and size < steps:
         raise ValueError(f"signs are read 8 steps a word: a block of {size} steps splits one")
-    # each stream's draw: the raw words of a sign stream, else the normals
-    draws = [
-        [
-            _open_bits(master_seed, path, domain).random_raw
-            if sign
-            else _open_stream(master_seed, path, domain).standard_normal
-            for path in range(path_start, path_start + count)
+    one = size == steps
+    if one:
+        # every stream read whole: normals after a seek of one pool, and the
+        # chunk's sign streams in one call
+        pool = StreamPool(master_seed)
+        sources = [
+            rademacher_signs(master_seed, path_start, count, steps, pool) if sign else pool
+            for sign in signs
         ]
-        if width
-        else []
-        for (domain, width), sign in zip(widths, signs)
-    ]
+    else:
+        # every stream opened once: the raw words of a sign stream, else the normals
+        sources = [
+            [
+                _open_bits(master_seed, path, domain).random_raw
+                if sign
+                else _open_stream(master_seed, path, domain).standard_normal
+                for path in range(path_start, path_start + count)
+            ]
+            if width
+            else []
+            for (domain, width), sign in zip(widths, signs)
+        ]
     # bytes a step of each domain takes in its time-major copy
     step_bytes = [1 if sign else 8 * width for sign, (_, width) in zip(signs, widths)]
     whole = count * size * sum(step_bytes) <= TIME_MAJOR_READ_BYTES
@@ -433,8 +454,11 @@ def normal_blocks(
     if whole:  # a tile stages at most TIME_MAJOR_STAGE_BYTES of the widest domain
         widest = max(width for _, width in widths)
         tile = max(1, min(count, TIME_MAJOR_STAGE_BYTES // max(1, size * 8 * widest)))
+    # a whole stream's signs are read before the first block, so they need no stage
     stages = [
-        np.empty((tile, -(-size // 8)), "<u8") if sign else np.empty((tile, size, width))
+        None if sign and one
+        else np.empty((tile, -(-size // 8)), "<u8") if sign
+        else np.empty((tile, size, width))
         for sign, (_, width) in zip(signs, widths)
     ]
     copies = []
@@ -448,16 +472,21 @@ def normal_blocks(
         for p0 in range(0, count, tile):
             p1 = min(p0 + tile, count)
             parts = []
-            for stage, domain_draws, sign in zip(stages, draws, signs):
-                if sign:
+            for stage, source, sign, (domain, width) in zip(stages, sources, signs, widths):
+                if sign and one:
+                    part = source[p0:p1]
+                elif sign:
                     words = stage[: p1 - p0, : -(-n // 8)]
-                    for row, draw in zip(words, domain_draws[p0:p1]):
+                    for row, draw in zip(words, source[p0:p1]):
                         row[:] = draw(len(row))
                     part = rademacher_from_raw(words, n)
                 else:
                     part = stage[: p1 - p0, :n]
-                    for row, draw in zip(part, domain_draws[p0:p1]):
-                        draw(out=row)
+                    if not one:
+                        for row, draw in zip(part, source[p0:p1]):
+                            draw(out=row)
+                    elif width:
+                        source.fill_normals(domain, path_start + p0, part)
                     part *= scale
                 parts.append(part)
             if each_tile is not None:
@@ -467,7 +496,8 @@ def normal_blocks(
         if whole:
             yield (k0, *(copy[:n] for copy in copies))
         else:
-            yield from ((k0 + k, *rows) for k, *rows in time_major_blocks(*parts))
+            blocks = time_major_blocks(*parts, group=group)
+            yield from ((k0 + k, *rows) for k, *rows in blocks)
 
 
 # Tiles of the fine-grid passes. A pass over a whole chunk streams arrays of

@@ -30,8 +30,11 @@ arrays: it applies a step function to state rows, feeding it each step of
 the time-major blocks its caller hands it. A scheme hands it the coarse
 bundle read through :func:`~nvlab.paths.time_major_blocks`, each block's
 signs turned into sweep rows in one call; the limit SDE and the nv proxy
-reference (:func:`proxy_march`) of :mod:`nvlab.analysis` hand it noise drawn
-one block of steps at a time (:func:`~nvlab.paths.normal_blocks`). A scheme's step hands its kernel the
+reference (:func:`nv_march`) of :mod:`nvlab.analysis`, and an MLMC level's
+two grids (:func:`coupled_terminals`), hand it noise drawn one block of steps
+at a time (:func:`~nvlab.paths.normal_blocks`). The two grids of a level
+march together as stacked state rows, the fine over the coarse, one coarse
+step (two fine steps) at a time. A scheme's step hands its kernel the
 state rows (n, paths), the step's increments as rows (d, paths) and one
 boolean sweep row (paths,), True where the sign is +1. Where the Brownian
 flows commute bit for bit (``VectorFieldSet.flows_commute``, derived from the
@@ -214,19 +217,78 @@ def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, N: int, re
     return Trajectory(states=np.moveaxis(records, -1, 0))
 
 
-def proxy_march(problem: Problem, blocks, paths, n_fine, h, record_stride, path_start=0):
-    """The records of the nv proxy reference: nv at its fine step h, fed
-    time-major blocks ``(k0, dW rows, sign rows)`` of ``n_fine`` steps in
-    step order, from a whole bundle (:func:`exact_trajectory`) or drawn a
-    block at a time (:func:`~nvlab.paths.normal_blocks`), recording every
-    ``record_stride`` steps."""
+def nv_march(problem: Problem, blocks, paths, steps, h, record_stride, path_start=0, label="nv"):
+    """The records of nv at step h, fed time-major blocks ``(k0, dW rows,
+    sign rows)`` of ``steps`` steps in step order, recording every
+    ``record_stride`` steps: the nv proxy reference (``"nv-proxy"``), from a
+    whole bundle (:func:`exact_trajectory`) or drawn a block at a time
+    (:func:`~nvlab.paths.normal_blocks`), and an MLMC level's grids."""
     return _march_kernel(
-        problem, _nv_kernel, "nv-proxy", blocks, paths, n_fine, h, record_stride, path_start
+        problem, _nv_kernel, label, blocks, paths, steps, h, record_stride, path_start
     )
+
+
+def _pair_sums(first, second):
+    """The increments of coarse steps from those of their two fine steps,
+    ``np.add(first, 0.0) + second``: the bits of :func:`~nvlab.paths.coarsen`
+    summing blocks of two steps at every d, signs of zero included."""
+    out = np.add(first, 0.0)
+    out += second
+    return out
+
+
+def coarse_blocks(blocks):
+    """Time-major blocks ``(k0, dW rows, sign rows)`` of whole pairs of steps,
+    each as the block of its coarse steps: coarse step k sums fine steps 2k
+    and 2k + 1 (:func:`_pair_sums`) and takes the sign of step 2k, as
+    :func:`~nvlab.paths.coarsen` does."""
+    for k0, dW, eta in blocks:
+        yield k0 // 2, _pair_sums(dW[0::2], dW[1::2]), eta[0::2]
+
+
+def coupled_terminals(problem: Problem, blocks, paths, N, path_start=0) -> np.ndarray:
+    """nv's terminal states after N steps of T/N and after N // 2 steps of
+    2T/N on the same noise, as rows (2n, paths): the fine states over the
+    coarse ones.
+
+    ``blocks`` yields time-major blocks ``(k0, dW rows, sign rows)`` of the
+    N fine steps, each holding whole pairs of steps. The march takes one
+    coarse step at a time on both grids, stacked as rows: two fine steps,
+    and one coarse step on their summed increments (:func:`_pair_sums`) with
+    the sign of the first, so each grid has the bits of its own march on
+    the coarsened bundle. Only the terminal states are recorded; a
+    non-finite one raises :class:`~nvlab.flows.FlowExplosionError`, which
+    names the last coarse step.
+    """
+    n = problem.n
+    steps = N // 2
+    h, h_coarse = problem.T / N, problem.T / steps
+
+    def step(s, dW_pair, plus_pair):
+        out = np.empty_like(s)
+        fine = _nv_kernel(problem, s[:n], dW_pair[0], plus_pair[0], h)
+        out[:n] = _nv_kernel(problem, fine, dW_pair[1], plus_pair[1], h)
+        dW = _pair_sums(dW_pair[0], dW_pair[1])
+        out[n:] = _nv_kernel(problem, s[n:], dW, plus_pair[0], h_coarse)
+        return out
+
+    # each block's steps in pairs, and its signs as sweep rows in one call
+    pairs = (
+        (k0 // 2, dW.reshape(len(dW) // 2, 2, *dW.shape[1:]), (eta > 0).reshape(-1, 2, paths))
+        for k0, dW, eta in blocks
+    )
+    x0 = np.concatenate([problem.x0, problem.x0])
+    return _march(problem, "nv", step, x0, pairs, paths, steps, h_coarse, steps, path_start)[-1]
 
 
 def nv_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory:
     return _scheme(problem, _nv_kernel, "nv", bundle, N)
+
+
+def nv_terminal(problem: Problem, bundle: PathBundle, N: int) -> np.ndarray:
+    """nv's terminal states (paths, n) at N steps on the bundle: its march
+    records no other state."""
+    return _scheme(problem, _nv_kernel, "nv", bundle, N, record_stride=N).terminal()
 
 
 def discrete_nv_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory:
@@ -251,7 +313,8 @@ def exact_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory
         )
     blocks = time_major_blocks(bundle.dW, bundle.eta)
     n_fine, paths = bundle.n_fine, bundle.paths
-    records = proxy_march(problem, blocks, paths, n_fine, bundle.h, n_fine // N, bundle.path_start)
+    stride, path_start = n_fine // N, bundle.path_start
+    records = nv_march(problem, blocks, paths, n_fine, bundle.h, stride, path_start, "nv-proxy")
     return Trajectory(states=np.moveaxis(records, -1, 0))
 
 

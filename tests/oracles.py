@@ -9,7 +9,7 @@ import numpy as np
 
 from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA, LINNC_K1, LINNC_K2
 from nvlab.paths import DW_DOMAIN, _philox_key, coarsen, make_bundle_batch
-from nvlab.schemes import trajectory
+from nvlab.schemes import nv_trajectory, trajectory
 
 
 def sample_states(problem, count=100, seed=1234, spread=1.0):
@@ -214,3 +214,14 @@ def normalized_errors_whole_chunk(problem, N, refine, paths, master_seed):
     ref = trajectory(problem, "exact", bundle, N).terminal()
     nv = trajectory(problem, "nv", bundle, N).terminal()
     return np.sqrt(N) * (ref - nv)
+
+
+def mlmc_level_whole_bundle(problem, level, paths, master_seed, n0=1):
+    """An MLMC level's terminal states from one bundle of every path at the
+    level's fine grid (make_bundle_batch): nv's on it and, above level 0,
+    nv's on it coarsened to half the steps, as (fine, coarse) arrays
+    (paths, n); coarse is None at level 0."""
+    n_l = n0 * 2**level
+    bundle = make_bundle_batch(master_seed, level * paths, paths, n_l, problem.d, problem.T)
+    fine = nv_trajectory(problem, bundle, n_l).terminal()
+    return fine, nv_trajectory(problem, bundle, n_l // 2).terminal() if level else None

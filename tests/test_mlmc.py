@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 import nvlab.mlmc as mlmc_module
+import nvlab.paths as paths_module
 from nvlab import (
     Problem,
     VectorFieldSet,
     cli,
+    get_problem,
     level_difference_samples,
+    make_bundle_batch,
     mlmc_estimate,
     parse_payoff,
     util,
 )
 from nvlab.catalog import GBM_MU
+from nvlab.flows import FlowExplosionError
+from nvlab.schemes import nv_trajectory
+from oracles import mlmc_level_whole_bundle
 
 
 def test_payoff_registry():
@@ -85,13 +91,14 @@ def test_variance_decay_exponents_quick(heisenberg, diag_comm):
 
 
 def test_level_chunk_peak_is_what_its_count_holds(monkeypatch, heisenberg):
-    # one chunk of 2000 paths at level 5 (32 steps) peaks under its bundle,
-    # the bundle's time-major copy and the fine march's 33 records, which its
-    # chunks are sized by; the fine records go before the coarse march, so a
-    # payoff that views the terminal states (coord2) peaks no higher than
+    # one chunk of 2000 paths at level 5 (32 steps, one block of noise)
+    # peaks under its noise (d normals a step, and a step's sign as a raw
+    # byte, an int8 and a sweep row) and about ten arrays of each grid's
+    # states, which its chunks are sized by; only terminal states are
+    # recorded, so a payoff that views them (coord2) peaks no higher than
     # one that computes a new array from them (norm2)
     paths, n_l, d, n = 2000, 32, heisenberg.d, heisenberg.n
-    held = 2 * n_l * (d + 1) + (n_l + 1) * n
+    held = n_l * d + 3 * n_l // 8 + 2 * 10 * n
     counts, peaks = [], {}
 
     def run_paths(paths, per_path, *args, **kwargs):
@@ -110,6 +117,74 @@ def test_level_chunk_peak_is_what_its_count_holds(monkeypatch, heisenberg):
     assert counts == [held, held]
     assert all(0.8 * held < peak <= held for peak in peaks.values())
     assert peaks["coord2"] <= 1.01 * peaks["norm2"]
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _record_terminals(monkeypatch):
+    """Have each chunk's march hand back, besides its result, its terminal
+    state rows by their global path: {path_start: rows}."""
+    seen = {}
+
+    def recording(march, rows_of):
+        def call(*args):
+            out = march(*args)
+            seen[args[-1]] = rows_of(out).copy()
+            return out
+
+        return call
+
+    march, coupled = mlmc_module.nv_march, mlmc_module.coupled_terminals
+    monkeypatch.setattr(mlmc_module, "nv_march", recording(march, lambda out: out[-1]))
+    monkeypatch.setattr(mlmc_module, "coupled_terminals", recording(coupled, lambda out: out))
+    return seen
+
+
+# level 5 is 32 steps: one block by default, four 8-step blocks, or two
+# 16-step blocks; a block is read whole or (READ_BYTES 0) in sub-blocks, the
+# odd TIME_MAJOR_BLOCK of 7 cut to 6 steps, whole coarse steps: 32 steps as
+# 6 * 5 + 2, 16 as 6, 6, 4. n0 = 3 at level 2 is 12 steps: one block, or
+# blocks of 8 and 4 steps (sub-blocks 6, 2 and 4)
+SUB_BLOCKS = {"TIME_MAJOR_READ_BYTES": 0, "TIME_MAJOR_BLOCK": 7, "TIME_MAJOR_FRACTION": 1}
+READS = {
+    "one whole block": {},
+    "one block in sub-blocks": SUB_BLOCKS,
+    "whole blocks": {"NOISE_BLOCK": 8},
+    "blocks in sub-blocks": {"NOISE_BLOCK": 16, **SUB_BLOCKS},
+}
+PAYOFFS = [("gbm1d", "coord1"), ("heisenberg", "coord2"), ("diag-comm", "norm2")]
+
+
+@pytest.mark.parametrize("name, payoff", PAYOFFS)
+@pytest.mark.parametrize("level, n0", [(0, 1), (1, 1), (5, 1), (2, 3)])
+@pytest.mark.parametrize("read", list(READS))
+@pytest.mark.parametrize("threads", [1, 2])
+def test_level_equals_whole_bundle_oracle(name, payoff, level, n0, read, threads, monkeypatch):
+    # 23 paths in chunks of 8, 8 and 7: each grid's terminal states and the
+    # level's samples are those of nv on one bundle of every path and on it
+    # coarsened, bit for bit and signs of zero included, whatever the blocks
+    # and the threads
+    problem, paths, seed = get_problem(name), 23, 7
+    for constant, value in READS[read].items():
+        monkeypatch.setattr(paths_module, constant, value)
+    monkeypatch.setattr(util, "compute_chunks", lambda total, *_: util.split_paths(total, 3))
+    seen = _record_terminals(monkeypatch)
+    got = level_difference_samples(problem, payoff, level, paths, seed, n0, threads)
+    fine, coarse = mlmc_level_whole_bundle(problem, level, paths, seed, n0)
+    starts = [level * paths + start for start, _ in util.split_paths(paths, 3)]
+    assert sorted(seen) == starts
+    rows = np.concatenate([seen[start] for start in starts], axis=1)
+    n = problem.n
+    _assert_same_bits(rows[:n].T, fine)
+    f = parse_payoff(payoff, n)
+    want = f(fine)
+    if level:
+        _assert_same_bits(rows[n:].T, coarse)
+        want = want - f(coarse)
+    _assert_same_bits(got, want)
 
 
 def test_mlmc_validation(heisenberg):
@@ -155,3 +230,62 @@ def test_payoff_overflow_raises(tmp_path, monkeypatch, capsys):
         )
     assert "numerical failure: non-finite norm2 payoff" in capsys.readouterr().err
     assert not (tmp_path / "mlmc.csv").exists()
+
+
+def _exploding_problem(x0):
+    """x0 exp(400 W_t), exactly: the Stratonovich drift is zero and the one
+    Brownian field's flow multiplies by exp(400 dW), which overflows where
+    dW > 1.7745, whatever x0. A fine grid's two flows can stay finite where
+    its coarse step's one flow overflows, if x0 is small enough."""
+    fields = VectorFieldSet.affine(A=np.array([[[400.0**2 / 2]], [[400.0]]]), c=np.zeros((2, 1)))
+    return Problem("exploding", fields, x0=np.array([x0]), T=1.0)
+
+
+def _first_explosions(problem, level, paths, seed):
+    """{N: (step, path)} of each grid whose nv march on the whole bundle goes
+    non-finite: its first such step and that step's first such path."""
+    n_l = 2**level
+    bundle = make_bundle_batch(seed, level * paths, paths, n_l, problem.d, problem.T)
+    found = {}
+    for N in (n_l, n_l // 2) if level else (n_l,):
+        try:
+            nv_trajectory(problem, bundle, N)
+        except FlowExplosionError as exc:
+            found[N] = (exc.step, exc.path)
+    return found
+
+
+@pytest.mark.parametrize(
+    "x0, level, seed, grid",
+    [
+        (1.0, 0, 1, 1),  # level 0 has one grid
+        (1.0, 3, 1, 8),  # the fine grid first: its step 5, the coarse grid's 2.5
+        (1.0, 1, 3, 2),  # both grids at time T: the fine one is named
+        (1e-300, 1, 3, 1),  # only the coarse grid: its summed increment overflows
+    ],
+)
+def test_explosion_names_level_grid_step_and_path(
+    x0, level, seed, grid, tmp_path, monkeypatch, capsys
+):
+    # 64 paths in one chunk, level l's global paths 64 l .. 64 l + 63: the
+    # error names the grid whose first non-finite state comes first in time,
+    # its step and its path, as nv on the whole bundle finds them
+    problem = _exploding_problem(x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = _first_explosions(problem, level, 64, seed)
+        step, path = found[grid]
+        assert min(found, key=lambda N: (found[N][0] * 2**level // N, -N)) == grid
+        t = step / grid
+        with pytest.raises(
+            FloatingPointError,
+            match=rf"^non-finite state from nv on problem 'exploding' at level {level}, "
+            rf"grid N={grid}: first at step {step} \(t={t:.3g}\), path {path}$",
+        ):
+            level_difference_samples(problem, "coord1", level, 64, seed)
+        assert 64 * level <= path < 64 * (level + 1)
+        monkeypatch.setattr(cli, "get_problem", lambda name: problem)
+        args = ["mlmc", "--problem", "exploding", "--payoff", "coord1"]
+        args += ["--levels", str(max(level, 1)), "--paths-per-level", "64", "--seed", str(seed)]
+        assert cli.main(args + ["--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite state from nv on problem 'exploding'" in err

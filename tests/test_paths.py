@@ -232,6 +232,51 @@ def test_normal_blocks_sign_domain_gives_the_bundle_signs(read, block, steps, mo
         np.testing.assert_array_equal(got, bundle.eta)
 
 
+@pytest.mark.parametrize("steps", [30, 8 * SWITCH_WORDS + 72])
+@pytest.mark.parametrize("read", ["tiled", "blocked"])
+def test_one_block_pool_reads_equal_opened_stream_reads(steps, read, monkeypatch):
+    # streams read in one block, through seeks of one pool and the short
+    # sign streams in one philox_words call (long ones through the pool),
+    # give the values of the same streams each opened once and read in
+    # 8-step blocks, and open no generator
+    if read == "blocked":
+        monkeypatch.setattr(paths, "TIME_MAJOR_READ_BYTES", 0)
+    else:  # two paths a staged tile
+        monkeypatch.setattr(paths, "TIME_MAJOR_STAGE_BYTES", 2 * steps * 3 * 8)
+    count, widths = 5, ((DW_DOMAIN, 2), (ETA_DOMAIN, 1), (AUX_DOMAIN, 0), (AUX_DOMAIN, 3))
+
+    def read_all():
+        got = [[] for _ in widths]
+        for _, *rows in paths.normal_blocks(99, 2**40, count, steps, widths, 0.5, 8):
+            for out, r in zip(got, rows):
+                out.append(np.moveaxis(r, -1, 0).copy())  # (count, steps, ...)
+        return [np.concatenate(out, axis=1) for out in got]
+
+    monkeypatch.setattr(paths, "NOISE_BLOCK", 8)
+    opened = read_all()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return philox_words(*args)
+
+    def never(*args):
+        raise AssertionError("a stream read in one block opened a generator")
+
+    monkeypatch.setattr(paths, "NOISE_BLOCK", 1024)
+    monkeypatch.setattr(paths, "philox_words", spy)
+    monkeypatch.setattr(paths, "_open_bits", never)
+    monkeypatch.setattr(paths, "_open_stream", never)
+    pooled = read_all()
+    assert len(calls) == (steps < 8 * SWITCH_WORDS)
+    for got, want in zip(pooled, opened):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    bundle = make_bundle_batch(99, 2**40, count, steps, 2, 0.25 * steps)
+    np.testing.assert_array_equal(pooled[0], bundle.dW)
+    np.testing.assert_array_equal(pooled[1], bundle.eta)
+
+
 def test_normal_blocks_sign_domain_rejects_split_words(monkeypatch):
     monkeypatch.setattr(paths, "NOISE_BLOCK", 12)
     with pytest.raises(ValueError, match="a block of 12 steps"):
@@ -280,6 +325,23 @@ def test_time_major_blocks_reassemble_the_arrays(n_paths, steps, monkeypatch):
         # fraction of the steps: long marches read full TIME_MAJOR_BLOCK blocks
         assert len(set(lengths[:-1])) <= 1 and lengths[-1] <= lengths[0]
         assert lengths[0] == max(1, min(TIME_MAJOR_BLOCK, steps // TIME_MAJOR_FRACTION))
+
+
+@pytest.mark.parametrize("steps", [2, 12, 130])
+def test_time_major_blocks_hold_whole_groups(steps, monkeypatch):
+    # blocks of the odd TIME_MAJOR_BLOCK = 7 steps, cut to 6 for groups of
+    # 2, and the last block the rest: 2 steps as one group, 12 as 6 and 6,
+    # 130 as 21 blocks of 6 and one of 4
+    monkeypatch.setattr(paths, "TIME_MAJOR_READ_BYTES", 0)
+    monkeypatch.setattr(paths, "TIME_MAJOR_BLOCK", 7)
+    monkeypatch.setattr(paths, "TIME_MAJOR_FRACTION", 1)
+    eta = np.arange(3 * steps, dtype=np.int8).reshape(3, steps)
+    lengths = []
+    for k0, rows in time_major_blocks(eta, group=2):
+        np.testing.assert_array_equal(rows, eta[:, k0 : k0 + len(rows)].T)
+        lengths.append(len(rows))
+    assert sum(lengths) == steps and all(n % 2 == 0 for n in lengths)
+    assert lengths[0] == min(6, steps)
 
 
 def test_domains_are_separate_streams():

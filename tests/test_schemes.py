@@ -24,7 +24,15 @@ from nvlab import (
 from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA, PROBLEM_IDS
 import nvlab.paths as paths_module
 from nvlab.flows import flow_unchecked
-from nvlab.schemes import _discrete_nv_kernel, _euler_kernel, _nv_kernel, _scheme
+from nvlab.schemes import (
+    _discrete_nv_kernel,
+    _euler_kernel,
+    _nv_kernel,
+    _pair_sums,
+    _scheme,
+    coarse_blocks,
+    coupled_terminals,
+)
 
 from oracles import fixed_tiles, heisenberg_exact_whole_chunk, sample_states, with_signed_zeros
 
@@ -545,6 +553,71 @@ def test_time_major_march_matches_path_major_reference(name, scheme, paths, monk
                     assert got.shape == expected.shape
                     np.testing.assert_array_equal(got, expected)
                     np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _signed_zero_bundle(rng, paths, steps, d):
+    """A hand-made bundle whose increments are about two fifths zeros of
+    either sign, so that many pairs of steps sum zeros, and whose signs are
+    mixed."""
+    dW = with_signed_zeros(rng.standard_normal((paths, steps, d)), rng)
+    eta = np.where(rng.random((paths, steps)) < 0.5, 1, -1).astype(np.int8)
+    return PathBundle(T=1.0, dW=dW, eta=eta)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_sums_are_the_coarsen_bits(d):
+    # 0.0 + first + second at every d, as coarsen sums two steps: at d = 1,
+    # where numpy sums the block pairwise, too; -0.0 + -0.0 sums to +0.0
+    bundle = _signed_zero_bundle(np.random.default_rng(d), 200, 8, d)
+    rows = np.moveaxis(bundle.dW, 0, -1)  # time-major (steps, d, paths)
+    want = coarsen(bundle, 4)
+    _assert_same_bits(np.moveaxis(_pair_sums(rows[0::2], rows[1::2]), -1, 0), want.dW)
+    (k0, dW, eta), = coarse_blocks([(8, rows, bundle.eta.T)])
+    assert k0 == 4
+    _assert_same_bits(np.moveaxis(dW, -1, 0), want.dW)
+    np.testing.assert_array_equal(eta.T, want.eta)
+
+
+def _translation_problem():
+    """dX = dW from x0 = -0.0: the state is -0.0 plus the summed increments,
+    so it keeps each grid's sign of a zero sum."""
+    A, c = np.zeros((2, 1, 1)), np.array([[0.0], [1.0]])
+    return Problem("translation", VectorFieldSet.affine(A=A, c=c), x0=np.array([-0.0]), T=1.0)
+
+
+@pytest.mark.parametrize("name", ["translation", "heisenberg", "diag-comm", "linear-nc"])
+@pytest.mark.parametrize("steps", [2, 8, 130])
+def test_coupled_terminals_are_each_grids_march(name, steps, monkeypatch):
+    # the two grids marched together, on blocks of whole pairs of steps, end
+    # where nv ends on the bundle and on it coarsened to half the steps, bit
+    # for bit; heisenberg starts from -0.0 too, so its first coordinate keeps
+    # the sign of a zero sum (at 2 steps the translation's grids end on
+    # zeros of opposite signs where both increments are -0.0). 130 steps are
+    # read in one block and, with the odd TIME_MAJOR_BLOCK of 7 cut to 6, in
+    # 21 blocks of 6 steps and one of 4
+    if name == "translation":
+        problem = _translation_problem()
+    else:
+        problem = get_problem(name)
+        if name == "heisenberg":
+            problem = replace(problem, x0=np.array([-0.0, -0.0]))
+    bundle = _signed_zero_bundle(np.random.default_rng(steps), 300, steps, problem.d)
+    fine = nv_trajectory(problem, bundle, steps).terminal()
+    coarse = nv_trajectory(problem, bundle, steps // 2).terminal()
+    if name == "translation" and steps == 2:  # where both increments are -0.0
+        assert np.any(np.signbit(fine) != np.signbit(coarse))
+    monkeypatch.setattr(paths_module, "TIME_MAJOR_BLOCK", 7)
+    for read_bytes in (paths_module.TIME_MAJOR_READ_BYTES, 0):
+        monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", read_bytes)
+        blocks = paths_module.time_major_blocks(bundle.dW, bundle.eta, group=2)
+        rows = coupled_terminals(problem, blocks, 300, steps)
+        _assert_same_bits(rows[: problem.n].T, fine)
+        _assert_same_bits(rows[problem.n :].T, coarse)
 
 
 # ---------------------------------------------------------------------------
