@@ -132,10 +132,10 @@ def level_difference_samples(
             )
         return vals
 
-    # one block of noise (d increments a step, and each step's sign as its
-    # raw byte, its int8 and its sweep row) and about ten arrays of each
-    # grid's n states: the march's two records, a step's new states and the
-    # nv kernel's temporaries
+    # one block of noise (d increments a step, and each step's sign a byte
+    # as drawn, in its time-major copy and as a sweep row) and about ten
+    # arrays of each grid's n states: the march's two records, a step's new
+    # states and the nv kernel's temporaries
     block = noise_block(n_l, 8)
     per_path = block * d + 3 * -(-block // 8) + 10 * n * (2 if level else 1)
     return run_paths(paths, per_path, threads, worker)

@@ -44,6 +44,12 @@ def jacobian_bracket(fields, j, m, x):
     return _dsigma_sigma(fields, m, j, x) - _dsigma_sigma(fields, j, m, x)
 
 
+def assert_same_bits(got, want):
+    """Equal values with equal signs, so -0.0 differs from 0.0."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def with_signed_zeros(values, rng):
     """``values`` with about a fifth of its entries set to 0.0 and a fifth to -0.0."""
     out = np.array(values, dtype=float)

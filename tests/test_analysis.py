@@ -28,6 +28,7 @@ import nvlab.paths as paths_module
 from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, coarsen, make_bundle_batch
 
 from oracles import (
+    assert_same_bits,
     fixed_tiles,
     jacobian_bracket,
     ladder_rows_whole_chunk,
@@ -167,11 +168,6 @@ def _record_rows(monkeypatch):
     return rows
 
 
-def _assert_same_bits(got, want):
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
 def _check_tiles(sizes, paths, tile_bytes):
     # one-path tiles, or tiles that do not divide the path count
     assert sum(sizes) == paths
@@ -194,11 +190,11 @@ def test_closed_form_tiles_equal_whole_chunk(monkeypatch, name, tile_bytes):
     sizes, rows = _record_draws(monkeypatch), _record_rows(monkeypatch)
     strong_error(problem, "nv", Ns, paths, seed, refine_factor=refine)
     _check_tiles(sizes, paths, tile_bytes)
-    _assert_same_bits(rows[-1], ladder)
+    assert_same_bits(rows[-1], ladder)
     sizes.clear()
     got = normalized_error_samples(problem, 16, paths, seed, refine_factor=refine)
     _check_tiles(sizes, paths, tile_bytes)
-    _assert_same_bits(got, errors)
+    assert_same_bits(got, errors)
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -215,7 +211,7 @@ def test_proxy_normalized_errors_equal_whole_chunk(monkeypatch, name, budget):
     layouts = _record_chunks(monkeypatch)
     got = normalized_error_samples(problem, N, paths, seed, refine_factor=refine)
     assert layouts == [[paths] if budget is None else [13, 13, 12, 12]]
-    _assert_same_bits(got, want)
+    assert_same_bits(got, want)
 
 
 def _no_closed_form(name):
@@ -273,8 +269,8 @@ def test_streamed_proxy_equals_whole_bundle(monkeypatch, name, grid, blocks, rea
             problem, "exact", seed, start, paths, n_fine, N, terminal
         )
         assert drawn == blocks
-        _assert_same_bits(ref, states[:, -1] if terminal else states)
-        _assert_same_bits(got.dW, coarse.dW)
+        assert_same_bits(ref, states[:, -1] if terminal else states)
+        assert_same_bits(got.dW, coarse.dW)
         np.testing.assert_array_equal(got.eta, coarse.eta)
         assert got.path_start == start and not got.dW.flags.writeable
 
@@ -720,7 +716,7 @@ def test_source_term_tiles_equal_whole_chunk(monkeypatch, N, substeps, kept, til
         N=N, j=2, m=1, t=kept / n_fine, paths=paths, master_seed=seed, substeps=substeps
     )
     assert sum(sizes) == paths and (tile is None or max(sizes) == tile)
-    _assert_same_bits(rows[-1], want)
+    assert_same_bits(rows[-1], want)
 
 
 @pytest.mark.parametrize("tile_bytes", [1, 100_000])
@@ -734,7 +730,7 @@ def test_source_term_draws_equal_whole_chunk(monkeypatch, tile_bytes):
     sizes, rows = _record_draws(monkeypatch), _record_rows(monkeypatch)
     source_term_variance(N=N, j=2, m=1, t=1.0, paths=paths, master_seed=seed, substeps=substeps)
     _check_tiles(sizes, paths, tile_bytes)
-    _assert_same_bits(rows[-1], want)
+    assert_same_bits(rows[-1], want)
 
 
 def test_source_term_draws_short_sign_streams_once_a_chunk(monkeypatch):

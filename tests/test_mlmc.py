@@ -19,7 +19,7 @@ from nvlab import (
 from nvlab.catalog import GBM_MU
 from nvlab.flows import FlowExplosionError
 from nvlab.schemes import nv_trajectory
-from oracles import mlmc_level_whole_bundle
+from oracles import assert_same_bits, mlmc_level_whole_bundle
 
 
 def test_payoff_registry():
@@ -92,11 +92,11 @@ def test_variance_decay_exponents_quick(heisenberg, diag_comm):
 
 def test_level_chunk_peak_is_what_its_count_holds(monkeypatch, heisenberg):
     # one chunk of 2000 paths at level 5 (32 steps, one block of noise)
-    # peaks under its noise (d normals a step, and a step's sign as a raw
-    # byte, an int8 and a sweep row) and about ten arrays of each grid's
-    # states, which its chunks are sized by; only terminal states are
-    # recorded, so a payoff that views them (coord2) peaks no higher than
-    # one that computes a new array from them (norm2)
+    # peaks under its noise (d normals a step, and a step's sign a byte as
+    # drawn, in its time-major copy and as a sweep row) and about ten arrays
+    # of each grid's states, which its chunks are sized by; only terminal
+    # states are recorded, so a payoff that views them (coord2) peaks no
+    # higher than one that computes a new array from them (norm2)
     paths, n_l, d, n = 2000, 32, heisenberg.d, heisenberg.n
     held = n_l * d + 3 * n_l // 8 + 2 * 10 * n
     counts, peaks = [], {}
@@ -117,11 +117,6 @@ def test_level_chunk_peak_is_what_its_count_holds(monkeypatch, heisenberg):
     assert counts == [held, held]
     assert all(0.8 * held < peak <= held for peak in peaks.values())
     assert peaks["coord2"] <= 1.01 * peaks["norm2"]
-
-
-def _assert_same_bits(got, want):
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def _record_terminals(monkeypatch):
@@ -178,13 +173,13 @@ def test_level_equals_whole_bundle_oracle(name, payoff, level, n0, read, threads
     assert sorted(seen) == starts
     rows = np.concatenate([seen[start] for start in starts], axis=1)
     n = problem.n
-    _assert_same_bits(rows[:n].T, fine)
+    assert_same_bits(rows[:n].T, fine)
     f = parse_payoff(payoff, n)
     want = f(fine)
     if level:
-        _assert_same_bits(rows[n:].T, coarse)
+        assert_same_bits(rows[n:].T, coarse)
         want = want - f(coarse)
-    _assert_same_bits(got, want)
+    assert_same_bits(got, want)
 
 
 def test_mlmc_validation(heisenberg):

@@ -34,7 +34,13 @@ from nvlab.schemes import (
     coupled_terminals,
 )
 
-from oracles import fixed_tiles, heisenberg_exact_whole_chunk, sample_states, with_signed_zeros
+from oracles import (
+    assert_same_bits,
+    fixed_tiles,
+    heisenberg_exact_whole_chunk,
+    sample_states,
+    with_signed_zeros,
+)
 
 incr = st.floats(-1.5, 1.5)
 
@@ -555,11 +561,6 @@ def test_time_major_march_matches_path_major_reference(name, scheme, paths, monk
                     np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
 
-def _assert_same_bits(got, want):
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
 def _signed_zero_bundle(rng, paths, steps, d):
     """A hand-made bundle whose increments are about two fifths zeros of
     either sign, so that many pairs of steps sum zeros, and whose signs are
@@ -576,10 +577,10 @@ def test_pair_sums_are_the_coarsen_bits(d):
     bundle = _signed_zero_bundle(np.random.default_rng(d), 200, 8, d)
     rows = np.moveaxis(bundle.dW, 0, -1)  # time-major (steps, d, paths)
     want = coarsen(bundle, 4)
-    _assert_same_bits(np.moveaxis(_pair_sums(rows[0::2], rows[1::2]), -1, 0), want.dW)
+    assert_same_bits(np.moveaxis(_pair_sums(rows[0::2], rows[1::2]), -1, 0), want.dW)
     (k0, dW, eta), = coarse_blocks([(8, rows, bundle.eta.T)])
     assert k0 == 4
-    _assert_same_bits(np.moveaxis(dW, -1, 0), want.dW)
+    assert_same_bits(np.moveaxis(dW, -1, 0), want.dW)
     np.testing.assert_array_equal(eta.T, want.eta)
 
 
@@ -616,8 +617,8 @@ def test_coupled_terminals_are_each_grids_march(name, steps, monkeypatch):
         monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", read_bytes)
         blocks = paths_module.time_major_blocks(bundle.dW, bundle.eta, group=2)
         rows = coupled_terminals(problem, blocks, 300, steps)
-        _assert_same_bits(rows[: problem.n].T, fine)
-        _assert_same_bits(rows[problem.n :].T, coarse)
+        assert_same_bits(rows[: problem.n].T, fine)
+        assert_same_bits(rows[problem.n :].T, coarse)
 
 
 # ---------------------------------------------------------------------------
