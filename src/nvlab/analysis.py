@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .flows import FlowExplosionError
 from .models import Problem
 from .paths import (
     AUX_DOMAIN,
@@ -287,13 +287,13 @@ def _proxy_reference(problem, master_seed, start, n_fine, terminal, dW, eta) -> 
 
     h = problem.T / n_fine
     widths = ((DW_DOMAIN, d), (ETA_DOMAIN, 1))
-    multiple = _proxy_multiple(n_fine, N)
-    blocks = normal_blocks(
-        master_seed, start, count, n_fine, widths, math.sqrt(h), multiple, coarsen_tile
+    scale, multiple = math.sqrt(h), _proxy_multiple(n_fine, N)
+    draw = partial(
+        normal_blocks, master_seed, start, count, n_fine, widths, scale, multiple, coarsen_tile
     )
     # the terminal state alone is one record of the whole march
     record_stride = n_fine if terminal else stride
-    records = nv_march(problem, blocks, count, n_fine, h, record_stride, start, "nv-proxy")
+    records = nv_march(problem, draw, count, n_fine, h, record_stride, start, "nv-proxy")
     return records[-1].T if terminal else np.moveaxis(records, -1, 0)
 
 
@@ -497,11 +497,9 @@ def simulate_limit_sde(
     across blocks, so a chunk holds one block of noise, not its whole
     n_fine steps, and the values do not depend on the block size. For
     commuting Brownian fields the source vanishes and V stays exactly zero.
-    A non-finite terminal state, of X or of V, raises
-    :class:`FloatingPointError` naming the problem, the step and the first
-    such path; the step is the first recorded one with a non-finite state,
-    which is always n_fine (time T), since only the terminal state is
-    recorded.
+    A non-finite state, of X or of V, raises
+    :class:`~nvlab.flows.FlowExplosionError` naming the problem, the grid
+    n_fine, the first step with one and that step's first such path.
     """
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
@@ -541,16 +539,8 @@ def simulate_limit_sde(
     def worker(start, count):
         # the increments of make_bundle_batch, without its signs, and the
         # auxiliary noise, drawn one block of steps at a time
-        blocks = normal_blocks(master_seed, start, count, n_fine, widths, math.sqrt(delta))
-        try:
-            records = _march(
-                problem, "limit SDE", step, x0, blocks, count, n_fine, delta, n_fine, start
-            )
-        except FlowExplosionError as exc:
-            raise FloatingPointError(
-                f"non-finite state from the limit SDE on problem {problem.name!r}: "
-                f"first at step {exc.step * n_fine} (t={exc.t:.3g}), path {exc.path}"
-            ) from None
+        draw = partial(normal_blocks, master_seed, start, count, n_fine, widths, math.sqrt(delta))
+        records = _march(problem, "limit SDE", step, x0, draw, count, n_fine, delta, n_fine, start)
         return records[-1, n:].T
 
     # a block of noise and the records, x0 and the terminal state (2n rows each)

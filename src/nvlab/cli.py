@@ -30,7 +30,6 @@ from .config import (
     load_config_file,
     parse_ladder,
 )
-from .flows import FlowExplosionError
 from .mlmc import mlmc_estimate
 from .report import check_output_dir, guard_output_dir, run_metadata, write_csv, write_json
 from .schemes import SCHEME_IDS
@@ -304,7 +303,7 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FlowExplosionError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -48,23 +48,27 @@ if TYPE_CHECKING:
 FlowMap = Callable[[np.ndarray | float, np.ndarray], np.ndarray]
 
 
-class FlowExplosionError(RuntimeError):
-    """A marched step produced a non-finite state.
+class FlowExplosionError(FloatingPointError):
+    """A march produced a non-finite state.
 
-    It names the scheme (or the limit SDE, whose driver re-raises it as a
-    :class:`FloatingPointError`), the first recorded grid step with a
-    non-finite state (``t`` is that step's time) and the first path index
-    with a non-finite state at that step.
+    It names the problem, the march's label (a scheme, ``nv-proxy`` or
+    ``limit SDE``), the grid N it marched, the first step with a non-finite
+    state (``t`` is that step's time), that step's first non-finite path
+    index and, for an MLMC level, the level.
     """
 
-    def __init__(self, problem: str, t: float, scheme: str, step: int, path: int):
+    def __init__(
+        self, problem: str, scheme: str, N: int, step: int, t: float, path: int, level=None
+    ):
         self.problem = problem
-        self.t = t
         self.scheme = scheme
+        self.N = N
         self.step = step
+        self.t = t
         self.path = path
+        at = "" if level is None else f" at level {level}"
         super().__init__(
-            f"non-finite state from scheme {scheme!r} on problem {problem!r}: "
+            f"non-finite state from {scheme} on problem {problem!r}{at}, grid N={N}: "
             f"first at step {step} (t={t:.3g}), path {path}"
         )
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -92,10 +93,10 @@ def level_difference_samples(
     Both discretizations march on the same noise, drawn once per chunk in
     time-major blocks of whole coarse steps; levels are kept independent by
     giving level l the path indices [l*paths, (l+1)*paths). A non-finite
-    state raises :class:`FloatingPointError` naming the problem, the level,
-    the grid N, and that grid's first non-finite step and path
-    (:func:`_explosion`); a non-finite sample from finite states names the
-    problem, the payoff, the level and the first such path.
+    state raises :class:`~nvlab.flows.FlowExplosionError` naming the
+    problem, the level, the grid N, and that grid's first non-finite step
+    and path (:func:`_explosion`); a non-finite sample from finite states
+    names the problem, the payoff, the level and the first such path.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -107,20 +108,24 @@ def level_difference_samples(
     widths = ((DW_DOMAIN, d), (ETA_DOMAIN, 1))
     group = 2 if level else 1
 
-    def draw(start, count):
-        # the increments and signs of make_bundle_batch, in blocks of whole
-        # sign words (8 steps) and whole coarse steps
-        return normal_blocks(master_seed, start, count, n_l, widths, math.sqrt(h), 8, group=group)
-
     def worker(start, count):
         start += offset
+        # the increments and signs of make_bundle_batch, in blocks of whole
+        # sign words (8 steps) and whole coarse steps
+        draw = partial(
+            normal_blocks, master_seed, start, count, n_l, widths, math.sqrt(h), 8, group=group
+        )
         try:
             if level:
-                rows = coupled_terminals(problem, draw(start, count), count, n_l, start)
+                rows = coupled_terminals(problem, draw, count, n_l, start)
             else:
-                rows = nv_march(problem, draw(start, count), count, n_l, h, n_l, start)[-1]
-        except FlowExplosionError:
-            raise _explosion(problem, level, n_l, draw, start, count) from None
+                rows = nv_march(problem, draw, count, n_l, h, n_l, start)[-1]
+        except FlowExplosionError as exc:
+            if level:  # the coupled march's step is one of both grids
+                exc = _explosion(problem, n_l, draw, start, count)
+            raise FlowExplosionError(
+                exc.problem, exc.scheme, exc.N, exc.step, exc.t, exc.path, level
+            ) from None
         vals = f(rows[:n].T)
         if level:
             vals = vals - f(rows[n:].T)
@@ -141,27 +146,20 @@ def level_difference_samples(
     return run_paths(paths, per_path, threads, worker)
 
 
-def _explosion(problem, level, n_l, draw, start, count) -> FloatingPointError:
-    """The error of a level's chunk of paths start..start+count-1 whose
-    march went non-finite. Each grid is marched again alone on the chunk's
-    noise (``draw(start, count)``), recording every step; the error names
-    the grid whose first non-finite state comes first in time (the fine one
-    on a tie), that step and its first non-finite path."""
-    grids = [(n_l, draw(start, count))]
-    if level:
-        grids.append((n_l // 2, coarse_blocks(draw(start, count))))
+def _explosion(problem, n_l, draw, start, count) -> FlowExplosionError:
+    """The error of the grid, fine (n_l steps) or coarse, whose first
+    non-finite state comes first in time (the fine one on a tie), of a
+    level's chunk of paths start..start+count-1 whose coupled march went
+    non-finite: each grid is marched alone on the chunk's noise
+    (``draw()``), keeping only its terminal state."""
     found = []
-    for N, blocks in grids:
+    for N, blocks in ((n_l, draw), (n_l // 2, lambda: coarse_blocks(draw()))):
         try:
-            nv_march(problem, blocks, count, N, problem.T / N, 1, start)
+            nv_march(problem, blocks, count, N, problem.T / N, N, start)
         except FlowExplosionError as exc:
-            # the fine step it falls on, and the fine grid first on a tie
-            found.append((exc.step * (n_l // N), -N, exc))
-    _, N, exc = min(found, key=lambda item: item[:2])
-    return FloatingPointError(
-        f"non-finite state from nv on problem {problem.name!r} at level {level}, grid "
-        f"N={-N}: first at step {exc.step} (t={exc.t:.3g}), path {exc.path}"
-    )
+            found.append(exc)
+    # the fine step each falls on, and the fine grid first on a tie
+    return min(found, key=lambda exc: (exc.step * (n_l // exc.N), -exc.N))
 
 
 def mlmc_estimate(

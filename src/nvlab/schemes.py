@@ -17,9 +17,9 @@ Schemes (selector strings in parentheses):
                     where the pair sum runs over m < j when the sign is +1 and
                     over m > j when it is -1.
 * ``euler``       - Euler-Maruyama baseline.
-* ``exact``       - closed-form solution where the catalog has one, otherwise
-                    an ``nv`` run at the bundle's full fine resolution, used as
-                    a reference proxy.
+* ``exact``       - closed-form solution, for problems the catalog gives one;
+                    without one the reference is :mod:`nvlab.analysis`'s nv
+                    proxy, marched at the fine resolution.
 
 States are rows: the scheme layer holds a batch of states as one (n, paths)
 array, so coordinate i of every path is the contiguous row ``x[i]``. Every
@@ -27,13 +27,14 @@ scheme is one kernel run over the bundle that :func:`~nvlab.paths.coarsen`
 gives at the scheme's grid, a step count N on the bundle's horizon T (step
 T/N). There is one march, ``_march``, which knows no kernel and reads no
 arrays: it applies a step function to state rows, feeding it each step of
-the time-major blocks its caller hands it. A scheme hands it the coarse
-bundle read through :func:`~nvlab.paths.time_major_blocks`, each block's
-signs turned into sweep rows in one call; the limit SDE and the nv proxy
+the time-major blocks its caller's ``draw()`` returns, and names a failing
+step by marching again from a fresh draw. A scheme's draw reads the coarse
+bundle through :func:`~nvlab.paths.time_major_blocks`, each block's signs
+turned into sweep rows in one call; the limit SDE and the nv proxy
 reference (:func:`nv_march`) of :mod:`nvlab.analysis`, and an MLMC level's
-two grids (:func:`coupled_terminals`), hand it noise drawn one block of steps
-at a time (:func:`~nvlab.paths.normal_blocks`). The two grids of a level
-march together as stacked state rows, the fine over the coarse, one coarse
+two grids (:func:`coupled_terminals`), draw noise one block of steps at a
+time (:func:`~nvlab.paths.normal_blocks`). The two grids of a level march
+together as stacked state rows, the fine over the coarse, one coarse
 step (two fine steps) at a time. A scheme's step hands its kernel the
 state rows (n, paths), the step's increments as rows (d, paths) and one
 boolean sweep row (paths,), True where the sign is +1. Where the Brownian
@@ -56,6 +57,7 @@ on (dW1, 0). Getting these two swapped is the classic ordering bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -148,39 +150,51 @@ def _euler_kernel(problem: Problem, x, dW, plus, h):
 # ---------------------------------------------------------------------------
 
 
-def _march(problem, label, step, x0, blocks, paths, steps, h, record_stride=1, path_start=0):
+def _steps(step, x, blocks):
+    """``(k, x)`` after each step k = 1, 2, ...: ``x = step(x, *rows)`` on
+    step k's rows of the time-major blocks ``(k0, *block)``."""
+    for k0, *block in blocks:
+        for k, rows in enumerate(zip(*block), start=k0 + 1):
+            x = step(x, *rows)
+            yield k, x
+        # let go of the block before the next is read, so that a source
+        # making each block anew never holds two
+        block = rows = None
+
+
+def _march(problem, label, step, x0, draw, paths, steps, h, record_stride=1, path_start=0):
     """Apply ``step(x, *rows)``, which returns new state rows and leaves ``x``
     alone, at every one of ``steps`` steps of ``paths`` paths, from the state
     ``x0`` (rows,) on every path. The records are time-major rows
     (steps // record_stride + 1, rows, paths): record k is the state at step
     k * record_stride, time k * record_stride * h.
 
-    ``blocks`` yields time-major blocks ``(k0, *block)`` in step order, as
+    ``draw()`` returns time-major blocks ``(k0, *block)`` in step order, as
     :func:`~nvlab.paths.time_major_blocks` does: ``block_i[k]`` is step
-    ``k0 + k``'s (..., paths) row of input i, handed to ``step`` as
-    ``rows``. A non-finite state raises :class:`FlowExplosionError` naming
-    ``label``, the first non-finite record and that record's first
-    non-finite path.
+    ``k0 + k``'s (..., paths) row of input i, handed to ``step`` as ``rows``.
+    Every call gives the same bits, each stream being a function of the seed
+    and the path. This is the one place a failing step is found: finiteness
+    is checked once, at the end, and only if that fails does the march run
+    again from ``draw()``, checking every step, and raise
+    :class:`~nvlab.flows.FlowExplosionError` naming the problem, ``label``,
+    the grid N = ``steps``, the first non-finite step and its time, and that
+    step's first non-finite path.
     """
     records = np.empty((steps // record_stride + 1, len(x0), paths))
-    x = records[0]
-    x[:] = x0[:, None]
-    for k0, *block in blocks:
-        for k, rows in enumerate(zip(*block), start=k0 + 1):
-            x = step(x, *rows)
-            if k % record_stride == 0:
-                records[k // record_stride] = x
-        # let go of the block before the next is read, so that a source
-        # making each block anew never holds two
-        block = rows = None
-    # one explosion check for the whole sweep: non-finite values propagate
-    # through every step, so the last recorded states carry the evidence
-    if not np.all(np.isfinite(x)):
-        bad = ~np.isfinite(records).all(axis=1)
-        k = int(np.argmax(bad.any(axis=1)))
-        path = path_start + int(np.argmax(bad[k]))
-        raise FlowExplosionError(problem.name, k * (h * record_stride), label, k, path)
-    return records
+    records[0] = x0[:, None]
+    for k, x in _steps(step, records[0], draw()):
+        if k % record_stride == 0:
+            records[k // record_stride] = x
+    # non-finite values propagate through every step, so the last state
+    # carries the evidence
+    if np.all(np.isfinite(x)):
+        return records
+    for k, x in _steps(step, records[0], draw()):
+        bad = ~np.isfinite(x).all(axis=0)
+        if bad.any():
+            break
+    path = path_start + int(np.argmax(bad))
+    raise FlowExplosionError(problem.name, label, steps, k, k * h, path)
 
 
 def _check_grid(problem: Problem, bundle: PathBundle, N: int):
@@ -192,15 +206,17 @@ def _check_grid(problem: Problem, bundle: PathBundle, N: int):
         raise ValueError(f"grid N={N} is not a step count dividing N_fine={bundle.n_fine}")
 
 
-def _march_kernel(problem, kernel, label, blocks, paths, steps, h, record_stride, path_start):
-    """``kernel`` marched from x0 at step h over time-major blocks ``(k0, dW
-    rows, sign rows)``, recording every ``record_stride`` steps; each block's
-    signs become sweep rows (True where +1) in one call."""
+def _march_kernel(problem, kernel, label, draw, paths, steps, h, record_stride, path_start):
+    """``kernel`` marched from x0 at step h over ``draw()``'s time-major blocks
+    ``(k0, dW rows, sign rows)``, recording every ``record_stride`` steps;
+    each block's signs become sweep rows (True where +1) in one call."""
 
     def step(x, dW_k, plus_k):
         return kernel(problem, x, dW_k, plus_k, h)
 
-    sweeps = ((k0, dW, eta > 0) for k0, dW, eta in blocks)
+    def sweeps():
+        return ((k0, dW, eta > 0) for k0, dW, eta in draw())
+
     x0 = problem.x0
     return _march(problem, label, step, x0, sweeps, paths, steps, h, record_stride, path_start)
 
@@ -210,21 +226,21 @@ def _scheme(problem: Problem, kernel, label: str, bundle: PathBundle, N: int, re
     recording every ``record_stride`` steps."""
     _check_grid(problem, bundle, N)
     grid = coarsen(bundle, N)
-    blocks = time_major_blocks(grid.dW, grid.eta)
+    draw = partial(time_major_blocks, grid.dW, grid.eta)
     records = _march_kernel(
-        problem, kernel, label, blocks, grid.paths, N, grid.h, record_stride, grid.path_start
+        problem, kernel, label, draw, grid.paths, N, grid.h, record_stride, grid.path_start
     )
     return Trajectory(states=np.moveaxis(records, -1, 0))
 
 
-def nv_march(problem: Problem, blocks, paths, steps, h, record_stride, path_start=0, label="nv"):
-    """The records of nv at step h, fed time-major blocks ``(k0, dW rows,
-    sign rows)`` of ``steps`` steps in step order, recording every
-    ``record_stride`` steps: the nv proxy reference (``"nv-proxy"``), from a
-    whole bundle (:func:`exact_trajectory`) or drawn a block at a time
-    (:func:`~nvlab.paths.normal_blocks`), and an MLMC level's grids."""
+def nv_march(problem: Problem, draw, paths, steps, h, record_stride, path_start=0, label="nv"):
+    """The records of nv at step h over the time-major blocks ``(k0, dW
+    rows, sign rows)`` of ``steps`` steps that ``draw()`` returns in step
+    order, recording every ``record_stride`` steps: the nv proxy reference
+    (``"nv-proxy"``) and an MLMC level's grids, on noise drawn a block at a
+    time (:func:`~nvlab.paths.normal_blocks`)."""
     return _march_kernel(
-        problem, _nv_kernel, label, blocks, paths, steps, h, record_stride, path_start
+        problem, _nv_kernel, label, draw, paths, steps, h, record_stride, path_start
     )
 
 
@@ -246,19 +262,19 @@ def coarse_blocks(blocks):
         yield k0 // 2, _pair_sums(dW[0::2], dW[1::2]), eta[0::2]
 
 
-def coupled_terminals(problem: Problem, blocks, paths, N, path_start=0) -> np.ndarray:
+def coupled_terminals(problem: Problem, draw, paths, N, path_start=0) -> np.ndarray:
     """nv's terminal states after N steps of T/N and after N // 2 steps of
     2T/N on the same noise, as rows (2n, paths): the fine states over the
     coarse ones.
 
-    ``blocks`` yields time-major blocks ``(k0, dW rows, sign rows)`` of the
+    ``draw()`` returns time-major blocks ``(k0, dW rows, sign rows)`` of the
     N fine steps, each holding whole pairs of steps. The march takes one
     coarse step at a time on both grids, stacked as rows: two fine steps,
     and one coarse step on their summed increments (:func:`_pair_sums`) with
     the sign of the first, so each grid has the bits of its own march on
     the coarsened bundle. Only the terminal states are recorded; a
-    non-finite one raises :class:`~nvlab.flows.FlowExplosionError`, which
-    names the last coarse step.
+    non-finite state raises :class:`~nvlab.flows.FlowExplosionError`, which
+    names the first coarse step where either grid is non-finite.
     """
     n = problem.n
     steps = N // 2
@@ -272,11 +288,13 @@ def coupled_terminals(problem: Problem, blocks, paths, N, path_start=0) -> np.nd
         out[n:] = _nv_kernel(problem, s[n:], dW, plus_pair[0], h_coarse)
         return out
 
-    # each block's steps in pairs, and its signs as sweep rows in one call
-    pairs = (
-        (k0 // 2, dW.reshape(len(dW) // 2, 2, *dW.shape[1:]), (eta > 0).reshape(-1, 2, paths))
-        for k0, dW, eta in blocks
-    )
+    def pairs():
+        # each block's steps in pairs, and its signs as sweep rows in one call
+        return (
+            (k0 // 2, dW.reshape(len(dW) // 2, 2, *dW.shape[1:]), (eta > 0).reshape(-1, 2, paths))
+            for k0, dW, eta in draw()
+        )
+
     x0 = np.concatenate([problem.x0, problem.x0])
     return _march(problem, "nv", step, x0, pairs, paths, steps, h_coarse, steps, path_start)[-1]
 
@@ -296,26 +314,14 @@ def discrete_nv_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Traj
 
 
 def exact_trajectory(problem: Problem, bundle: PathBundle, N: int) -> Trajectory:
-    """Reference states at the times of the N-step grid.
-
-    Uses the problem's closed form when available (evaluated from the bundle's
-    fine increments, so iterated integrals are resolved at fine resolution);
-    otherwise falls back to the splitting scheme at the bundle's full fine
-    resolution, which requires the bundle to actually be finer than the grid.
-    """
+    """The problem's closed form at the times of the N-step grid, evaluated
+    from the bundle's fine increments, so iterated integrals are resolved at
+    fine resolution. A problem without one (whose reference is the nv proxy
+    of :mod:`nvlab.analysis`) is refused."""
     _check_grid(problem, bundle, N)
-    if problem.exact_solution is not None:
-        return Trajectory(states=problem.exact_solution(problem, bundle, coarsen(bundle, N)))
-    if bundle.n_fine == N:
-        raise ValueError(
-            f"problem {problem.name!r} has no closed form and the bundle has no "
-            "refinement to build a proxy reference from"
-        )
-    blocks = time_major_blocks(bundle.dW, bundle.eta)
-    n_fine, paths = bundle.n_fine, bundle.paths
-    stride, path_start = n_fine // N, bundle.path_start
-    records = nv_march(problem, blocks, paths, n_fine, bundle.h, stride, path_start, "nv-proxy")
-    return Trajectory(states=np.moveaxis(records, -1, 0))
+    if problem.exact_solution is None:
+        raise ValueError(f"problem {problem.name!r} has no closed form")
+    return Trajectory(states=problem.exact_solution(problem, bundle, coarsen(bundle, N)))
 
 
 def trajectory(problem: Problem, scheme: str, bundle: PathBundle, N: int) -> Trajectory:

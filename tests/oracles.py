@@ -8,8 +8,9 @@ test directories are collected in one session.
 import numpy as np
 
 from nvlab.catalog import DIAG_A, DIAG_THETA, GBM_MU, GBM_SIGMA, LINNC_K1, LINNC_K2
+from nvlab.models import Problem, VectorFieldSet
 from nvlab.paths import DW_DOMAIN, _philox_key, coarsen, make_bundle_batch
-from nvlab.schemes import nv_trajectory, trajectory
+from nvlab.schemes import _nv_kernel, nv_trajectory, trajectory
 
 
 def sample_states(problem, count=100, seed=1234, spread=1.0):
@@ -200,12 +201,21 @@ def source_term_values_whole_chunk(bundle, mask, scale):
     return scale * np.sum(np.where(eta < 0, -per_step_minus, per_step_plus), axis=1)
 
 
+def reference_states(problem, bundle, N):
+    """The reference's states (paths, N+1, n) at the N-step grid times, from
+    one whole bundle: the closed form or, for a problem without one, the nv
+    proxy reference, nv at the bundle's full fine resolution."""
+    if problem.exact_solution is not None:
+        return trajectory(problem, "exact", bundle, N).states
+    return nv_trajectory(problem, bundle, bundle.n_fine).states[:, :: bundle.n_fine // N]
+
+
 def ladder_rows_whole_chunk(problem, scheme, Ns, refine, paths, master_seed, p=1):
     """The closed-form ladder's per-path values max_k |gap|^{2p}, one column per
     rung, from one bundle of every path at the fine grid."""
     N_max = max(Ns)
     bundle = make_bundle_batch(master_seed, 0, paths, N_max * refine, problem.d, problem.T)
-    ref = trajectory(problem, "exact", bundle, N_max).states
+    ref = reference_states(problem, bundle, N_max)
     rungs = coarsen(bundle, N_max)
     out = np.empty((paths, len(Ns)))
     for i, N in enumerate(Ns):
@@ -217,7 +227,7 @@ def ladder_rows_whole_chunk(problem, scheme, Ns, refine, paths, master_seed, p=1
 def normalized_errors_whole_chunk(problem, N, refine, paths, master_seed):
     """sqrt(N) (X_T - X^nv_T) per path, from one bundle of every path at the fine grid."""
     bundle = make_bundle_batch(master_seed, 0, paths, N * refine, problem.d, problem.T)
-    ref = trajectory(problem, "exact", bundle, N).terminal()
+    ref = reference_states(problem, bundle, N)[:, -1]
     nv = trajectory(problem, "nv", bundle, N).terminal()
     return np.sqrt(N) * (ref - nv)
 
@@ -231,3 +241,49 @@ def mlmc_level_whole_bundle(problem, level, paths, master_seed, n0=1):
     bundle = make_bundle_batch(master_seed, level * paths, paths, n_l, problem.d, problem.T)
     fine = nv_trajectory(problem, bundle, n_l).terminal()
     return fine, nv_trajectory(problem, bundle, n_l // 2).terminal() if level else None
+
+
+# ---------------------------------------------------------------------------
+# failure reports: an exploding problem, and marches that record every step
+# with no finiteness check, in which the first non-finite state is looked up
+# ---------------------------------------------------------------------------
+
+
+def _exploding_exact(problem, bundle, coarse):
+    W = np.zeros((coarse.paths, coarse.n_fine + 1, 1))
+    np.cumsum(coarse.dW, axis=1, out=W[:, 1:])
+    return problem.x0 * np.exp(400.0 * W)
+
+
+def exploding_problem(x0, closed_form=False):
+    """x0 exp(400 W_t), exactly: the Stratonovich drift is zero and the one
+    Brownian field's flow multiplies by exp(400 dW), which overflows where
+    dW > 1.7745, whatever x0. A fine grid's two flows can stay finite where
+    its coarse step's one flow overflows, if x0 is small enough. With
+    ``closed_form`` the problem has that closed form."""
+    fields = VectorFieldSet.affine(A=np.array([[[400.0**2 / 2]], [[400.0]]]), c=np.zeros((2, 1)))
+    exact = _exploding_exact if closed_form else None
+    return Problem("exploding", fields, x0=np.array([x0]), T=1.0, exact_solution=exact)
+
+
+def nv_every_step(problem, bundle, N):
+    """nv's states (paths, N + 1, n) on the bundle coarsened to N steps, from
+    a plain loop over the kernel that records every step and checks nothing."""
+    grid = coarsen(bundle, N)
+    x = np.repeat(problem.x0[:, None], grid.paths, axis=1)
+    states = [x]
+    for k in range(N):
+        x = _nv_kernel(problem, x, grid.dW[:, k].T, grid.eta[:, k] > 0, grid.h)
+        states.append(x)
+    return np.stack(states).transpose(2, 0, 1)
+
+
+def first_explosion(states):
+    """(step, path) of the first non-finite state of states (paths, steps + 1,
+    n) recorded at every step: the first step holding one, and that step's
+    first non-finite path; None where every state is finite."""
+    bad = ~np.isfinite(states).all(axis=2)
+    if not bad.any():
+        return None
+    step = int(np.argmax(bad.any(axis=0)))
+    return step, int(np.argmax(bad[:, step]))

@@ -7,6 +7,7 @@ import pytest
 
 from nvlab import (
     ErrorPoint,
+    FlowExplosionError,
     PathBundle,
     Problem,
     VectorFieldSet,
@@ -15,6 +16,7 @@ from nvlab import (
     compare_distributions,
     fit_rate,
     get_problem,
+    level_difference_samples,
     limit_law_study,
     normalized_error_samples,
     scheme_gap,
@@ -29,10 +31,14 @@ from nvlab.paths import AUX_DOMAIN, DW_DOMAIN, StreamPool, coarsen, make_bundle_
 
 from oracles import (
     assert_same_bits,
+    exploding_problem,
+    first_explosion,
     fixed_tiles,
     jacobian_bracket,
     ladder_rows_whole_chunk,
     normalized_errors_whole_chunk,
+    nv_every_step,
+    reference_states,
     source_term_values_whole_chunk,
 )
 
@@ -84,7 +90,7 @@ def test_strong_error_ladder_matches_per_rung_oracle(name, scheme):
     Ns, N_max, refine, paths, seed = (4, 16, 8), 16, 4, 100, 3
     points = strong_error(problem, scheme, Ns, paths, seed, refine_factor=refine)
     bundle = make_bundle_batch(seed, 0, paths, N_max * refine, problem.d, problem.T)
-    ref = trajectory(problem, "exact", bundle, N_max).states
+    ref = reference_states(problem, bundle, N_max)
     top = coarsen(bundle, N_max)
     for pt, N in zip(points, Ns):
         block = N_max // N
@@ -236,7 +242,7 @@ PROXY_BLOCKS = [
 @pytest.mark.parametrize("name", ["gbm1d", "diag-comm", "linear-nc"])
 def test_streamed_proxy_equals_whole_bundle(monkeypatch, name, grid, blocks, read):
     # the proxy reference marched block by block, and the bundle at N summed
-    # block by block, equal exact_trajectory's proxy on one whole bundle and
+    # block by block, equal the proxy's oracle on one whole bundle and
     # coarsen's sums (pairwise at d = 1), signs of zero included; the blocks
     # are drawn in path tiles (37 paths: the tiles do not divide them) or
     # whole and read in short blocks
@@ -244,7 +250,7 @@ def test_streamed_proxy_equals_whole_bundle(monkeypatch, name, grid, blocks, rea
     (N, refine, noise_block), paths, start, seed = grid, 37, 5, 13
     n_fine = N * refine
     bundle = make_bundle_batch(seed, start, paths, n_fine, problem.d, problem.T)
-    states = trajectory(problem, "exact", bundle, N).states
+    states = reference_states(problem, bundle, N)
     coarse = coarsen(bundle, N)
     monkeypatch.setattr(paths_module, "NOISE_BLOCK", noise_block)
     if read == "blocked":
@@ -435,7 +441,8 @@ def test_limit_sde_heisenberg_law(heisenberg):
 def _limit_sde_by_callables(problem, paths, n_fine, master_seed):
     """The limit-SDE Euler loop as first written: path-major states, the
     coefficient callables (which take state rows, hence ``x.T``) and their
-    Jacobian-formula brackets evaluated at every step."""
+    Jacobian-formula brackets evaluated at every step. Returns X and V at
+    every step, as (paths, n_fine + 1, 2n), with no finiteness check."""
     f = problem.fields
     pairs = f.pairs
     delta = problem.T / n_fine
@@ -448,6 +455,7 @@ def _limit_sde_by_callables(problem, paths, n_fine, master_seed):
     dB *= math.sqrt(delta)
     x = np.broadcast_to(problem.x0, (paths, problem.n)).copy()
     v = np.zeros((paths, problem.n))
+    states = [np.concatenate([x, v], axis=1)]
     for k in range(n_fine):
         dx = f.b(x.T).T * delta
         dv = np.einsum("...ik,...k->...i", f.jac_b(x.T), v) * delta
@@ -459,7 +467,8 @@ def _limit_sde_by_callables(problem, paths, n_fine, master_seed):
             dv = dv + coef * jacobian_bracket(f, j, m, x) * dB[:, k, idx][:, None]
         x = x + dx
         v = v + dv
-    return v
+        states.append(np.concatenate([x, v], axis=1))
+    return np.stack(states, axis=1)
 
 
 def _affine_test_problem():
@@ -476,21 +485,29 @@ def _affine_test_problem():
     return Problem("affine-nc", fields, x0=np.array([0.2, -0.4]), T=0.8)
 
 
-def test_limit_sde_overflow_raises(tmp_path, monkeypatch, capsys):
-    # heisenberg's Brownian fields with the stiff drift A_0 = diag(0, -1e300):
-    # the exact drift flow decays the second coordinate to 0, so the scheme
-    # side of the limit-law study stays finite, but the limit SDE's Euler step
-    # multiplies V by -1e300 h and overflows it
+def _blowup_problem():
+    """heisenberg's Brownian fields with the stiff drift A_0 = diag(0, -1e300):
+    the exact drift flow decays the second coordinate to 0, so the scheme
+    side of the limit-law study stays finite, but the limit SDE's Euler step
+    multiplies V by -1e300 h and overflows it."""
     heis = get_problem("heisenberg").fields
-    blowup = Problem(
+    return Problem(
         "blowup",
         VectorFieldSet.affine(A=[np.diag([0.0, -1e300]), *heis.A[1:]], c=heis.c),
         x0=np.zeros(2),
         T=1.0,
     )
+
+
+def test_limit_sde_overflow_raises(tmp_path, monkeypatch, capsys):
+    blowup = _blowup_problem()
     with np.errstate(over="ignore", invalid="ignore"):
-        # the limit records only its terminal state, so its step is n_fine
-        match = r"limit SDE on problem 'blowup': first at step 8 \(t=1\), path 0$"
+        # the limit records only its terminal state, but its error names the
+        # first non-finite step, which the march finds by marching again
+        match = (
+            r"^non-finite state from limit SDE on problem 'blowup', grid N=8: "
+            r"first at step 3 \(t=0.375\), path 0$"
+        )
         with pytest.raises(FloatingPointError, match=match):
             simulate_limit_sde(blowup, paths=6, n_fine=8, master_seed=1)
         # a chunk of paths 3..5 run first names its global path 3, not its row 0
@@ -502,8 +519,107 @@ def test_limit_sde_overflow_raises(tmp_path, monkeypatch, capsys):
         args = ["limit-law", "--problem", "blowup", "--N", "2", "--paths", "6", "--nfine", "8"]
         assert cli.main(args + ["--refine", "2", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "numerical failure: non-finite state from the limit SDE on problem 'blowup'" in err
+    assert "numerical failure: non-finite state from limit SDE on problem 'blowup'" in err
     assert not (tmp_path / "limitlaw.csv").exists()
+
+
+# one chunk of the exploding problem x0 exp(400 W) (x0 = 1), where about one
+# path in twelve overflows: its ladder, error samples and gap at seed 2, and
+# an MLMC level of 64 paths at seed 1; the limit SDE runs the blowup problem
+EXPLODING = (128, 2, (4, 8, 16), 4)  # paths, seed, ladder, refine
+EXPLODING_CASES = [
+    "ladder-closed", "ladder-proxy", "gap", "samples-closed", "samples-proxy",
+    "limit-sde", "mlmc-0", "mlmc-3",
+]
+
+
+def _first_grid(problem, bundle, grids, key=None):
+    """("nv", N, step, path) of a grid N of ``grids`` whose nv march on
+    ``bundle``, recording every step, goes non-finite: the first such grid
+    in ``grids`` order, or the least by ``key`` of each one's (N, step)."""
+    found = []
+    for N in grids:
+        at = first_explosion(nv_every_step(problem, bundle, N))
+        if at is not None:
+            found.append((N, at[0], bundle.path_start + at[1]))
+    return ("nv", *(min(found, key=key) if key else found[0]))
+
+
+def _exploding_case(case):
+    """One marching estimator on an exploding problem: the problem, the call,
+    the (label, N, step, path) that a whole-bundle march recording every
+    step finds on the call's noise, and the CLI arguments of the same run
+    (None for scheme_gap, which no command runs)."""
+    closed = case.endswith("closed")
+    problem = exploding_problem(1.0, closed_form=closed)
+    paths, seed, Ns, refine = EXPLODING
+    fine = make_bundle_batch(seed, 0, paths, max(Ns) * refine, 1, 1.0)
+    proxy = ("nv-proxy", fine.n_fine, *first_explosion(nv_every_step(problem, fine, fine.n_fine)))
+    study = ["--problem", "exploding", "--paths", str(paths), "--seed", str(seed)]
+    study += ["--refine", str(refine)]
+    if case.startswith("ladder"):
+        def run():
+            strong_error(problem, "nv", Ns, paths, seed, refine_factor=refine)
+
+        want = _first_grid(problem, coarsen(fine, max(Ns)), Ns) if closed else proxy
+        args = ["convergence", "--scheme", "nv", "--nladder", "4,8,16", *study]
+    elif case.startswith("samples"):
+        def run():
+            normalized_error_samples(problem, 16, paths, seed, refine_factor=refine)
+
+        want = _first_grid(problem, fine, (16,)) if closed else proxy
+        args = ["limit-law", "--N", "16", "--nfine", "8", *study]
+    elif case == "gap":
+        def run():
+            scheme_gap(problem, "nv", "discrete-nv", 16, paths, seed)
+
+        want = _first_grid(problem, make_bundle_batch(seed, 0, paths, 16, 1, 1.0), (16,))
+        args = None
+    elif case == "limit-sde":
+        problem = _blowup_problem()
+
+        def run():
+            simulate_limit_sde(problem, 6, 8, seed)
+
+        want = ("limit SDE", 8, *first_explosion(_limit_sde_by_callables(problem, 6, 8, seed)))
+        args = ["limit-law", "--problem", "blowup", "--N", "2", "--paths", "6"]
+        args += ["--nfine", "8", "--refine", "2"]
+    else:
+        level = int(case[-1])
+        n_l = 2**level
+
+        def run():
+            level_difference_samples(problem, "coord1", level, 64, 1)
+
+        # the grid whose first non-finite state comes first in time, the
+        # fine one on a tie
+        bundle = make_bundle_batch(1, level * 64, 64, n_l, 1, 1.0)
+        grids = (n_l, n_l // 2)[: level + 1]
+        want = _first_grid(problem, bundle, grids, key=lambda f: (f[1] * n_l // f[0], -f[0]))
+        args = ["mlmc", "--problem", "exploding", "--payoff", "coord1", "--levels"]
+        args += [str(max(level, 1)), "--paths-per-level", "64", "--seed", "1"]
+    return problem, run, want, args
+
+
+@pytest.mark.parametrize("case", EXPLODING_CASES)
+def test_every_march_names_its_first_non_finite_step(case, tmp_path, monkeypatch):
+    # each marching estimator names the label, the grid N, the first
+    # non-finite step and its time, and that step's first path, as a march
+    # over the whole bundle that records every step finds them on the same
+    # noise; the CLI exits with code 2 on each that a command runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem, run, want, args = _exploding_case(case)
+        with pytest.raises(FlowExplosionError) as info:
+            run()
+        err = info.value
+        label, N, step, path = want
+        assert (err.scheme, err.N, err.step, err.path) == want
+        assert err.t == step * problem.T / N
+        assert str(err).startswith(f"non-finite state from {label} on problem {problem.name!r}")
+        assert str(err).endswith(f"grid N={N}: first at step {step} (t={err.t:.3g}), path {path}")
+        if args is not None:
+            monkeypatch.setattr(cli, "get_problem", lambda name: problem)
+            assert cli.main(args + ["--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
 
 
 def test_limit_sde_seeks_increments_and_aux_only(heisenberg, monkeypatch):
@@ -530,7 +646,7 @@ def test_limit_sde_matches_callable_loop(name, monkeypatch):
     # 4 (gbm1d has no pairs: its dB has width 0); the noise is drawn whole
     # and in blocks of 7 steps, the last one partial
     prob = _affine_test_problem() if name == "affine-nc" else get_problem(name)
-    ref = _limit_sde_by_callables(prob, 40, 100, 4)
+    ref = _limit_sde_by_callables(prob, 40, 100, 4)[:, -1, prob.n :]
     for read_bytes, noise_block in ((paths_module.TIME_MAJOR_READ_BYTES, 7), (0, 100), (0, 7)):
         monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", read_bytes)
         monkeypatch.setattr(paths_module, "NOISE_BLOCK", noise_block)

@@ -19,7 +19,7 @@ from nvlab import (
 from nvlab.catalog import GBM_MU
 from nvlab.flows import FlowExplosionError
 from nvlab.schemes import nv_trajectory
-from oracles import assert_same_bits, mlmc_level_whole_bundle
+from oracles import assert_same_bits, exploding_problem, mlmc_level_whole_bundle
 
 
 def test_payoff_registry():
@@ -117,6 +117,30 @@ def test_level_chunk_peak_is_what_its_count_holds(monkeypatch, heisenberg):
     assert counts == [held, held]
     assert all(0.8 * held < peak <= held for peak in peaks.values())
     assert peaks["coord2"] <= 1.01 * peaks["norm2"]
+
+
+def test_failing_level_peaks_within_its_count(monkeypatch):
+    # one chunk of 1000 paths at level 11 (2048 steps, two noise blocks) of
+    # x0 exp(400 W), where about one path in twelve overflows: the marches
+    # that find the failing grid, step and path each draw the chunk's noise
+    # afresh and keep only terminal states, so the chunk peaks within its
+    # count, with slack for the two generators a path that no count holds
+    problem = exploding_problem(1.0)
+    paths, counts = 1000, []
+
+    def run_paths(paths, per_path, *args, **kwargs):
+        counts.append(per_path)
+        return util.run_paths(paths, per_path, *args, **kwargs)
+
+    monkeypatch.setattr(mlmc_module, "run_paths", run_paths)
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError):
+            level_difference_samples(problem, "coord1", 11, paths, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * paths) <= 1.1 * counts[0]
 
 
 def _record_terminals(monkeypatch):
@@ -227,15 +251,6 @@ def test_payoff_overflow_raises(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "mlmc.csv").exists()
 
 
-def _exploding_problem(x0):
-    """x0 exp(400 W_t), exactly: the Stratonovich drift is zero and the one
-    Brownian field's flow multiplies by exp(400 dW), which overflows where
-    dW > 1.7745, whatever x0. A fine grid's two flows can stay finite where
-    its coarse step's one flow overflows, if x0 is small enough."""
-    fields = VectorFieldSet.affine(A=np.array([[[400.0**2 / 2]], [[400.0]]]), c=np.zeros((2, 1)))
-    return Problem("exploding", fields, x0=np.array([x0]), T=1.0)
-
-
 def _first_explosions(problem, level, paths, seed):
     """{N: (step, path)} of each grid whose nv march on the whole bundle goes
     non-finite: its first such step and that step's first such path."""
@@ -265,7 +280,7 @@ def test_explosion_names_level_grid_step_and_path(
     # 64 paths in one chunk, level l's global paths 64 l .. 64 l + 63: the
     # error names the grid whose first non-finite state comes first in time,
     # its step and its path, as nv on the whole bundle finds them
-    problem = _exploding_problem(x0)
+    problem = exploding_problem(x0)
     with np.errstate(over="ignore", invalid="ignore"):
         found = _first_explosions(problem, level, 64, seed)
         step, path = found[grid]

@@ -32,12 +32,14 @@ from nvlab.schemes import (
     _scheme,
     coarse_blocks,
     coupled_terminals,
+    nv_march,
 )
 
 from oracles import (
     assert_same_bits,
     fixed_tiles,
     heisenberg_exact_whole_chunk,
+    reference_states,
     sample_states,
     with_signed_zeros,
 )
@@ -342,8 +344,8 @@ def test_explosion_names_scheme_step_and_path(gbm, scheme, big, step):
         trajectory(gbm, scheme, bundle, 4)
     err = info.value
     assert (err.scheme, err.step, err.path, err.t) == (scheme, step, 101, step * 0.25)
-    assert f"scheme {scheme!r}" in str(err) and f"step {step}" in str(err)
-    assert "path 101" in str(err)
+    assert f"from {scheme} on problem 'gbm1d', grid N=4" in str(err)
+    assert f"step {step}" in str(err) and "path 101" in str(err)
 
 
 @pytest.mark.parametrize(
@@ -362,18 +364,23 @@ def test_explosion_in_second_block_names_scheme_step_and_path(gbm, scheme, big, 
     assert (err.scheme, err.step, err.path, err.t) == (scheme, step, 503, step * (1.0 / 130))
 
 
-def test_proxy_explosion_in_second_block_names_recorded_step_and_path(diag_comm):
-    # the proxy records every 65th of 130 fine steps, read in blocks of 8: the
-    # overflow at fine step 12, in the second block, first shows in record 1
+def test_proxy_explosion_in_second_block_names_first_step_and_path(diag_comm, monkeypatch):
+    # the proxy records every 65th of 130 fine steps, read in blocks of 8:
+    # the overflow at fine step 12, in the second block, is named as that
+    # step, not as record 1, where it first shows
     rng = np.random.default_rng(3)
     dW = 0.05 * rng.standard_normal((5, 130, 2))
     dW[2, 11, 1] = 2e3
     eta = np.where(rng.random((5, 130)) < 0.5, 1, -1).astype(np.int8)
-    bundle = PathBundle(T=1.0, dW=dW, eta=eta, path_start=40)
+    monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", 0)
+
+    def draw():
+        return paths_module.time_major_blocks(dW, eta)
+
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowExplosionError) as info:
-        exact_trajectory(diag_comm, bundle, 2)
+        nv_march(diag_comm, draw, 5, 130, 1 / 130, 65, 40, "nv-proxy")
     err = info.value
-    assert (err.scheme, err.step, err.path, err.t) == ("nv-proxy", 1, 42, 0.5)
+    assert (err.scheme, err.N, err.step, err.path, err.t) == ("nv-proxy", 130, 12, 42, 12 / 130)
 
 
 def test_step_explosion_names_scheme_and_path(gbm):
@@ -441,17 +448,21 @@ def test_heisenberg_closed_form_tiles_equal_whole_chunk(heisenberg, N, refine, t
     np.testing.assert_array_equal(ref, heisenberg_exact_whole_chunk(bundle, N))
 
 
-def test_exact_trajectory_proxy_mode(diag_comm):
+def test_proxy_march_records_nv_at_grid_times(diag_comm):
+    # the proxy's march at the bundle's fine resolution, recording every 4th
+    # step, keeps the scheme's own states at the 16-step grid times
     bundle = make_bundle_batch(7, 0, 10, 64, 2, 1.0)
-    ref = exact_trajectory(diag_comm, bundle, 16)
-    # proxy at the bundle's own resolution is the scheme itself
-    nv_fine = nv_trajectory(diag_comm, bundle, 64)
-    np.testing.assert_array_equal(ref.states, nv_fine.states[:, ::4, :])
+
+    def draw():
+        return paths_module.time_major_blocks(bundle.dW, bundle.eta)
+
+    records = nv_march(diag_comm, draw, 10, 64, bundle.h, 4, 0, "nv-proxy")
+    assert_same_bits(np.moveaxis(records, -1, 0), reference_states(diag_comm, bundle, 16))
 
 
-def test_exact_trajectory_rejects_unrefined_proxy(diag_comm):
-    bundle = make_bundle_batch(7, 0, 10, 16, 2, 1.0)
-    with pytest.raises(ValueError, match="refinement"):
+def test_exact_trajectory_rejects_problem_without_closed_form(diag_comm):
+    bundle = make_bundle_batch(7, 0, 10, 64, 2, 1.0)
+    with pytest.raises(ValueError, match="problem 'diag-comm' has no closed form"):
         exact_trajectory(diag_comm, bundle, 16)
 
 
@@ -615,8 +626,11 @@ def test_coupled_terminals_are_each_grids_march(name, steps, monkeypatch):
     monkeypatch.setattr(paths_module, "TIME_MAJOR_BLOCK", 7)
     for read_bytes in (paths_module.TIME_MAJOR_READ_BYTES, 0):
         monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", read_bytes)
-        blocks = paths_module.time_major_blocks(bundle.dW, bundle.eta, group=2)
-        rows = coupled_terminals(problem, blocks, 300, steps)
+
+        def draw():
+            return paths_module.time_major_blocks(bundle.dW, bundle.eta, group=2)
+
+        rows = coupled_terminals(problem, draw, 300, steps)
         assert_same_bits(rows[: problem.n].T, fine)
         assert_same_bits(rows[problem.n :].T, coarse)
 
