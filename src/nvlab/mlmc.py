@@ -121,7 +121,7 @@ def level_difference_samples(
             else:
                 rows = nv_march(problem, draw, count, n_l, h, n_l, start)[-1]
         except FlowExplosionError as exc:
-            if level:  # the coupled march's step is one of both grids
+            if level:  # the coupled march names a step of both grids at once
                 exc = _explosion(problem, n_l, draw, start, count)
             raise FlowExplosionError(
                 exc.problem, exc.scheme, exc.N, exc.step, exc.t, exc.path, level
@@ -153,9 +153,9 @@ def _explosion(problem, n_l, draw, start, count) -> FlowExplosionError:
     non-finite: each grid is marched alone on the chunk's noise
     (``draw()``), keeping only its terminal state."""
     found = []
-    for N, blocks in ((n_l, draw), (n_l // 2, lambda: coarse_blocks(draw()))):
+    for N, grid_draw in ((n_l, draw), (n_l // 2, lambda: coarse_blocks(draw()))):
         try:
-            nv_march(problem, blocks, count, N, problem.T / N, N, start)
+            nv_march(problem, grid_draw, count, N, problem.T / N, N, start)
         except FlowExplosionError as exc:
             found.append(exc)
     # the fine step each falls on, and the fine grid first on a tie

@@ -351,9 +351,13 @@ def test_explosion_names_scheme_step_and_path(gbm, scheme, big, step):
 @pytest.mark.parametrize(
     "scheme, big, step", [("nv", 2e3, 11), ("discrete-nv", 1e200, 11), ("euler", 1e200, 12)]
 )
-def test_explosion_in_second_block_names_scheme_step_and_path(gbm, scheme, big, step):
-    # 130 steps are read in blocks of 8; path 503 of the stream numbering
-    # overflows first at step 11 or 12, inside the second block
+def test_explosion_in_second_block_names_scheme_step_and_path(
+    gbm, scheme, big, step, monkeypatch
+):
+    # 130 steps are read in blocks of 8 (the bundle would fit one read);
+    # path 503 of the stream numbering overflows first at step 11 or 12,
+    # inside the second block
+    monkeypatch.setattr(paths_module, "TIME_MAJOR_READ_BYTES", 0)
     dW = np.full((6, 130, 1), 0.01)
     dW[3, 10:12, 0] = big
     eta = np.where(np.arange(130) % 3 == 0, 1, -1).astype(np.int8) * np.ones((6, 1), np.int8)
