@@ -17,8 +17,8 @@ The statistical core of the lab:
   run by the schemes' one march (``schemes._march``) on noise drawn one
   block of steps at a time;
 * distribution comparison of two (samples, n) sample sets (moments +
-  per-coordinate two-sample KS); scipy is imported only when a comparison
-  runs, so no other estimator pays for it;
+  per-coordinate two-sample KS, in numpy: scipy's statistic and Smirnov's
+  asymptotic p-value);
 * the variance of the sign-ordered within-step integral
     Y^{j,m,N}_t = sqrt(N) ( int Psi1 (W^m - W^m-lagged) dW^j
                           + int Psi2 (W^j - W^j-lagged) dW^m ),
@@ -189,16 +189,18 @@ def chunk_floats(problem: Problem, Ns: Sequence[int], n_fine: int, terminal: boo
     states, and while rung N is marched also the rung's own coarse bundle
     below max(Ns), its N + 1 states and their gap. With ``terminal`` (one
     rung, terminal states only) a chunk keeps the reference's terminal state
-    and the scheme march's two records, its start and its terminal state. A
-    closed form draws the fine noise one path tile at a time. The proxy
-    reference draws it one block of steps at a time and drops the block
-    before any rung is marched: d normals a step, and the step's sign as an
-    int8 and as a sweep row.
+    and the scheme march's two records, its start and its terminal state,
+    and while it marches also its time-major read of the bundle (whole up to
+    TIME_MAJOR_READ_BYTES a chunk). A closed form draws the fine noise one
+    path tile at a time. The proxy reference draws it one block of steps at
+    a time and drops the block before any rung is marched. A time-major read
+    or block takes d floats a step, and the step's sign as an int8 and as a
+    sweep row.
     """
     N_max = max(Ns)
     d, n = problem.d, problem.n
     if terminal:
-        states, rung = 3 * n, 0
+        states, rung = 3 * n, N_max * d + 2 * -(-N_max // 8)
     else:
         states = (N_max + 1) * n
         rung = max((N < N_max) * N * (d + 1) + 2 * (N + 1) * n for N in Ns)
@@ -548,11 +550,38 @@ def simulate_limit_sde(
     return run_paths(paths, per_path, threads, worker, width=problem.n)
 
 
+def _ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
+    """The two-sample KS statistic sup |F_x - F_y|, bit for bit that of
+    ``scipy.stats.ks_2samp``: the lower side only where it is strictly the
+    larger, so equal samples give +0.0."""
+    x, y = np.sort(x), np.sort(y)
+    both = np.concatenate([x, y])
+    diff = np.searchsorted(x, both, side="right") / len(x)
+    diff -= np.searchsorted(y, both, side="right") / len(y)
+    plus, minus = diff.max(), np.clip(-diff.min(), 0, 1)
+    return float(minus if minus > plus else plus)
+
+
+def _kolmogorov_sf(lam: float) -> float:
+    """Q_KS(lam), the chance that a Brownian bridge leaves [-lam, lam]: the
+    Kolmogorov series 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2) from lam = 1 on,
+    and below it its theta form 1 - (sqrt(2 pi) / lam) sum_k
+    exp(-(2k - 1)^2 pi^2 / (8 lam^2)); ten terms of either are exact there."""
+    if lam <= 0.0:
+        return 1.0
+    ks = range(1, 11)
+    if lam >= 1.0:
+        return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * (k * lam) ** 2) for k in ks)
+    theta = sum(math.exp(-(((2 * k - 1) * math.pi / lam) ** 2) / 8.0) for k in ks)
+    return 1.0 - math.sqrt(2.0 * math.pi) / lam * theta
+
+
 def compare_distributions(a: np.ndarray, b: np.ndarray) -> LimitLawReport:
     """Moments plus per-coordinate two-sample Kolmogorov-Smirnov comparison.
 
     Each sample set is a 2-D array (samples, n) with at least 2 samples, so
-    that its covariance is defined; both sets share n.
+    that its covariance is defined; both sets share n. The KS p-value is
+    Smirnov's asymptotic Q_KS(sqrt(m n / (m + n)) D) at sample sizes m, n.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -562,17 +591,10 @@ def compare_distributions(a: np.ndarray, b: np.ndarray) -> LimitLawReport:
         raise ValueError("sample sets need at least 2 samples each")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    # imported here, not at module level: scipy.stats costs most of the
-    # package's import time and memory, and only this comparison uses it
-    from scipy.stats import ks_2samp
-
     n = a.shape[1]
-    ks_stat = np.empty(n)
-    ks_p = np.empty(n)
-    for i in range(n):
-        res = ks_2samp(a[:, i], b[:, i], method="asymp")
-        ks_stat[i] = res.statistic
-        ks_p[i] = res.pvalue
+    ks_stat = np.array([_ks_statistic(a[:, i], b[:, i]) for i in range(n)])
+    lam = math.sqrt(len(a) * len(b) / (len(a) + len(b))) * ks_stat
+    ks_p = np.array([_kolmogorov_sf(x) for x in lam])
     cov_a = np.atleast_2d(np.cov(a, rowvar=False))
     cov_b = np.atleast_2d(np.cov(b, rowvar=False))
     return LimitLawReport(

@@ -350,6 +350,20 @@ def test_ladder_chunk_peak_is_what_chunk_floats_counts(heisenberg):
     assert 0.8 * footprint < peak / (8 * paths) <= footprint <= held
 
 
+def test_error_samples_chunk_peak_is_what_chunk_floats_counts(heisenberg):
+    # one chunk of 1000 paths at N = 256: nv reads its coarse bundle as one
+    # time-major copy (4.4 MB, under TIME_MAJOR_READ_BYTES) beside the bundle
+    paths, N, refine = 1000, 256, 8
+    footprint = analysis.chunk_floats(heisenberg, (N,), N * refine, terminal=True)
+    tracemalloc.start()
+    try:
+        normalized_error_samples(heisenberg, N, paths, 3, refine_factor=refine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * footprint < peak / (8 * paths) <= footprint
+
+
 # ---------------------------------------------------------------------------
 # rate fitting
 # ---------------------------------------------------------------------------
@@ -751,6 +765,59 @@ def test_compare_covariances_symmetric_psd(heisenberg):
     for cov in (rep.cov_scheme, rep.cov_limit):
         assert np.max(np.abs(cov - cov.T)) <= 1e-10
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10
+
+
+def _ks_cases():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal(300)
+    ties = rng.integers(0, 5, 400).astype(float)
+    return {
+        "identical": (a, a.copy()),
+        "identical-zeros": (np.zeros(200), np.zeros(200)),
+        "unequal-sizes": (a, rng.standard_normal(170) + 0.1),
+        "unequal-sizes-swapped": (rng.standard_normal(170) + 0.1, a),
+        "ties": (ties[:150], ties[150:]),
+        "ties-across-sets": (np.array([0.0, 1.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0, 3.0, 3.0])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_ks_cases()))
+def test_ks_statistic_is_scipys_bit_for_bit(case):
+    from scipy.stats import ks_2samp  # the oracle only
+
+    x, y = _ks_cases()[case]
+    rep = compare_distributions(x[:, None], y[:, None])
+    want = ks_2samp(x, y, method="asymp").statistic
+    assert_same_bits(rep.ks_stat[0], want)
+    # identical samples give +0.0, not -0.0
+    if case.startswith("identical"):
+        assert math.copysign(1.0, rep.ks_stat[0]) == 1.0
+
+
+def test_ks_pvalue_is_the_kolmogorov_distribution():
+    from scipy.special import kolmogorov  # the oracle only
+
+    lam = np.linspace(0.0, 4.0, 801)  # crosses the switch of series at 1
+    got = np.array([analysis._kolmogorov_sf(x) for x in lam])
+    np.testing.assert_allclose(got, kolmogorov(lam), rtol=0, atol=1e-13)
+    # compare_distributions reads it at sqrt(m n / (m + n)) D
+    x, y = _ks_cases()["unequal-sizes"]
+    rep = compare_distributions(x[:, None], y[:, None])
+    scale = math.sqrt(len(x) * len(y) / (len(x) + len(y)))
+    assert abs(rep.ks_pvalue[0] - kolmogorov(scale * rep.ks_stat[0])) <= 1e-13
+
+
+@pytest.mark.parametrize("size", [200, 1000])
+def test_ks_pvalue_is_near_the_exact_one(size):
+    from scipy.stats import ks_2samp  # the oracle only
+
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((2, size))
+        rep = compare_distributions(a[:, None], b[:, None])
+        worst = max(worst, abs(rep.ks_pvalue[0] - ks_2samp(a, b, method="exact").pvalue))
+    assert worst <= 0.005
 
 
 def test_limit_law_study_pipeline(heisenberg):

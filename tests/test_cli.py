@@ -449,23 +449,16 @@ def test_metadata_paths_is_the_command_path_count():
 
 _FRESH_INTERPRETER = """
 import sys
-import numpy as np
-import nvlab, nvlab.cli
-out = sys.argv[1]
-assert "scipy.stats" not in sys.modules, "import nvlab loaded scipy.stats"
-convergence = ["convergence", "--problem", "heisenberg", "--nladder", "4,8,16", "--paths", "100"]
-assert nvlab.cli.main(convergence + ["--refine", "2", "--out", out + "/c"]) == 0
-mlmc = ["mlmc", "--problem", "heisenberg", "--payoff", "coord2", "--levels", "1"]
-assert nvlab.cli.main(mlmc + ["--paths-per-level", "20", "--out", out + "/m"]) == 0
-assert "scipy.stats" not in sys.modules, "a convergence or mlmc run loaded scipy.stats"
-rng = np.random.default_rng(0)
-nvlab.compare_distributions(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
-assert "scipy.stats" in sys.modules, "the KS comparison ran without scipy.stats"
+import nvlab.cli
+argv = ["limit-law", "--problem", "heisenberg", "--N", "8", "--paths", "200", "--nfine", "64"]
+assert nvlab.cli.main(argv + ["--refine", "4", "--out", sys.argv[1]]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"a limit-law run loaded {loaded}"
 """
 
 
-def test_scipy_stats_loads_only_for_the_ks_comparison(tmp_path):
-    # a fresh interpreter: this test session has long since imported scipy.stats
+def test_limit_law_run_loads_no_scipy(tmp_path):
+    # a fresh interpreter: this test session has long since imported scipy
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     res = subprocess.run(
@@ -475,4 +468,4 @@ def test_scipy_stats_loads_only_for_the_ks_comparison(tmp_path):
         text=True,
     )
     assert res.returncode == 0, res.stderr
-    assert (tmp_path / "c" / "rate.csv").exists() and (tmp_path / "m" / "mlmc.csv").exists()
+    assert (tmp_path / "limitlaw.csv").exists()

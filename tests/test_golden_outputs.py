@@ -59,7 +59,7 @@ GOLDEN = {
     "convergence-heisenberg-nv": "36863c87abe0e69b59a06be385658eea71829d3434fc08ed5b7510ff8ff53028",
     "convergence-diag-comm-discrete-nv": "f3c65cd45dccba01db5d8ddee6cf3730ddd6cc5f019a8f6c0e1af4541b7c9d66",
     "convergence-gbm1d-euler": "fa90f81c74279ada878315e468de9f7bbb879177386e5d73fae04267d4a00f6c",
-    "limit-law-heisenberg": "a3b5be507a3aa31c0fd1f170992e7a5ccea9439002a1b02d5a7b54d87248d855",
+    "limit-law-heisenberg": "f2da72e165d9cac76a89a49025f1d00905ca515a0224c8fbb8d78ad109cb23cc",
     "source-term": "5b99316aeb26c476130c5234e971f90ff0ac2a866c00998a64bbb592dcdc582b",
     "mlmc-diag-comm": "b81d8ae05537a9309035fd047849d762ecffdae17cc37925f76ede2a2cb7df81",
 }
