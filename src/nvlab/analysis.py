@@ -454,7 +454,8 @@ def normalized_error_samples(
     :func:`_reference_chunk`, and nv runs on that bundle. The fine noise is
     drawn one path tile at a time for a closed form, and one block of steps
     at a time for the proxy reference; the reference and the nv run record
-    only their terminal states, so a chunk keeps only its coarse bundle.
+    only their terminal states, so a chunk keeps only its coarse bundle and,
+    while nv marches, nv's time-major read of it.
     """
     if N < 1:
         raise ValueError("normalized_error_samples needs N >= 1")

@@ -787,11 +787,8 @@ def test_ks_statistic_is_scipys_bit_for_bit(case):
 
     x, y = _ks_cases()[case]
     rep = compare_distributions(x[:, None], y[:, None])
-    want = ks_2samp(x, y, method="asymp").statistic
-    assert_same_bits(rep.ks_stat[0], want)
-    # identical samples give +0.0, not -0.0
-    if case.startswith("identical"):
-        assert math.copysign(1.0, rep.ks_stat[0]) == 1.0
+    # signs compared too: identical samples give scipy's +0.0, not -0.0
+    assert_same_bits(rep.ks_stat[0], ks_2samp(x, y, method="asymp").statistic)
 
 
 def test_ks_pvalue_is_the_kolmogorov_distribution():
